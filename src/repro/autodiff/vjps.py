@@ -268,8 +268,9 @@ def _conv1d_im2col_vjp_x(g, ans, cols, w, padded_shape, width, dim, same, left, 
 
 
 def _conv1d_im2col_vjp_w(g, ans, cols, w, padded_shape, width, dim, same, left, time):
-    # (width*D, F) = sum_b cols_b^T @ grad_b
-    return np.einsum("btk,btf->kf", cols, g)
+    # (width*D, F) = sum_b cols_b^T @ grad_b, as one GEMM over the
+    # flattened (B*T_out) rows.
+    return cols.reshape(-1, cols.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 defvjp(

@@ -133,15 +133,14 @@ class TwoStageSequenceTagger:
         from ..baselines.common import predict_sequence_proba_batched
 
         proba = predict_sequence_proba_batched(self.model, tokens, lengths)
-        if self.test_rules is None:
-            return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
-        pairwise = self.test_rules.pairwise_potential(self.C)
-        initial = self.test_rules.initial_potential(self.C)
-        out = []
-        for i in range(len(lengths)):
-            marginals = chain_marginals(proba[i, : int(lengths[i])], pairwise, initial)
-            out.append(marginals.argmax(axis=1))
-        return out
+        if self.test_rules is not None:
+            proba = chain_marginals(
+                proba,
+                lengths,
+                self.test_rules.pairwise_potential(self.C),
+                self.test_rules.initial_potential(self.C),
+            )
+        return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
 
     def inference_posteriors(self) -> list[np.ndarray]:
         if self.inferred_posteriors_ is None:

@@ -14,7 +14,9 @@ token matrices (plus a sparse token × (annotator, label) incidence), so
 the Eq. 12 confusion update and Eq. 13 posterior are a handful of NumPy /
 sparse-matmul calls rather than per-sentence Python loops — see
 :mod:`repro.core.em` (the ``*_reference`` functions preserve the original
-loop semantics and anchor the equivalence tests). The matching ``semantics
+loop semantics and anchor the equivalence tests). The Eq. 15 projection
+of every sentence is likewise one batched chain DP per sweep
+(:func:`repro.logic.chain_marginals`). The matching ``semantics
 unchanged`` argument for the fused GRU lives in
 :mod:`repro.autodiff.functional.gru_sequence`.
 """

@@ -8,7 +8,10 @@ sequence-specific pieces:
   transition rules (Eq. 18–19), so ``qb``'s per-token marginals are
   computed exactly with the chain forward–backward DP
   (:func:`repro.logic.chain_marginals`) — the "dynamic programming for
-  efficient computation in Equation 15" the paper describes;
+  efficient computation in Equation 15" the paper describes. Each
+  pseudo-E-step pads every sentence's ``qa`` into one ``(I, T_max, K)``
+  batch and runs the DP once for the whole sweep, as does teacher
+  prediction;
 * the Eq. 10 weighted loss uses each sentence's annotator count as the
   per-token weight (Table I selects the weighted objective for NER).
 """
@@ -73,10 +76,16 @@ class LogicLNCLSequenceTagger:
 
     # ------------------------------------------------------------------ #
     def _distill(self, qa: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-sentence Eq. 15 marginals via the chain DP."""
-        pairwise = self.rules.pairwise_potential(self.config.C)
-        initial = self.rules.initial_potential(self.config.C)
-        return [chain_marginals(q, pairwise, initial) for q in qa]
+        """Eq. 15 marginals of every sentence from one batched chain DP."""
+        lengths = np.array([q.shape[0] for q in qa], dtype=np.int64)
+        padded = self._pad_targets(qa, int(lengths.max(initial=0)), self.model.num_classes)
+        marginals = chain_marginals(
+            padded,
+            lengths,
+            self.rules.pairwise_potential(self.config.C),
+            self.rules.initial_potential(self.config.C),
+        )
+        return [marginals[i, :length] for i, length in enumerate(lengths)]
 
     @staticmethod
     def _mix(qa: list[np.ndarray], qb: list[np.ndarray], k: float) -> list[np.ndarray]:
@@ -86,8 +95,9 @@ class LogicLNCLSequenceTagger:
     def _pad_targets(posteriors: list[np.ndarray], max_time: int, num_classes: int) -> np.ndarray:
         """Stack ragged per-sentence posteriors into ``(I, T, K)``.
 
-        Padded rows get a uniform distribution; they are masked from the
-        loss so the value is irrelevant — uniform keeps them harmless.
+        Padded rows get a uniform distribution; the loss masks them and
+        the chain DP ignores them, so the value is irrelevant — uniform
+        keeps them harmless.
         """
         out = np.full((len(posteriors), max_time, num_classes), 1.0 / num_classes)
         for i, posterior in enumerate(posteriors):
@@ -199,17 +209,17 @@ class LogicLNCLSequenceTagger:
 
     def predict_teacher(self, tokens: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
         """Eq. 15 at test time: chain-DP marginals of the rule-adapted
-        network prediction, decoded per token."""
+        network prediction (one batched DP over all sentences), decoded
+        per token."""
         proba = predict_sequence_proba_batched(self.model, tokens, lengths)
-        if self.rules is None:
-            return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
-        pairwise = self.rules.pairwise_potential(self.config.C)
-        initial = self.rules.initial_potential(self.config.C)
-        out = []
-        for i in range(len(lengths)):
-            marginals = chain_marginals(proba[i, : int(lengths[i])], pairwise, initial)
-            out.append(marginals.argmax(axis=1))
-        return out
+        if self.rules is not None:
+            proba = chain_marginals(
+                proba,
+                lengths,
+                self.rules.pairwise_potential(self.config.C),
+                self.rules.initial_potential(self.config.C),
+            )
+        return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
 
     def inference_posterior(self) -> list[np.ndarray]:
         """``qf(t)`` on the training sentences (Inference metric)."""

@@ -284,9 +284,10 @@ def batched_forward_backward(
     Parameters
     ----------
     log_emissions:
-        ``(I, T_max, K)`` padded log emission likelihoods; entries at or
-        beyond each chain's length are ignored but must be finite (pad
-        with zeros, as :func:`pad_ragged` does).
+        ``(I, T_max, K)`` padded log emission likelihoods; ``-inf`` (log 0)
+        marks a label a token cannot take. Entries at or beyond each
+        chain's length are ignored but must be finite (pad with zeros, as
+        :func:`pad_ragged` does).
     log_transition:
         ``(K, K)`` log transition matrix shared by all chains.
     log_initial:
@@ -303,6 +304,13 @@ def batched_forward_backward(
     Matches the per-chain :func:`repro.inference.hmm_crowd.forward_backward`
     on every chain; each timestep is one ``(I, K) @ (K, K)`` matmul across
     all chains instead of ``I`` separate vector–matrix products.
+
+    Raises
+    ------
+    ValueError
+        On malformed lengths, or when some chain has no support at a
+        position ``t`` (every label path through ``t``, the first token
+        included, has zero potential).
     """
     I, T_max, K = log_emissions.shape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -314,6 +322,9 @@ def batched_forward_backward(
         return np.zeros((I, 0, K)), np.zeros((I, K, K)), np.zeros(I)
 
     shift = log_emissions.max(axis=2, keepdims=True)          # (I, T_max, 1)
+    # A position where every label is log 0 keeps a zero shift: its
+    # emissions vanish and the support check below reports it.
+    shift[np.isneginf(shift)] = 0.0
     emissions = np.exp(log_emissions - shift)
     transition = np.exp(log_transition)
     initial = np.exp(log_initial - log_initial.max())
@@ -325,11 +336,10 @@ def batched_forward_backward(
     # and the evidence below, so no per-step masking is needed.
     alpha = np.zeros((I, T_max, K))
     scales = np.ones((I, T_max))
-    alpha[:, 0] = initial[None, :] * emissions[:, 0]
-    scales[:, 0] = alpha[:, 0].sum(axis=1)
-    alpha[:, 0] /= scales[:, 0, None]
-    for t in range(1, T_max):
-        step = emissions[:, t] * (alpha[:, t - 1] @ transition)
+    step = initial[None, :] * emissions[:, 0]
+    for t in range(T_max):
+        if t:
+            step = emissions[:, t] * (alpha[:, t - 1] @ transition)
         totals = step.sum(axis=1)
         if (totals <= 0).any():
             bad = active[:, t] & (totals <= 0)

@@ -19,12 +19,17 @@ Two computational realizations are provided:
   intractable, but the regularized joint factorizes over a chain, so the
   per-token marginals of ``qb`` are computed exactly with the
   forward–backward dynamic program the paper alludes to ("we can use
-  dynamic programming for efficient computation in Equation 15").
+  dynamic programming for efficient computation in Equation 15"). The
+  chains of a whole corpus are padded to ``(I, T_max, K)`` and run through
+  the length-masked :func:`repro.inference.primitives.batched_forward_backward`
+  together, so one pseudo-E-step sweep is one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..inference.primitives import batched_forward_backward
 
 __all__ = ["distill_posterior", "chain_marginals"]
 
@@ -69,39 +74,56 @@ def distill_posterior(qa: np.ndarray, penalties: np.ndarray, C: float) -> np.nda
 
 def chain_marginals(
     unary: np.ndarray,
+    lengths: np.ndarray,
     pairwise: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact per-token marginals of a linear-chain distribution.
+    """Exact per-token marginals of a batch of linear-chain distributions.
 
-    The chain is ``q(t_1..T) ∝ Π_s unary[s, t_s] · Π_s pairwise[t_{s-1}, t_s]
-    · initial[t_1]``; with ``unary = qa`` and
-    ``pairwise = exp(-C · transition_penalty)`` this yields the sequence
-    version of Eq. 15.
+    Chain ``i`` of length ``T_i`` is ``q(t_1..T_i) ∝ initial[t_1] ·
+    Π_s unary[i, s, t_s] · Π_{s>1} pairwise[t_{s-1}, t_s]``; with
+    ``unary = qa`` and ``pairwise = exp(-C · transition_penalty)`` this
+    yields the sequence version of Eq. 15. All chains go through one
+    :func:`repro.inference.primitives.batched_forward_backward` pass, so a
+    pseudo-E-step over a corpus is one call.
 
     Parameters
     ----------
     unary:
-        ``(T, K)`` non-negative per-token potentials (typically ``qa``).
+        ``(I, T_max, K)`` padded non-negative per-token potentials
+        (typically ``qa``); entries at or beyond each chain's length are
+        ignored.
+    lengths:
+        ``(I,)`` chain lengths in ``[0, T_max]``.
     pairwise:
         ``(K, K)`` non-negative transition potentials, ``pairwise[prev, cur]``.
     initial:
-        Optional ``(K,)`` potential applied to the first token (encodes
-        "sentence-initial I-X is invalid"). Defaults to all-ones.
+        Optional ``(K,)`` non-negative potential applied to each chain's
+        first token (encodes "sentence-initial I-X is invalid"). Defaults
+        to all-ones.
 
     Returns
     -------
-    ``(T, K)`` marginals, each row normalized to sum to one.
+    ``(I, T_max, K)`` marginals: each row within a chain's length sums to
+    one, rows past it are zero (a length-0 chain gets only zero rows).
+
+    Raises
+    ------
+    ValueError
+        On malformed shapes or lengths, negative potentials, or a chain
+        with no support (every label path through some position, the
+        first token included, has zero potential).
     """
     unary = np.asarray(unary, dtype=np.float64)
     pairwise = np.asarray(pairwise, dtype=np.float64)
-    if unary.ndim != 2:
-        raise ValueError(f"unary must be (T, K), got shape {unary.shape}")
-    T, K = unary.shape
+    if unary.ndim != 3:
+        raise ValueError(f"unary must be (I, T_max, K), got shape {unary.shape}")
+    I, T_max, K = unary.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (I,):
+        raise ValueError(f"lengths must be ({I},), got shape {lengths.shape}")
     if pairwise.shape != (K, K):
         raise ValueError(f"pairwise must be ({K}, {K}), got {pairwise.shape}")
-    if np.any(unary < 0) or np.any(pairwise < 0):
-        raise ValueError("potentials must be non-negative")
     if initial is None:
         initial = np.ones(K)
     else:
@@ -109,29 +131,17 @@ def chain_marginals(
         if initial.shape != (K,):
             raise ValueError(f"initial must be ({K},), got {initial.shape}")
 
-    # Scaled forward-backward to avoid underflow on long sentences.
-    alpha = np.zeros((T, K))
-    alpha[0] = unary[0] * initial
-    scale = alpha[0].sum()
-    if scale <= 0:
-        raise ValueError("first-token potentials sum to zero; chain has no support")
-    alpha[0] /= scale
-    for s in range(1, T):
-        alpha[s] = unary[s] * (alpha[s - 1] @ pairwise)
-        scale = alpha[s].sum()
-        if scale <= 0:
-            raise ValueError(f"chain has no support at position {s}")
-        alpha[s] /= scale
-
-    beta = np.zeros((T, K))
-    beta[T - 1] = 1.0
-    for s in range(T - 2, -1, -1):
-        beta[s] = pairwise @ (unary[s + 1] * beta[s + 1])
-        scale = beta[s].sum()
-        if scale <= 0:
-            raise ValueError(f"chain has no support at position {s} (backward)")
-        beta[s] /= scale
-
-    marginals = alpha * beta
-    marginals /= marginals.sum(axis=1, keepdims=True)
+    # Padded entries become potential 1 (log 0) and the initial potential
+    # folds into each first token, so the DP sees one uniform prior.
+    active = np.arange(T_max)[None, :] < lengths[:, None]
+    potentials = np.where(active[:, :, None], unary, 1.0)
+    if np.any(potentials < 0) or np.any(pairwise < 0) or np.any(initial < 0):
+        raise ValueError("potentials must be non-negative")
+    potentials[lengths > 0, :1] *= initial
+    with np.errstate(divide="ignore"):
+        log_potentials = np.log(potentials)
+        log_pairwise = np.log(pairwise)
+    marginals, _, _ = batched_forward_backward(
+        log_potentials, log_pairwise, np.zeros(K), lengths
+    )
     return marginals

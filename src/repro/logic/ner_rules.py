@@ -18,8 +18,10 @@ which is zero unless ``cur`` is an I-X label, and for ``cur = I-X`` equals::
 
 These penalties form a K×K matrix used as the pairwise potential
 ``exp(-C·penalty)`` of the chain DP in
-:func:`repro.logic.distillation.chain_marginals`. A companion *initial*
-penalty vector encodes that a sentence cannot begin with I-X.
+:func:`repro.logic.distillation.chain_marginals`, which every sentence of
+a pseudo-E-step sweep shares: the sweep is one batched DP call. A
+companion *initial* penalty vector encodes that a sentence cannot begin
+with I-X.
 
 The ablation "our-other-rules" keeps only Eq. 18 at full weight (the paper's
 "unrealistic assumption that each label type should be preceded by the same

@@ -21,7 +21,7 @@ from repro.baselines import (
 from repro.core import LogicLNCLConfig, constant
 from repro.eval import accuracy, posterior_accuracy, span_f1_score
 from repro.inference import GLAD, HMMCrowd, MajorityVote, TokenLevelInference
-from repro.logic import ButRule
+from repro.logic import ButRule, bio_transition_rules, chain_marginals
 from repro.models import (
     BagOfEmbeddingsClassifier,
     NERTagger,
@@ -203,6 +203,45 @@ class TestTwoStage:
         test = ner_task.test
         f1 = span_f1_score(test.tags, method.predict(test.tokens, test.lengths)).f1
         assert f1 > 0.15
+
+    def test_sequence_mv_t_decodes_fewer_invalid_transitions(self, ner_task):
+        """MV-t for NER: test-time rules go through one batched chain DP for
+        all sentences. On an untrained tagger, whose argmax decode breaks
+        the BIO scheme often, the rules must not add invalid transitions,
+        and each sentence must decode as if it were run alone."""
+        labels = ner_task.test.label_names
+        rules = bio_transition_rules(labels)
+        method = TwoStageSequenceTagger(
+            _tagger(ner_task), TokenLevelInference(MajorityVote()), _seq_config(1),
+            np.random.default_rng(0), test_rules=rules, C=5.0,
+        )
+        test = ner_task.test
+        with_rules = method.predict(test.tokens, test.lengths)
+        method.test_rules = None
+        rule_free = method.predict(test.tokens, test.lengths)
+        assert [len(tags) for tags in with_rules] == [int(n) for n in test.lengths]
+        assert [len(tags) for tags in rule_free] == [int(n) for n in test.lengths]
+        assert _invalid_transitions(rule_free, labels) > 0
+        assert _invalid_transitions(with_rules, labels) <= _invalid_transitions(rule_free, labels)
+
+        proba = method.model.predict_proba(test.tokens, test.lengths)
+        pairwise, initial = rules.pairwise_potential(5.0), rules.initial_potential(5.0)
+        for i, n in enumerate(test.lengths):
+            alone = chain_marginals(proba[i, :n][None], [n], pairwise, initial)[0]
+            np.testing.assert_array_equal(with_rules[i], alone.argmax(axis=1))
+
+
+def _invalid_transitions(predictions, labels) -> int:
+    """Count I-X tags not preceded by B-X or I-X (sentence start included)."""
+    count = 0
+    for tags in predictions:
+        previous = "O"
+        for tag in tags:
+            name = labels[tag]
+            if name.startswith("I-") and previous not in ("B-" + name[2:], name):
+                count += 1
+            previous = name
+    return count
 
 
 class TestAggNetRaykar:

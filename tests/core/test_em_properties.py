@@ -105,7 +105,7 @@ def test_property_chain_distillation_reduces_invalid_transition_mass(seed):
     rules = bio_transition_rules(labels)
     T = 6
     qa = _random_posterior(rng, T, 3)
-    qb = chain_marginals(qa, rules.pairwise_potential(5.0), rules.initial_potential(5.0))
+    qb = chain_marginals(qa[None], [T], rules.pairwise_potential(5.0), rules.initial_potential(5.0))[0]
     # First-token I-PER mass must not grow.
     assert qb[0, 2] <= qa[0, 2] + 1e-9
     np.testing.assert_allclose(qb.sum(axis=1), 1.0, atol=1e-9)

@@ -137,10 +137,12 @@ class TestEarlyStoppingSequence:
 
 
 class TestEmptyTrainingSet:
-    def test_fit_on_empty_train_is_noop_epochs(self):
+    @pytest.mark.parametrize("rules", [None, _rules()], ids=["no-rules", "bio-rules"])
+    def test_fit_on_empty_train_is_noop_epochs(self, rules):
         """PR 5 empty-training-set contract extended to the Logic-LNCL
         entry point: zero sentences means no-op epochs (loss 0.0) and an
-        untouched (finite) output bias, not an opaque crash."""
+        untouched (finite) output bias, not an opaque crash. With rules,
+        the pseudo-E-step's batched chain DP sees an empty batch."""
         from repro.crowd import SequenceCrowdLabels
         from repro.data.datasets import SequenceTaggingDataset
         from repro.data.vocab import Vocabulary
@@ -160,9 +162,10 @@ class TestEmptyTrainingSet:
             label_names=list(CONLL_LABELS),
             crowd=SequenceCrowdLabels([], num_classes=9, num_annotators=3),
         )
-        trainer = LogicLNCLSequenceTagger(model, _config(2), rng, rules=None)
+        trainer = LogicLNCLSequenceTagger(model, _config(2), rng, rules=rules)
         history = trainer.fit(train)
         assert history["loss"] == [0.0, 0.0]
         assert trainer.qf_ == []
+        assert trainer.qb_ == []
         for value in model.state_dict().values():
             assert np.isfinite(value).all()

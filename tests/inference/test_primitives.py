@@ -148,6 +148,31 @@ class TestBatchedForwardBackward:
                 np.zeros((1, 3, K)), log_A, np.log(np.full(K, 0.5)), np.array([3])
             )
 
+    def test_first_token_without_support_raises(self):
+        # Finite inputs whose first-token product underflows: the emission
+        # allows only label 1, the initial distribution only label 0.
+        log_em = np.zeros((2, 2, 2))
+        log_em[1, 0] = [-800.0, 0.0]
+        with np.errstate(invalid="raise", divide="raise"):
+            with pytest.raises(ValueError, match="chain 1 has no support at position 0"):
+                batched_forward_backward(
+                    log_em, np.zeros((2, 2)), np.array([0.0, -800.0]), np.array([2, 2])
+                )
+
+    def test_log_zero_rules_labels_out(self):
+        # -inf (log 0) rules a label out; a position with every label ruled
+        # out has no support.
+        log_em = np.zeros((1, 2, 2))
+        log_em[0, 1, 0] = -np.inf
+        gamma, _, _ = batched_forward_backward(log_em, np.zeros((2, 2)), np.zeros(2), [2])
+        np.testing.assert_allclose(
+            gamma[0], [[0.5, 0.5], [0.0, 1.0]], atol=equivalence_atol("float64")
+        )
+        log_em[0, 1, 1] = -np.inf
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ValueError, match="chain 0 has no support at position 1"):
+                batched_forward_backward(log_em, np.zeros((2, 2)), np.zeros(2), [2])
+
 
 class TestPadRagged:
     def test_roundtrip(self):
