@@ -50,8 +50,9 @@ frozen seed-commit implementations (``seed_baseline.py``):
   between the twins (gated at 1e-2 — a correctness check that the fast
   path computes the same network, not a tolerance for sloppiness).
 
-* **sharded** — in-memory batch DS vs. *out-of-core* sharded DS
-  (``repro.inference.sharding``): the label matrix lives on disk as COO
+* **sharded** — in-memory batch DS (``DawidSkene.infer``: the whole
+  crowd as one shard) vs. *out-of-core* sharded DS (``infer_sharded`` on
+  the same instance, ``repro.inference.sharding``): the label matrix lives on disk as COO
   triples, each EM round lazily materializes one
   ``SparseLabelShard`` at a time from a memmap, maps it to mergeable
   ``ShardStats``, and reduces before the global M-step. Reports wall
@@ -167,7 +168,7 @@ from repro.crowd.sharding import (  # noqa: E402
 )
 from repro.crowd.types import CrowdLabelMatrix, SequenceCrowdLabels  # noqa: E402
 from repro.inference.catd import CATD  # noqa: E402
-from repro.inference.dawid_skene import DawidSkene, ShardedDawidSkene  # noqa: E402
+from repro.inference.dawid_skene import DawidSkene  # noqa: E402
 from repro.inference.glad import GLAD  # noqa: E402
 from repro.inference.pm import PM  # noqa: E402
 from repro.experiments.streaming_suite import StreamScenarioConfig  # noqa: E402
@@ -765,7 +766,6 @@ def bench_sharded(instances, annotators, classes, iterations, shards, repeats, r
         np.save(coo_path, coo)
 
         method = DawidSkene(max_iterations=iterations, tolerance=0.0)
-        sharded = ShardedDawidSkene(max_iterations=iterations, tolerance=0.0)
 
         def run_batch():
             # The in-memory path: the whole label matrix (and its cached
@@ -788,7 +788,7 @@ def bench_sharded(instances, annotators, classes, iterations, shards, repeats, r
                 )
 
         def run_sharded_out_of_core():
-            return sharded.infer_sharded(shard_source)
+            return method.infer_sharded(shard_source)
 
         result_batch = run_batch()
         result_sharded = run_sharded_out_of_core()
@@ -844,7 +844,6 @@ def bench_sharded_parallel(
     crowd = CrowdLabelMatrix(labels, classes)
 
     method = DawidSkene(max_iterations=iterations, tolerance=0.0)
-    sharded = ShardedDawidSkene(max_iterations=iterations, tolerance=0.0)
 
     with tempfile.TemporaryDirectory() as tmp:
         # One on-disk shard file + row-range handles; workers memmap the
@@ -855,7 +854,7 @@ def bench_sharded_parallel(
             return method.infer(crowd)
 
         def run_serial_sharded():
-            return sharded.infer_sharded(handles)
+            return method.infer_sharded(handles)
 
         # Equivalence gate before timing anything: serial sharded must
         # match batch, every process run must be bit-identical to serial.
@@ -883,7 +882,7 @@ def bench_sharded_parallel(
             # repeats, as they would over the EM rounds of a real run.
             with ProcessPoolExecutor(max_workers=w) as pool:
                 def run_parallel():
-                    return sharded.infer_sharded(handles, executor=pool)
+                    return method.infer_sharded(handles, executor=pool)
 
                 result_parallel = run_parallel()
                 if not np.array_equal(result_parallel.posterior, result_serial.posterior):

@@ -10,7 +10,8 @@ Walks through the shard-and-merge pipeline end to end:
    both via ``workers=2`` and via a caller-owned executor — where each
    worker memmaps the shard file itself and per-round model state is
    broadcast once per pass;
-4. compare every run against in-memory batch DS: the sharded posteriors
+4. compare every run against in-memory batch DS (``DawidSkene().infer``,
+   the same EM with the whole crowd as one shard): the sharded posteriors
    agree with batch to ~1e-15, and the three sharded runs are
    *bit-identical* to each other (deterministic tree reduce).
 
@@ -54,7 +55,7 @@ def main() -> None:
         print(f"Wrote {len(handles)} shard handles over one "
               f"{os.path.getsize(handles[0].path) / 1024:.0f} KiB file")
 
-        # 3. Batch DS (whole crowd in memory) vs the sharded twins.
+        # 3. Batch DS (whole crowd in memory, one shard) vs four shards.
         print(f"Running DS four ways ({os.cpu_count()} CPU core(s) here):")
         batch = timed("batch, in-memory      ",
                       lambda: DawidSkene().infer(crowd))

@@ -22,25 +22,34 @@ Architecture — three layers over one sparse-crowd core:
    atol 1e-10 and timed as the "before" side in
    ``benchmarks/bench_hotpaths.py``.
 
-   On top of the batch methods, :mod:`~repro.inference.streaming` runs
-   the same kernels *online*: label batches are ingested incrementally
-   (``partial_fit``) with per-update cost O(new observations), under a
-   replay-equivalence contract that pins the no-decay stream to the batch
-   methods at convergence. :mod:`~repro.inference.sharding` runs them
-   *sharded*: every E/M round maps shards to mergeable
-   :class:`~repro.inference.sharding.ShardStats` and reduces before one
-   global M-step, so crowd-data memory is O(largest shard) — in-memory
-   shard views or lazily loaded out-of-core shards — pinned to the batch
-   methods at atol 1e-10 on any shard layout.
+   The classification methods with a per-instance E-step (MV, DS, IBCC,
+   GLAD, PM, CATD) each define their EM loop once, map-reduce style
+   (:mod:`~repro.inference.sharding`): every E/M round maps shards to
+   mergeable :class:`~repro.inference.sharding.ShardStats` and reduces
+   before one global M-step. ``infer(crowd)`` is the one-shard run;
+   ``infer_sharded`` takes in-memory shard views, lazily loaded
+   out-of-core shards, or on-disk handles, so crowd-data memory is
+   O(largest shard), and any layout reproduces the one-shard run at atol
+   1e-10. :mod:`~repro.inference.streaming` runs the same kernels
+   *online*: label batches are ingested incrementally (``partial_fit``)
+   with per-update cost O(new observations), under a replay-equivalence
+   contract that pins the no-decay stream to the batch ``infer`` at
+   convergence.
 
 3. **Registry** (:mod:`~repro.inference.registry`): the single name →
    factory table the experiment suites and examples resolve through. To
-   add a method: implement ``infer`` (subclass
-   :class:`~repro.inference.base.TruthInferenceMethod` for classification
-   crowds), then ``register("MyMethod", "classification", MyMethod)`` —
-   it immediately becomes available to every suite via
-   ``get_method``/``build_method_table``, and the interface-contract tests
-   in ``tests/inference/test_registry.py`` cover it automatically.
+   add a classification method: subclass
+   :class:`~repro.inference.sharding.ShardedTruthInference` and implement
+   ``_infer`` over its shard passes (mappers from a shard to
+   :class:`~repro.inference.sharding.ShardStats`, then a global M-step
+   from the merged stats) — ``infer`` and ``infer_sharded`` come with it.
+   A method that cannot decompose over shards subclasses
+   :class:`~repro.inference.base.TruthInferenceMethod` and implements
+   ``infer`` directly. Then ``register("MyMethod", "classification",
+   MyMethod)`` (and under ``"sharded"`` when it shards) — it immediately
+   becomes available to every suite via ``get_method``/
+   ``build_method_table``, and the interface-contract tests in
+   ``tests/inference/test_registry.py`` cover it automatically.
 """
 
 from .base import (
@@ -50,18 +59,13 @@ from .base import (
     TruthInferenceMethod,
 )
 from .bsc_seq import BSCSeq, bsc_seq_reference
-from .catd import CATD, ShardedCATD, catd_reference
-from .dawid_skene import DawidSkene, ShardedDawidSkene, dawid_skene_reference
-from .glad import GLAD, ShardedGLAD, glad_reference
+from .catd import CATD, catd_reference
+from .dawid_skene import DawidSkene, dawid_skene_reference
+from .glad import GLAD, glad_reference
 from .hmm_crowd import HMMCrowd, forward_backward, hmm_crowd_reference
-from .ibcc import IBCC, ShardedIBCC, ibcc_reference
-from .majority_vote import (
-    MajorityVote,
-    ShardedMajorityVote,
-    majority_vote_posterior,
-    majority_vote_reference,
-)
-from .pm import PM, ShardedPM, pm_reference
+from .ibcc import IBCC, ibcc_reference
+from .majority_vote import MajorityVote, majority_vote_posterior, majority_vote_reference
+from .pm import PM, pm_reference
 from .primitives import (
     annotator_agreement,
     batched_forward_backward,
@@ -77,7 +81,6 @@ from .sharding import (
     ShardedTruthInference,
     ShardStats,
     as_shard_source,
-    merge_shard_stats,
     run_sharded,
     tree_merge_shard_stats,
 )
@@ -129,15 +132,8 @@ __all__ = [
     "StreamingDawidSkene",
     "StreamingGLAD",
     "ShardStats",
-    "merge_shard_stats",
     "tree_merge_shard_stats",
     "as_shard_source",
     "ShardedTruthInference",
     "run_sharded",
-    "ShardedMajorityVote",
-    "ShardedDawidSkene",
-    "ShardedIBCC",
-    "ShardedGLAD",
-    "ShardedPM",
-    "ShardedCATD",
 ]

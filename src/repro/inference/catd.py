@@ -11,11 +11,15 @@ so scarce annotators get conservative (smaller) weights. We alternate this
 weight update with weighted voting, using the squared distance
 ``d = 1 - posterior_match`` for categorical labels.
 
+The iteration is written once, map-reduce style
+(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
+as its own single shard, ``infer_sharded`` on any shard source.
+
 Performance: the error sum is one
 :func:`~repro.inference.primitives.annotator_agreement` gather/scatter and
 the weighted vote one
 :func:`~repro.inference.primitives.weighted_vote_scores` spMM/bincount over
-the crowd's cached COO views — the dense ``(I, J, K)`` one-hot einsums
+the shard's cached COO views — the dense ``(I, J, K)`` one-hot einsums
 survive only in :func:`catd_reference`, the executable specification the
 equivalence harness pins at atol 1e-10.
 """
@@ -35,56 +39,25 @@ from .majority_vote import majority_vote_posterior
 from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["CATD", "ShardedCATD", "catd_reference"]
+__all__ = ["CATD", "catd_reference"]
 
 
-class CATD(TruthInferenceMethod):
-    """Confidence-aware iterative weighted voting."""
-
-    name = "CATD"
-
-    def __init__(self, max_iterations: int = 50, tolerance: float = 1e-6, alpha: float = 0.05) -> None:
-        if stats is None:
-            raise ImportError("CATD needs scipy (scipy.stats)")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.alpha = alpha
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        self._check_nonempty(crowd)
-        counts = crowd.annotations_per_annotator()
-        posterior = majority_vote_posterior(crowd)
-        # χ²(α/2; n_j): annotators with more labels can earn larger weights.
-        chi_upper = stats.chi2.ppf(1.0 - self.alpha / 2.0, df=np.maximum(counts, 1))
-        weights = np.ones(crowd.num_annotators)
-        monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
-
-        while True:
-            error_sum = counts - annotator_agreement(posterior, crowd)
-            weights = chi_upper / np.maximum(error_sum, 1e-6)
-            weights = weights / weights.max()  # scale-invariant voting
-
-            new_posterior = normalize_vote_scores(weighted_vote_scores(weights, crowd))
-            delta = float(np.abs(new_posterior - posterior).max(initial=0.0))
-            posterior = new_posterior
-            if monitor.step(delta):
-                break
-
-        extras = monitor.extras()
-        extras["weights"] = weights
-        return InferenceResult(posterior=posterior, extras=extras)
-
-
-class ShardedCATD(ShardedTruthInference):
-    """Map-reduce confidence-aware truth discovery.
+class CATD(ShardedTruthInference):
+    """Confidence-aware iterative weighted voting.
 
     The chi-square interval bounds depend only on the merged per-annotator
     label counts (computed once, in the init pass); each round then needs
     only the merged error sums for the global weight update, and the
-    weighted vote runs shard-local. Pinned to batch :class:`CATD` at atol
-    1e-10 by the equivalence harness across shard layouts.
+    weighted vote runs shard-local.
+
+    Parameters
+    ----------
+    max_iterations:
+        Upper bound on weight/vote alternations.
+    tolerance:
+        Stop when the posterior's max absolute change falls below this.
+    alpha:
+        Significance level of the chi-square confidence interval.
     """
 
     name = "CATD"
@@ -94,6 +67,8 @@ class ShardedCATD(ShardedTruthInference):
     ) -> None:
         if stats is None:
             raise ImportError("CATD needs scipy (scipy.stats)")
+        if max_iterations < 1:
+            raise ValueError("need at least one iteration")
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         self.max_iterations = max_iterations

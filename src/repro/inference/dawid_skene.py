@@ -5,7 +5,11 @@ true labels, per-annotator confusion matrices, class prior; EM alternates
 Bayes-rule posteriors with closed-form count updates. Laplace smoothing
 keeps confusion rows proper on sparse annotators.
 
-Performance: both EM steps run on the crowd's cached flat COO views via
+The EM loop is written once, map-reduce style
+(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
+as its own single shard, ``infer_sharded`` on any shard source.
+
+Performance: both EM steps run on the shard's cached flat COO views via
 :mod:`repro.inference.primitives` — the confusion-count scatter and the
 per-instance log-likelihood gather are each one sparse–dense product over
 the observed ``(instance, annotator)`` pairs, instead of dense einsums
@@ -25,11 +29,21 @@ from .majority_vote import majority_vote_posterior
 from .primitives import confusion_counts, emission_log_likelihood
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["DawidSkene", "ShardedDawidSkene", "dawid_skene_reference"]
+__all__ = ["DawidSkene", "dawid_skene_reference"]
 
 
-class DawidSkene(TruthInferenceMethod):
-    """Classic DS EM.
+class DawidSkene(ShardedTruthInference):
+    """Classic DS EM, one data pass per EM round.
+
+    Round structure: the global M-step runs from the merged
+    :class:`~repro.inference.sharding.ShardStats` of the previous pass
+    (soft confusion counts + class totals), then one map pass applies the
+    refreshed parameters' E-step to every shard and gathers the next
+    round's statistics — so each EM round reads the shard data exactly
+    once. The init pass seeds with per-shard majority voting. The mappers
+    are bound methods taking ``(params, shard, state)`` so a process pool
+    can ship them by name; the per-round ``(log prior, log confusions)``
+    travel as the pass params, broadcast once per pass.
 
     Parameters
     ----------
@@ -39,70 +53,6 @@ class DawidSkene(TruthInferenceMethod):
         Stop when the posterior's max absolute change falls below this.
     smoothing:
         Laplace pseudo-count added to confusion and prior counts.
-    """
-
-    name = "DS"
-
-    def __init__(self, max_iterations: int = 100, tolerance: float = 1e-6, smoothing: float = 0.01) -> None:
-        if max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.smoothing = smoothing
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        self._check_nonempty(crowd)
-        posterior = majority_vote_posterior(crowd)
-        monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
-
-        confusions = np.zeros((crowd.num_annotators, crowd.num_classes, crowd.num_classes))
-        while True:
-            # M-step: confusion counts and class prior from soft assignments.
-            counts = confusion_counts(posterior, crowd) + self.smoothing
-            confusions = counts / counts.sum(axis=2, keepdims=True)
-            prior = posterior.sum(axis=0) + self.smoothing
-            prior /= prior.sum()
-
-            # E-step in log space: log q(t_i=m) = log p_m + Σ_j log π_j[m, y_ij].
-            log_posterior = np.log(prior)[None, :] + emission_log_likelihood(
-                crowd, np.log(confusions)
-            )
-            shift = log_posterior.max(axis=1, keepdims=True)
-            unnormalized = np.exp(log_posterior - shift)
-            normalizer = unnormalized.sum(axis=1, keepdims=True)
-            log_likelihood = float((shift[:, 0] + np.log(normalizer[:, 0])).sum())
-            new_posterior = unnormalized / normalizer
-
-            # initial=0.0 keeps the degenerate empty crowd (I = 0) total.
-            delta = float(np.abs(new_posterior - posterior).max(initial=0.0))
-            posterior = new_posterior
-            if monitor.step(delta, log_likelihood):
-                break
-
-        return InferenceResult(
-            posterior=posterior,
-            confusions=confusions,
-            extras=monitor.extras(),
-        )
-
-
-class ShardedDawidSkene(ShardedTruthInference):
-    """Map-reduce Dawid–Skene: one data pass per EM round.
-
-    Round structure (mirroring :class:`DawidSkene` exactly): the global
-    M-step runs from the merged :class:`~repro.inference.sharding.
-    ShardStats` of the previous pass (soft confusion counts + class
-    totals), then one map pass applies the refreshed parameters' E-step to
-    every shard and gathers the next round's statistics — so each EM round
-    reads the shard data exactly once. The init pass seeds with per-shard
-    majority voting, as the batch method does. The mappers are bound
-    methods taking ``(params, shard, state)`` so a process pool can ship
-    them by name; the per-round ``(log prior, log confusions)`` travel as
-    the pass params, broadcast once per pass. Equivalence to the batch
-    twin (posterior, confusions, iteration count) holds at atol 1e-10 on
-    any shard layout; the only divergence is summation grouping.
     """
 
     name = "DS"

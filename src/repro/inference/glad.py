@@ -7,8 +7,12 @@ inverse item difficulty. EM with gradient-ascent M-steps, as in the
 original paper. GLAD is binary by construction; the paper accordingly uses
 it only on the sentiment dataset ("GLAD, which is inapplicable on NER").
 
+The EM loop is written once, map-reduce style
+(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
+as its own single shard, ``infer_sharded`` on any shard source.
+
 Performance: every per-label quantity (σ(α_j β_i), the E-step evidence,
-the M-step residuals) lives on the crowd's cached flat COO triples
+the M-step residuals) lives on the shard's cached flat COO triples
 (:meth:`~repro.crowd.types.CrowdLabelMatrix.flat_label_pairs`), so each
 E-step and each gradient-ascent step is a handful of O(n_obs) gathers plus
 one ``bincount`` scatter per aggregated quantity — never a dense ``(I, J)``
@@ -27,15 +31,25 @@ from ..crowd.types import CrowdLabelMatrix
 from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["GLAD", "ShardedGLAD", "glad_reference"]
+__all__ = ["GLAD", "glad_reference"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-class GLAD(TruthInferenceMethod):
+class GLAD(ShardedTruthInference):
     """Binary GLAD via EM with gradient M-steps.
+
+    The annotator abilities ``α`` are the only cross-shard state; item
+    difficulties ``log β`` and posteriors are per-instance and live with
+    their shard. Each EM round is one E-pass (per-shard posterior update,
+    deltas merged via max) followed by ``gradient_steps`` gradient passes:
+    every inner ascent step maps shards to raw ``α``-gradient scatter sums
+    (merged, then normalized by the merged per-annotator label counts —
+    the mean gradient over all of an annotator's labels) while the
+    ``log β`` ascent applies shard-locally under the not-yet-updated
+    global ``α``, as :func:`glad_reference` orders the two updates.
 
     Parameters
     ----------
@@ -65,115 +79,8 @@ class GLAD(TruthInferenceMethod):
     ) -> None:
         if em_iterations < 1:
             raise ValueError("need at least one EM iteration")
-        if not 0.0 < prior_correct < 1.0:
-            raise ValueError("prior must be in (0, 1)")
-        self.em_iterations = em_iterations
-        self.gradient_steps = gradient_steps
-        self.learning_rate = learning_rate
-        self.prior_correct = prior_correct
-        self.tolerance = tolerance
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        if crowd.num_classes != 2:
-            raise ValueError("GLAD supports binary labels only (as in the paper)")
-        self._check_nonempty(crowd)
-        I, J = crowd.num_instances, crowd.num_annotators
-        rows, cols, given = crowd.flat_label_pairs()
-        # Per observed label: True where the label equals class 1.
-        votes_one = given == 1
-        labels_per_annotator = np.maximum(np.bincount(cols, minlength=J), 1)
-        labels_per_instance = np.maximum(np.bincount(rows, minlength=I), 1)
-        log_prior_ratio = np.log(self.prior_correct) - np.log(1 - self.prior_correct)
-
-        alpha = np.ones(J)
-        log_beta = np.zeros(I)
-        posterior_one = np.full(I, self.prior_correct)
-        monitor = ConvergenceMonitor(self.tolerance, self.em_iterations)
-
-        while True:
-            # E-step: p(t_i = 1 | labels) with σ(αβ) correctness likelihood,
-            # one gather per label and one scatter per evidence term.
-            beta = np.exp(log_beta)
-            sig = _sigmoid(beta[rows] * alpha[cols])
-            log_sig = np.log(sig + 1e-12)
-            log_one_minus = np.log(1.0 - sig + 1e-12)
-            # If t=1: labels equal to 1 are correct; if t=0 they are wrong.
-            log_like_one = np.bincount(
-                rows, weights=np.where(votes_one, log_sig, log_one_minus), minlength=I
-            )
-            log_like_zero = np.bincount(
-                rows, weights=np.where(votes_one, log_one_minus, log_sig), minlength=I
-            )
-            new_posterior_one = _sigmoid(log_prior_ratio + log_like_one - log_like_zero)
-            delta = float(np.abs(new_posterior_one - posterior_one).max(initial=0.0))
-            posterior_one = new_posterior_one
-            should_stop = monitor.step(delta)
-            if monitor.converged:
-                # Tolerance-triggered stop: the posterior is final, so the
-                # gradient ascent below would be dead work. (Never taken at
-                # the default tolerance 0.0 — the budget-exhausted path
-                # still runs the final M-step, exactly like the reference.)
-                break
-
-            # M-step: ascend expected complete log-likelihood in (α, log β);
-            # each gradient is one O(n_obs) residual plus one bincount.
-            for _ in range(self.gradient_steps):
-                beta = np.exp(log_beta)
-                sig = _sigmoid(beta[rows] * alpha[cols])
-                # P(label j correct on i) under the posterior.
-                prob_correct = np.where(votes_one, posterior_one[rows], 1.0 - posterior_one[rows])
-                residual = prob_correct - sig
-                # Mean (not summed) gradients keep step sizes independent of
-                # how many labels an annotator/instance has.
-                grad_alpha = (
-                    np.bincount(cols, weights=residual * beta[rows], minlength=J)
-                    / labels_per_annotator
-                )
-                grad_log_beta = (
-                    np.bincount(rows, weights=residual * alpha[cols], minlength=I)
-                    * beta
-                ) / labels_per_instance
-                alpha += self.learning_rate * grad_alpha
-                log_beta += self.learning_rate * grad_log_beta
-                log_beta = np.clip(log_beta, -4.0, 4.0)
-                alpha = np.clip(alpha, -8.0, 8.0)
-
-            if should_stop:
-                break
-
-        posterior = np.stack([1.0 - posterior_one, posterior_one], axis=1)
-        extras = monitor.extras()
-        extras.update({"alpha": alpha, "beta": np.exp(log_beta)})
-        return InferenceResult(posterior=posterior, extras=extras)
-
-
-class ShardedGLAD(ShardedTruthInference):
-    """Map-reduce binary GLAD.
-
-    The annotator abilities ``α`` are the only cross-shard state; item
-    difficulties ``log β`` and posteriors are per-instance and live with
-    their shard. Each EM round is one E-pass (per-shard posterior update,
-    deltas merged via max) followed by ``gradient_steps`` gradient passes:
-    every inner ascent step maps shards to raw ``α``-gradient scatter sums
-    (merged, then normalized by the merged per-annotator label counts —
-    exactly the batch mean-gradient) while the ``log β`` ascent applies
-    shard-locally under the not-yet-updated global ``α``, which is the
-    batch update order. Pinned to batch :class:`GLAD` at atol 1e-10 by the
-    equivalence harness across shard layouts.
-    """
-
-    name = "GLAD"
-
-    def __init__(
-        self,
-        em_iterations: int = 30,
-        gradient_steps: int = 20,
-        learning_rate: float = 0.05,
-        prior_correct: float = 0.5,
-        tolerance: float = 0.0,
-    ) -> None:
-        if em_iterations < 1:
-            raise ValueError("need at least one EM iteration")
+        if gradient_steps < 1:
+            raise ValueError("need at least one gradient step")
         if not 0.0 < prior_correct < 1.0:
             raise ValueError("prior must be in (0, 1)")
         self.em_iterations = em_iterations
@@ -184,7 +91,7 @@ class ShardedGLAD(ShardedTruthInference):
 
     def _init_mapper(self, params, shard):
         # Per-shard state (all O(shard instances), carried across
-        # passes like the batch method's per-instance arrays):
+        # passes):
         # posterior, log difficulty, and the labels-per-instance mean
         # normalizer — computed once here, not per gradient step.
         rows, cols, _ = shard.flat_label_pairs()
@@ -231,7 +138,7 @@ class ShardedGLAD(ShardedTruthInference):
         )
         residual = prob_correct - sig
         # Raw scatter sum; the driver applies the global
-        # labels-per-annotator mean, matching the batch gradient.
+        # labels-per-annotator mean.
         grad_alpha = np.bincount(
             cols, weights=residual * beta[rows], minlength=shard.num_annotators
         )
@@ -262,8 +169,10 @@ class ShardedGLAD(ShardedTruthInference):
             states, stats = self._pass(ctx, states, self._e_mapper, alpha)
             should_stop = monitor.step(stats.delta)
             if monitor.converged:
-                # Same dead-work skip as the batch method: the posterior is
-                # final, so the gradient ascent would change nothing reported.
+                # Tolerance-triggered stop: the posterior is final, so the
+                # gradient ascent below would be dead work. (Never taken at
+                # the default tolerance 0.0 — the budget-exhausted path
+                # still runs the final M-step, exactly like the reference.)
                 break
 
             for _ in range(self.gradient_steps):

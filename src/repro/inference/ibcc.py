@@ -11,9 +11,13 @@ with Dirichlet-count updates whose expectations use digamma functions. The
 priors make it markedly more robust than plain DS on annotators with few
 labels (the NER crowd's long tail).
 
+The variational loop is written once, map-reduce style
+(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
+as its own single shard, ``infer_sharded`` on any shard source.
+
 Performance: the Dirichlet-count scatter and the expected-log-likelihood
 gather share DS's sparse kernels (:mod:`repro.inference.primitives`) over
-the crowd's cached COO views. The pre-refactor implementation is kept as
+the shard's cached COO views. The pre-refactor implementation is kept as
 :func:`ibcc_reference`; equivalence at atol 1e-10 is enforced by
 ``tests/inference/test_method_equivalence.py``.
 """
@@ -33,14 +37,24 @@ from .majority_vote import majority_vote_posterior
 from .primitives import confusion_counts, emission_log_likelihood, normalize_log_posterior
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["IBCC", "ShardedIBCC", "ibcc_reference"]
+__all__ = ["IBCC", "ibcc_reference"]
 
 
-class IBCC(TruthInferenceMethod):
+class IBCC(ShardedTruthInference):
     """Variational-Bayes IBCC.
+
+    Same round structure as :class:`~repro.inference.dawid_skene.
+    DawidSkene` — the Dirichlet posterior counts are exactly the mergeable
+    statistics (per-shard soft confusion counts + class totals), and the
+    digamma expectations are a global O(J·K²) transform of the merged
+    counts.
 
     Parameters
     ----------
+    max_iterations:
+        Upper bound on variational sweeps.
+    tolerance:
+        Stop when the posterior's max absolute change falls below this.
     prior_diagonal, prior_off_diagonal:
         Dirichlet pseudo-counts for confusion rows: the diagonal prior
         encodes "annotators are better than chance".
@@ -60,76 +74,8 @@ class IBCC(TruthInferenceMethod):
     ) -> None:
         if digamma is None:
             raise ImportError("IBCC needs scipy (scipy.special.digamma)")
-        if prior_diagonal <= 0 or prior_off_diagonal <= 0 or prior_class <= 0:
-            raise ValueError("Dirichlet priors must be positive")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.prior_diagonal = prior_diagonal
-        self.prior_off_diagonal = prior_off_diagonal
-        self.prior_class = prior_class
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        self._check_nonempty(crowd)
-        K = crowd.num_classes
-        posterior = majority_vote_posterior(crowd)
-        prior_matrix = np.full((K, K), self.prior_off_diagonal)
-        np.fill_diagonal(prior_matrix, self.prior_diagonal)
-        monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
-
-        confusions = np.zeros((crowd.num_annotators, K, K))
-        while True:
-            # Variational M: Dirichlet posterior counts.
-            count_matrix = confusion_counts(posterior, crowd) + prior_matrix
-            class_counts = posterior.sum(axis=0) + self.prior_class
-
-            expected_log_confusion = digamma(count_matrix) - digamma(
-                count_matrix.sum(axis=2, keepdims=True)
-            )
-            expected_log_class = digamma(class_counts) - digamma(class_counts.sum())
-
-            # Variational E.
-            log_posterior = expected_log_class[None, :] + emission_log_likelihood(
-                crowd, expected_log_confusion
-            )
-            new_posterior = normalize_log_posterior(log_posterior)
-
-            # initial=0.0 keeps the degenerate empty crowd (I = 0) total.
-            delta = float(np.abs(new_posterior - posterior).max(initial=0.0))
-            posterior = new_posterior
-            confusions = count_matrix / count_matrix.sum(axis=2, keepdims=True)
-            if monitor.step(delta):
-                break
-
-        return InferenceResult(
-            posterior=posterior,
-            confusions=confusions,
-            extras=monitor.extras(),
-        )
-
-
-class ShardedIBCC(ShardedTruthInference):
-    """Map-reduce variational-Bayes IBCC.
-
-    Same round structure as :class:`~repro.inference.dawid_skene.
-    ShardedDawidSkene` — the Dirichlet posterior counts are exactly the
-    mergeable statistics (per-shard soft confusion counts + class totals),
-    and the digamma expectations are a global O(J·K²) transform of the
-    merged counts. Pinned to batch :class:`IBCC` at atol 1e-10 by the
-    equivalence harness across shard layouts.
-    """
-
-    name = "IBCC"
-
-    def __init__(
-        self,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-        prior_diagonal: float = 2.0,
-        prior_off_diagonal: float = 1.0,
-        prior_class: float = 1.0,
-    ) -> None:
-        if digamma is None:
-            raise ImportError("IBCC needs scipy (scipy.special.digamma)")
+        if max_iterations < 1:
+            raise ValueError("need at least one iteration")
         if prior_diagonal <= 0 or prior_off_diagonal <= 0 or prior_class <= 0:
             raise ValueError("Dirichlet priors must be positive")
         self.max_iterations = max_iterations

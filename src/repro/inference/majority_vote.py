@@ -2,7 +2,8 @@
 
 The *soft* posterior is the per-instance vote fraction, which is also how
 Algorithm 1 of the paper initializes ``qf(t)`` ("Initialize qf(t) with
-Majority Voting").
+Majority Voting"). :class:`MajorityVote` is one map pass over crowd shards
+(:mod:`repro.inference.sharding`); ``infer(crowd)`` is the one-shard run.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..crowd.types import MISSING, CrowdLabelMatrix
-from .base import InferenceResult, TruthInferenceMethod
+from .base import InferenceResult
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
 __all__ = [
     "MajorityVote",
-    "ShardedMajorityVote",
     "majority_vote_posterior",
     "majority_vote_reference",
 ]
@@ -29,23 +29,13 @@ def majority_vote_posterior(crowd: CrowdLabelMatrix) -> np.ndarray:
     return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
 
 
-class MajorityVote(TruthInferenceMethod):
-    """Soft majority voting."""
-
-    name = "MV"
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        return InferenceResult(posterior=majority_vote_posterior(crowd))
-
-
-class ShardedMajorityVote(ShardedTruthInference):
-    """Map-reduce soft majority voting — one pass, no global model.
+class MajorityVote(ShardedTruthInference):
+    """Soft majority voting — one map pass, no global model.
 
     Each instance's vote fraction depends only on its own labels, so the
     map stage is the whole computation and the reduce is bookkeeping
-    (global vote totals for diagnostics). The result equals batch
-    :class:`MajorityVote` on the concatenated shards; being single-pass,
-    this is the one sharded method that accepts a one-shot shard iterator.
+    (global vote totals for diagnostics). Being single-pass, this is the
+    one method whose ``infer_sharded`` accepts a one-shot shard iterator.
     """
 
     name = "MV"

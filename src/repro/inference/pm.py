@@ -6,6 +6,10 @@ by annotator-weighted voting with (2) re-estimating annotator weights from
 their agreement with the current estimates. Weights follow the classic
 truth-discovery update ``w_j ∝ -log(error_j)`` with clamping.
 
+The iteration is written once, map-reduce style
+(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
+as its own single shard, ``infer_sharded`` on any shard source.
+
 Performance: both halves of the iteration run on the shared sparse-crowd
 kernels (:mod:`repro.inference.primitives`) — the agreement term is one
 :func:`~repro.inference.primitives.annotator_agreement` gather/scatter and
@@ -26,53 +30,24 @@ from .majority_vote import majority_vote_posterior
 from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["PM", "ShardedPM", "pm_reference"]
+__all__ = ["PM", "pm_reference"]
 
 
-class PM(TruthInferenceMethod):
-    """Iterative weighted majority voting."""
-
-    name = "PM"
-
-    def __init__(self, max_iterations: int = 50, tolerance: float = 1e-6, floor: float = 1e-3) -> None:
-        if max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.floor = floor
-
-    def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
-        self._check_nonempty(crowd)
-        counts = np.maximum(crowd.annotations_per_annotator(), 1)
-        posterior = majority_vote_posterior(crowd)
-        weights = np.ones(crowd.num_annotators)
-        monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
-
-        while True:
-            # Annotator error: expected disagreement with the soft estimate.
-            error = 1.0 - annotator_agreement(posterior, crowd) / counts
-            error = np.clip(error, self.floor, 1.0 - self.floor)
-            weights = -np.log(error)
-
-            scores = np.maximum(weighted_vote_scores(weights, crowd), 0.0)
-            new_posterior = normalize_vote_scores(scores)
-            delta = float(np.abs(new_posterior - posterior).max(initial=0.0))
-            posterior = new_posterior
-            if monitor.step(delta):
-                break
-
-        extras = monitor.extras()
-        extras["weights"] = weights
-        return InferenceResult(posterior=posterior, extras=extras)
-
-
-class ShardedPM(ShardedTruthInference):
-    """Map-reduce iterative weighted voting.
+class PM(ShardedTruthInference):
+    """Iterative weighted majority voting.
 
     The annotator-error update needs only the merged per-annotator
     agreement sums and label counts; the weighted vote is per-instance and
-    runs shard-local under the global weights. Pinned to batch :class:`PM`
-    at atol 1e-10 by the equivalence harness across shard layouts.
+    runs shard-local under the global weights.
+
+    Parameters
+    ----------
+    max_iterations:
+        Upper bound on weight/vote alternations.
+    tolerance:
+        Stop when the posterior's max absolute change falls below this.
+    floor:
+        Clamp on annotator error rates, keeping ``-log(error)`` finite.
     """
 
     name = "PM"

@@ -21,16 +21,17 @@ Methods are registered under a *kind*:
   instead of a one-shot ``infer``, under the replay-equivalence contract
   documented there (no decay + ``fit_to_convergence`` reproduces the
   kind-``"classification"`` method of the same name);
-* ``"sharded"`` — map-reduce twins from :mod:`~repro.inference.sharding`:
+* ``"sharded"`` — the kind-``"classification"`` methods whose EM is
+  written map-reduce style (:mod:`~repro.inference.sharding`), registered
+  as the *same class*: ``infer(crowd)`` is the one-shard run, and
   ``infer_sharded(shard_source)`` runs the same EM on mergeable per-shard
   sufficient statistics (in-memory shard views, lazily loaded out-of-core
   shards, or on-disk :class:`~repro.crowd.sharding.ShardHandle` files),
-  reproducing the kind-``"classification"`` method of the same name at
-  atol 1e-10 on any shard layout. The map stage runs serially, over a
-  thread pool (``executor=``), or over a process pool (``workers=N`` or a
-  ``ProcessPoolExecutor``) with bit-identical posteriors either way
-  (deterministic tree reduce). Drive them through
-  :func:`~repro.inference.sharding.run_sharded`.
+  reproducing the one-shard run at atol 1e-10 on any shard layout. The
+  map stage runs serially, over a thread pool (``executor=``), or over a
+  process pool (``workers=N`` or a ``ProcessPoolExecutor``) with
+  bit-identical posteriors either way (deterministic tree reduce). Drive
+  them through :func:`~repro.inference.sharding.run_sharded`.
 
 Factories receive the caller's keyword overrides (e.g.
 ``get_method("HMM-Crowd", kind="sequence", max_iterations=15)``), so
@@ -43,13 +44,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bsc_seq import BSCSeq
-from .catd import CATD, ShardedCATD
-from .dawid_skene import DawidSkene, ShardedDawidSkene
-from .glad import GLAD, ShardedGLAD
+from .catd import CATD
+from .dawid_skene import DawidSkene
+from .glad import GLAD
 from .hmm_crowd import HMMCrowd
-from .ibcc import IBCC, ShardedIBCC
-from .majority_vote import MajorityVote, ShardedMajorityVote
-from .pm import PM, ShardedPM
+from .ibcc import IBCC
+from .majority_vote import MajorityVote
+from .pm import PM
 from .sequence_utils import TokenLevelInference
 from .streaming import StreamingDawidSkene, StreamingGLAD, StreamingMajorityVote
 
@@ -158,9 +159,9 @@ register("MV", "streaming", StreamingMajorityVote, "online majority voting")
 register("DS", "streaming", StreamingDawidSkene, "stepwise-EM Dawid–Skene")
 register("GLAD", "streaming", StreamingGLAD, "online GLAD (binary, SGD abilities)")
 
-register("MV", "sharded", ShardedMajorityVote, "map-reduce majority voting")
-register("DS", "sharded", ShardedDawidSkene, "map-reduce Dawid–Skene EM")
-register("IBCC", "sharded", ShardedIBCC, "map-reduce variational-Bayes IBCC")
-register("GLAD", "sharded", ShardedGLAD, "map-reduce GLAD (binary)")
-register("PM", "sharded", ShardedPM, "map-reduce iterative weighted voting")
-register("CATD", "sharded", ShardedCATD, "map-reduce confidence-aware truth discovery")
+register("MV", "sharded", MajorityVote, "map-reduce majority voting")
+register("DS", "sharded", DawidSkene, "map-reduce Dawid–Skene EM")
+register("IBCC", "sharded", IBCC, "map-reduce variational-Bayes IBCC")
+register("GLAD", "sharded", GLAD, "map-reduce GLAD (binary)")
+register("PM", "sharded", PM, "map-reduce iterative weighted voting")
+register("CATD", "sharded", CATD, "map-reduce confidence-aware truth discovery")

@@ -1,17 +1,21 @@
 """Shard-and-merge truth inference: map-reduce EM over crowd shards.
 
-The batch methods in this package hold one in-memory crowd per run; the
-streaming layer (PR 4) relaxed that over *time* (batches arrive, sufficient
-statistics update incrementally). This module relaxes it over *space*: a
-crowd is a collection of shards, every E/M round maps each shard to a
-:class:`ShardStats` of mergeable sufficient statistics with the same
-sparse-COO kernels the batch methods use (:mod:`repro.inference.primitives`),
-reduces with the associative :meth:`ShardStats.merge`, and runs one global
-closed-form M-step. Peak crowd-data memory is bounded by the largest shard
-(plus the O(I·K) posterior the caller asked for), and the map stage is
-embarrassingly parallel — across threads *or* worker processes.
+Every classification method with a per-instance E-step (MV, DS, IBCC,
+GLAD, PM, CATD) is written once, as a subclass of
+:class:`ShardedTruthInference`: a crowd is a collection of shards, every
+E/M round maps each shard to a :class:`ShardStats` of mergeable
+sufficient statistics with the sparse-COO kernels of
+:mod:`repro.inference.primitives`, reduces with the associative
+:meth:`ShardStats.merge`, and runs one global closed-form M-step. The
+batch call ``infer(crowd)`` is the one-shard run — the container is its
+own single shard, so no view is built. Across shards, peak crowd-data
+memory is bounded by the largest shard (plus the O(I·K) posterior the
+caller asked for), and the map stage is embarrassingly parallel — across
+threads *or* worker processes. (The streaming layer relaxes the
+one-crowd assumption over *time* instead: see
+:mod:`repro.inference.streaming`.)
 
-**Shard sources.** Every sharded method accepts, in order of increasing
+**Shard sources.** ``infer_sharded`` accepts, in order of increasing
 externality:
 
 * a *sequence* of shards — e.g. the zero-copy views from
@@ -69,18 +73,19 @@ bottom-up. Combined with submission-order result consumption, the
 posterior is **bit-identical** across serial, thread-pool, and
 process-pool execution for a fixed shard layout, regardless of worker
 count or completion order. (Across *different* shard counts the grouping
-differs, which is why the batch contract below is atol, not bit-for-bit.)
+differs, which is why the layout contract below is atol, not bit-for-bit.)
 
-**Equivalence contract.** Every method registered under the ``"sharded"``
-registry kind reproduces its batch twin (same name, kind
-``"classification"``) at atol 1e-10 — posterior, confusion matrices, and
-iteration count — on any shard layout: one shard, many, single-instance
-shards, empty shards interleaved, on-disk handle layouts. The randomized
-harness in ``tests/inference/equivalence_harness.py`` pins this across
-seeded crowds, layouts, and executors, and its meta-test refuses future
-``"sharded"`` registrations that do not name a batch reference. The only
-divergence from the batch twin is floating-point summation *grouping*
-(per-shard partial sums versus one global scatter).
+**Equivalence contract.** Any shard layout — one shard, many,
+single-instance shards, empty shards interleaved, lazy out-of-core
+sources, on-disk handle layouts — reproduces ``infer(crowd)``, the
+one-shard run, at atol 1e-10: posterior, confusion matrices, iteration
+count, and the annotator-model extras. The only divergence is
+floating-point summation *grouping* (per-shard partial sums versus one
+scatter over the whole crowd). The randomized harness in
+``tests/inference/equivalence_harness.py`` pins this across seeded
+crowds, layouts, and executors; the independent anchor is each method's
+``*_reference`` executable specification, which ``infer(crowd)`` matches
+at the same tolerance.
 """
 
 from __future__ import annotations
@@ -97,12 +102,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..crowd.sharding import ShardHandle, as_sparse_shard
-from .base import InferenceResult
+from .base import InferenceResult, TruthInferenceMethod
 
 __all__ = [
     "ShardStats",
     "TreeReducer",
-    "merge_shard_stats",
     "tree_merge_shard_stats",
     "shard_base_stats",
     "as_shard_source",
@@ -161,8 +165,8 @@ class ShardStats:
     ------
     instances / observations / unannotated:
         Shard size, observed-label count, and how many of the shard's
-        instances carry no label at all (the batch methods refuse those;
-        the sharded twins must refuse identically).
+        instances carry no label at all (the iterative methods refuse
+        those, as the ``*_reference`` specifications do).
     confusion:
         ``(J, K, K)`` soft confusion counts of the shard's posterior block
         (DS/IBCC M-step numerator).
@@ -182,7 +186,7 @@ class ShardStats:
         Shard's E-step log evidence (summed).
     delta:
         Max-abs posterior change on the shard (merged via max — the global
-        convergence criterion of every batch twin).
+        convergence criterion of every iterative method).
     """
 
     instances: int = 0
@@ -225,20 +229,6 @@ class ShardStats:
             log_likelihood=self.log_likelihood + other.log_likelihood,
             delta=max(self.delta, other.delta),
         )
-
-
-def merge_shard_stats(stats: Iterable[ShardStats]) -> ShardStats:
-    """Fold an iterable of stats left-to-right from the identity.
-
-    The merge shape depends on nothing but the item count, so this is
-    deterministic too — but it groups as ``(((a·b)·c)·d)``, a different
-    rounding from :func:`tree_merge_shard_stats`. The drivers use the
-    tree; this fold is kept for the algebra tests and ad-hoc reduction.
-    """
-    merged = ShardStats()
-    for item in stats:
-        merged = merged.merge(item)
-    return merged
 
 
 class TreeReducer:
@@ -532,8 +522,8 @@ class _MapContext:
         self.close()
 
 
-class ShardedTruthInference:
-    """Base class for the map-reduce twins of the batch methods.
+class ShardedTruthInference(TruthInferenceMethod):
+    """Base class of the map-reduce truth-inference methods.
 
     Subclasses implement :meth:`_infer` over the pass plumbing here, with
     their mappers as *bound methods* taking ``(params, shard[, state])`` —
@@ -544,10 +534,9 @@ class ShardedTruthInference:
     :meth:`_pass` re-pairs each shard with its carried per-shard state
     (posterior blocks, GLAD difficulties) by position and maps again.
     Per-pass global parameters go through ``ctx.payload`` so a process
-    pool broadcasts them once, not per shard.
+    pool broadcasts them once, not per shard. :meth:`infer` is defined
+    once, here: the in-memory crowd is its own single shard.
     """
-
-    name = "sharded-base"
 
     def infer_sharded(self, shards, executor=None, workers: int | None = None,
                       window: int | None = None) -> InferenceResult:
@@ -565,13 +554,9 @@ class ShardedTruthInference:
     def _infer(self, ctx: _MapContext) -> InferenceResult:
         raise NotImplementedError
 
-    def infer(self, crowd, num_shards: int = 4, executor=None,
-              workers: int | None = None, window: int | None = None) -> InferenceResult:
-        """Convenience: shard an in-memory container and run."""
-        return self.infer_sharded(
-            crowd.shards(num_shards), executor=executor, workers=workers,
-            window=window,
-        )
+    def infer(self, crowd) -> InferenceResult:
+        """Run on one in-memory crowd: the one-shard map-reduce run."""
+        return self.infer_sharded([crowd])
 
     # -- pass plumbing -------------------------------------------------- #
     @staticmethod
@@ -631,7 +616,7 @@ class ShardedTruthInference:
 
     @staticmethod
     def _require_annotated(stats: ShardStats) -> None:
-        """Mirror the batch methods' refusal of label-free instances."""
+        """Refuse label-free instances, as :meth:`_check_nonempty` does."""
         if stats.unannotated:
             raise ValueError(
                 f"{stats.unannotated} instances have no annotations at all"

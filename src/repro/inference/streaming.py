@@ -1,7 +1,7 @@
 """Streaming (online) truth inference over label streams.
 
-The batch methods in this package assume the whole crowd is in memory
-before inference starts. Serving a live annotation pipeline needs the
+The batch methods in this package assume every label is known before
+inference starts. Serving a live annotation pipeline needs the
 opposite: labels arrive in batches of new instances, posteriors update
 incrementally, and the cost of ingesting a batch is O(new observations) —
 never a fresh EM run over everything seen so far. This module provides
@@ -98,7 +98,10 @@ class StreamingTruthInference:
 
     Subclasses implement :meth:`_ingest` (the O(new observations) state
     update, returning the monitor delta), :meth:`_posterior_blocks`, and
-    :meth:`_batch_twin` / :meth:`_adopt` for the convergence path.
+    :meth:`_adopt` for the convergence path, and build ``self._twin`` —
+    the batch method this stream converges to (replay contract) — once in
+    their constructor. The twin's constructor is the one check of the
+    parameters the two share.
     """
 
     name = "streaming-base"
@@ -223,7 +226,7 @@ class StreamingTruthInference:
                 np.nonzero(counts > 0)[0], np.nonzero(counts == 0)[0]
             )
         else:
-            result = self._batch_twin().infer(self.crowd)
+            result = self._twin.infer(self.crowd)
         self._adopt(result)
         extras = dict(result.extras)
         streaming = self.streaming_extras()
@@ -238,7 +241,7 @@ class StreamingTruthInference:
         self, annotated: np.ndarray, unannotated: np.ndarray
     ) -> InferenceResult:
         """Batch-twin convergence when some instances carry no labels yet."""
-        sub = self._batch_twin().infer(self.crowd.subset(annotated))
+        sub = self._twin.infer(self.crowd.subset(annotated))
         posterior = np.empty((self.crowd.num_instances, self.num_classes))
         posterior[annotated] = sub.posterior
         posterior[unannotated] = self._no_evidence_posterior(sub)
@@ -354,10 +357,6 @@ class StreamingTruthInference:
     def _splice_extras(self, extras: dict, annotated: np.ndarray, unannotated: np.ndarray) -> None:
         """Expand per-instance extras of a subset run back to full size."""
 
-    def _batch_twin(self):
-        """The batch method this stream converges to (replay contract)."""
-        raise NotImplementedError
-
     def _adopt(self, result: InferenceResult) -> None:
         """Adopt a converged batch result as the streaming state."""
         raise NotImplementedError
@@ -378,6 +377,7 @@ class StreamingMajorityVote(StreamingTruthInference):
 
     def __init__(self, decay: float | None = None, tolerance: float = 1e-6) -> None:
         super().__init__(decay=decay, tolerance=tolerance)
+        self._twin = MajorityVote()
         self._vote_totals: np.ndarray | None = None
         self._vote_share: np.ndarray | None = None
 
@@ -406,9 +406,6 @@ class StreamingMajorityVote(StreamingTruthInference):
     def _set_model_state(self, state: dict) -> None:
         self._vote_totals = _state_array(state, "vote_totals")
         self._vote_share = _state_array(state, "vote_share")
-
-    def _batch_twin(self) -> MajorityVote:
-        return MajorityVote()
 
     def _adopt(self, result: InferenceResult) -> None:
         pass
@@ -442,12 +439,11 @@ class StreamingDawidSkene(StreamingTruthInference):
     ) -> None:
         if inner_sweeps < 1:
             raise ValueError("need at least one inner sweep per batch")
-        if smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
+        self._twin = DawidSkene(
+            max_iterations=max_iterations, tolerance=tolerance, smoothing=smoothing
+        )
         super().__init__(decay=decay, tolerance=tolerance)
         self.inner_sweeps = inner_sweeps
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
         self.smoothing = smoothing
         self._stat_confusions: np.ndarray | None = None  # (J, K, K) soft counts
         self._stat_prior: np.ndarray | None = None       # (K,) soft counts
@@ -552,13 +548,6 @@ class StreamingDawidSkene(StreamingTruthInference):
         prior = sub_result.posterior.sum(axis=0) + self.smoothing
         return prior / prior.sum()
 
-    def _batch_twin(self) -> DawidSkene:
-        return DawidSkene(
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            smoothing=self.smoothing,
-        )
-
     def _adopt(self, result: InferenceResult) -> None:
         self._confusions = result.confusions
         self._blocks = [result.posterior]
@@ -601,14 +590,14 @@ class StreamingGLAD(StreamingTruthInference):
         prior_correct: float = 0.5,
         tolerance: float = 1e-6,
     ) -> None:
-        if em_iterations < 1:
-            raise ValueError("need at least one EM iteration")
-        if gradient_steps < 1:
-            raise ValueError("need at least one gradient step per batch")
-        if not 0.0 < prior_correct < 1.0:
-            raise ValueError("prior must be in (0, 1)")
+        self._twin = GLAD(
+            em_iterations=em_iterations,
+            gradient_steps=gradient_steps,
+            learning_rate=learning_rate,
+            prior_correct=prior_correct,
+            tolerance=0.0,
+        )
         super().__init__(decay=decay, tolerance=tolerance)
-        self.em_iterations = em_iterations
         self.gradient_steps = gradient_steps
         self.learning_rate = learning_rate
         self.prior_correct = prior_correct
@@ -749,15 +738,6 @@ class StreamingGLAD(StreamingTruthInference):
         beta = np.ones(self.crowd.num_instances)
         beta[annotated] = extras["beta"]
         extras["beta"] = beta
-
-    def _batch_twin(self) -> GLAD:
-        return GLAD(
-            em_iterations=self.em_iterations,
-            gradient_steps=self.gradient_steps,
-            learning_rate=self.learning_rate,
-            prior_correct=self.prior_correct,
-            tolerance=0.0,
-        )
 
     def _adopt(self, result: InferenceResult) -> None:
         self._alpha = np.asarray(result.extras["alpha"], dtype=np.float64).copy()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autodiff.dtypes import equivalence_atol
 from repro.crowd import (
     MISSING,
     CrowdLabelMatrix,
@@ -46,12 +47,14 @@ class TestMajorityVote:
     def test_vote_fractions(self):
         crowd = CrowdLabelMatrix(np.array([[0, 0, 1], [1, M, M]]), 2)
         posterior = majority_vote_posterior(crowd)
-        np.testing.assert_allclose(posterior, [[2 / 3, 1 / 3], [0, 1]])
+        np.testing.assert_allclose(
+            posterior, [[2 / 3, 1 / 3], [0, 1]], atol=equivalence_atol("float64")
+        )
 
     def test_unlabeled_instance_uniform(self):
         crowd = CrowdLabelMatrix(np.array([[M, M], [0, 0]]), 2)
         posterior = majority_vote_posterior(crowd)
-        np.testing.assert_allclose(posterior[0], [0.5, 0.5])
+        np.testing.assert_allclose(posterior[0], [0.5, 0.5], atol=equivalence_atol("float64"))
 
     def test_reasonable_on_simulation(self):
         truth, crowd = _simulated()

@@ -7,6 +7,8 @@ contract: correct shapes, normalized rows, no NaNs, determinism under a
 fixed seed.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,9 @@ from repro.inference.registry import _REGISTRY, MethodSpec
 # Paper Table II truth-inference block (sentiment) and Table III block (NER).
 PAPER_TABLE2_NAMES = ["MV", "DS", "GLAD", "PM", "CATD"]
 PAPER_TABLE3_NAMES = ["MV", "DS", "IBCC", "BSC-seq", "HMM-Crowd"]
+
+# Iteration-budget keywords: a budget below 1 is refused at construction.
+BUDGET_KEYWORDS = ("max_iterations", "em_iterations", "gradient_steps")
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +143,41 @@ class TestRegistryAPI:
         assert method.max_iterations == 7
         wrapped = get_method("DS", kind="sequence", max_iterations=7)
         assert wrapped.method.max_iterations == 7
+
+
+def _budget_cases():
+    """(kind, name, keyword) for every budget keyword a registered
+    classification, sharded, or streaming constructor takes."""
+    cases = []
+    for kind in ("classification", "sharded", "streaming"):
+        for name in available_methods(kind):
+            parameters = inspect.signature(_REGISTRY[kind, name].factory).parameters
+            for keyword in BUDGET_KEYWORDS:
+                if keyword in parameters:
+                    cases.append(
+                        pytest.param(kind, name, keyword, id=f"{kind}-{name}-{keyword}")
+                    )
+    return cases
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize("kind,name,keyword", _budget_cases())
+    def test_zero_budget_rejected_at_construction(self, kind, name, keyword):
+        with pytest.raises(ValueError):
+            get_method(name, kind, **{keyword: 0})
+
+
+class TestOneClassPerMethod:
+    """Each sharded method is its classification method: one class, one EM
+    loop, and ``infer(crowd)`` is the one-shard run."""
+
+    @pytest.mark.parametrize("name", available_methods("sharded"))
+    def test_sharded_and_classification_kinds_share_the_class(
+        self, name, small_classification_crowd
+    ):
+        method = get_method(name, "classification")
+        assert type(get_method(name, "sharded")) is type(method)
+        assert method.infer(small_classification_crowd).extras["shards"] == 1
 
 
 class TestInterfaceContract:

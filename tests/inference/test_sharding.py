@@ -10,6 +10,7 @@ the plumbing the sweep rides on.
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,11 +18,10 @@ import pytest
 from repro.crowd.sharding import ShardHandle, SparseLabelShard, save_shard_handles
 from repro.crowd.types import MISSING, CrowdLabelMatrix
 from repro.inference import (
-    ShardedDawidSkene,
-    ShardedMajorityVote,
+    DawidSkene,
+    MajorityVote,
     ShardStats,
     get_method,
-    merge_shard_stats,
     run_sharded,
     tree_merge_shard_stats,
 )
@@ -110,8 +110,10 @@ class TestShardStatsMerge:
         statistics for any shard count (incl. one-instance and empty
         shards) — the associativity property the map-reduce EM rests on."""
         whole = _stats_from(crowd.shards(1)[0])
-        merged = merge_shard_stats(
-            _stats_from(shard) for shard in crowd.shards(num_shards)
+        merged = reduce(
+            ShardStats.merge,
+            (_stats_from(shard) for shard in crowd.shards(num_shards)),
+            ShardStats(),
         )
         assert merged.instances == whole.instances
         assert merged.observations == whole.observations
@@ -181,7 +183,7 @@ class TestTreeReduce:
     def test_matches_left_fold_to_rounding(self, crowd):
         leaves = [_stats_from(shard) for shard in crowd.shards(7)]
         tree = tree_merge_shard_stats(leaves)
-        fold = merge_shard_stats(leaves)
+        fold = reduce(ShardStats.merge, leaves, ShardStats())
         assert tree.instances == fold.instances
         np.testing.assert_array_equal(tree.label_counts, fold.label_counts)
         np.testing.assert_allclose(tree.confusion, fold.confusion, atol=1e-12, rtol=0)
@@ -290,27 +292,31 @@ class TestRunShardedDriver:
         assert result.extras["iterations"] == 3
 
     def test_accepts_instances(self, crowd):
-        method = ShardedDawidSkene(max_iterations=3, tolerance=0.0)
+        method = DawidSkene(max_iterations=3, tolerance=0.0)
         result = run_sharded(method, crowd.shards(2))
         assert result.extras["iterations"] == 3
 
     def test_instance_plus_overrides_rejected(self, crowd):
         with pytest.raises(TypeError, match="overrides"):
-            run_sharded(ShardedMajorityVote(), crowd.shards(2), max_iterations=3)
+            run_sharded(MajorityVote(), crowd.shards(2), max_iterations=3)
 
     def test_non_sharded_method_rejected(self, crowd):
         with pytest.raises(TypeError, match="sharded"):
-            run_sharded(get_method("DS", kind="classification"), crowd.shards(2))
+            run_sharded(get_method("HMM-Crowd", kind="sequence"), crowd.shards(2))
 
     def test_unknown_name_raises_keyerror(self, crowd):
         with pytest.raises(KeyError):
             run_sharded("nope", crowd.shards(2))
 
     def test_convenience_infer_shards_in_memory(self, crowd):
-        expected = get_method("DS", kind="classification").infer(crowd)
-        result = ShardedDawidSkene().infer(crowd, num_shards=3)
-        np.testing.assert_allclose(result.posterior, expected.posterior, atol=1e-10, rtol=0)
-        assert result.extras["shards"] == 3
+        """``infer(crowd)`` is the one-shard run: the container is its own
+        single shard (agreement across many shards is SHARD_LAYOUTS' job)."""
+        expected = run_sharded("DS", [crowd])
+        result = DawidSkene().infer(crowd)
+        np.testing.assert_array_equal(result.posterior, expected.posterior)
+        np.testing.assert_array_equal(result.confusions, expected.confusions)
+        assert result.extras["iterations"] == expected.extras["iterations"]
+        assert result.extras["shards"] == 1
 
 
 class TestExecutorHook:
