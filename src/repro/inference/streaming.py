@@ -256,8 +256,8 @@ class StreamingTruthInference:
         """Serializable snapshot of the learned streaming state.
 
         The returned dict holds only scalars, None, and float64 arrays,
-        so it round-trips losslessly through ``np.savez`` — the codec the
-        serving layer's checkpoints use (:mod:`repro.serving.state`).
+        so it round-trips bit-exactly through the serving layer's
+        checkpoint codec (:mod:`repro.serving.state`).
         Restoring it with :meth:`set_state` into a freshly-constructed
         instance (same constructor configuration) and re-attaching the
         retained crowd reproduces the stream bit-for-bit: replaying the

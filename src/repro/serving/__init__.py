@@ -1,10 +1,11 @@
 """Serving layer: long-lived, checkpointed truth inference over label streams.
 
 * :mod:`repro.serving.service` — :class:`CrowdService`: per-dataset
-  streaming state ownership, snapshot-consistent queries, checkpoints
-  with a replay cursor, LRU eviction of cold datasets to shard files.
-* :mod:`repro.serving.state` — the checkpoint codec (``.npz`` state
-  archives + :class:`~repro.crowd.sharding.SparseLabelShard` crowd files).
+  streaming state ownership, snapshot-consistent queries, one-commit
+  checkpoints with a replay cursor, LRU eviction of cold datasets to disk.
+* :mod:`repro.serving.state` — the checkpoint codec (flat one-read state
+  files + :class:`~repro.crowd.sharding.SparseLabelShard` crowd files,
+  each replaced durably).
 * :mod:`repro.serving.workload` — bursty many-dataset schedules built
   from the streaming suite's generators, for benches and examples.
 """

@@ -22,13 +22,17 @@ method); the service adds exactly four behaviors:
 * **Checkpoints + replay cursor** — :meth:`CrowdService.checkpoint`
   serializes the estimator's sufficient statistics
   (:meth:`~repro.inference.streaming.StreamingTruthInference.get_state`)
-  plus the retained crowd (a :class:`~repro.crowd.sharding.
-  SparseLabelShard` file) via :mod:`repro.serving.state`. The state's
-  ``updates`` counter is the replay cursor: :meth:`CrowdService.cursor`
-  tells a label source how many batches were durably applied, and
-  replaying the tail after a restore reproduces the uninterrupted stream
-  exactly (the recovery contract — pinned by
-  ``tests/serving/test_recovery.py`` and gated in the serving bench).
+  to ``state.ckpt`` plus the retained crowd to ``crowd-<cursor>.shard``
+  (a :class:`~repro.crowd.sharding.SparseLabelShard` file) via
+  :mod:`repro.serving.state`. The state's ``updates`` counter is the
+  replay cursor: :meth:`CrowdService.cursor` tells a label source how
+  many batches were durably applied, and replaying the tail after a
+  restore reproduces the uninterrupted stream exactly (the recovery
+  contract — pinned by ``tests/serving/test_recovery.py`` and gated in
+  the serving bench). A checkpoint commits all-or-nothing: the crowd
+  file is written first under a new name, and the durable rename of
+  ``state.ckpt`` is the one commit point, so a crash at any write step
+  restarts the dataset at either the old or the new cursor, never a mix.
 * **Eviction** — with ``max_resident`` set, cold datasets (LRU by
   last-touch) are checkpointed and dropped from memory; the next touch
   rehydrates them transparently from disk. Disk is the source of truth
@@ -36,7 +40,8 @@ method); the service adds exactly four behaviors:
   an evicted dataset loses nothing on a crash.
 
 Dataset ids are path-safe names (``[A-Za-z0-9][A-Za-z0-9._-]*``); each
-dataset checkpoints under ``root/<dataset_id>/``.
+dataset checkpoints under ``root/<dataset_id>/``, which after a completed
+checkpoint holds ``state.ckpt`` and at most one crowd file.
 """
 
 from __future__ import annotations
@@ -48,15 +53,29 @@ from pathlib import Path
 
 from ..inference import get_method
 from ..inference.base import InferenceResult
-from .state import load_crowd, load_stream_state, save_crowd, save_stream_state
+from .state import _fsync, load_crowd, load_stream_state, save_crowd, save_stream_state
 
 __all__ = ["CrowdService"]
 
 _DATASET_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_STATE_FILE = "state.npz"
-_CROWD_FILE = "crowd.shard"
+_STATE_FILE = "state.ckpt"
 _METHOD_KEY = "service_method"
 _OVERRIDE_PREFIX = "override__"
+
+
+def _crowd_file(cursor: int) -> str:
+    """Name of the retained-crowd file that goes with replay cursor ``cursor``."""
+    return f"crowd-{cursor}.shard"
+
+
+def _remove_stale_files(directory: Path, keep: str | None) -> None:
+    """Drop superseded crowd files and the temp files of interrupted writes."""
+    for child in directory.iterdir():
+        name = child.name
+        if name.endswith(".tmp") or (
+            name.startswith("crowd-") and name.endswith(".shard") and name != keep
+        ):
+            child.unlink(missing_ok=True)
 
 
 class _DatasetEntry:
@@ -172,7 +191,7 @@ class CrowdService:
             for key in list(state):
                 if key.startswith(_OVERRIDE_PREFIX):
                     del state[key]
-            crowd_path = self._dataset_dir(entry.dataset_id) / _CROWD_FILE
+            crowd_path = state_path.with_name(_crowd_file(state["updates"]))
             crowd = load_crowd(crowd_path) if crowd_path.is_file() else None
             stream = get_method(method, kind="streaming", **overrides)
             stream.set_state(state, crowd)
@@ -288,7 +307,14 @@ class CrowdService:
 
         Returns ``{dataset_id: cursor}``. Already-clean datasets (cold,
         or resident with no updates since the last checkpoint) are not
-        rewritten.
+        rewritten. Each dataset's checkpoint is one commit: the crowd
+        goes to ``crowd-<cursor>.shard`` (tmp file, fsync, rename,
+        directory fsync), then the state to ``state.ckpt`` the same way.
+        That last rename is the commit point; a restart reads the state
+        and only the crowd file its cursor names. Once it has happened,
+        older crowd files and temp files left by interrupted checkpoints
+        are deleted. When this returns, the cursors it reports survive a
+        crash.
         """
         targets = self.datasets() if dataset_id is None else (dataset_id,)
         cursors = {}
@@ -303,7 +329,8 @@ class CrowdService:
 
     def _checkpoint_locked(self, entry: _DatasetEntry) -> int:
         """Write the checkpoint if needed; returns the durable cursor."""
-        state_path = self._dataset_dir(entry.dataset_id) / _STATE_FILE
+        directory = self._dataset_dir(entry.dataset_id)
+        state_path = directory / _STATE_FILE
         if entry.stream is None:
             # Cold datasets: the on-disk checkpoint already IS the state.
             if state_path.is_file():
@@ -315,11 +342,21 @@ class CrowdService:
         state[_METHOD_KEY] = entry.method
         for key, value in entry.overrides.items():
             state[_OVERRIDE_PREFIX + key] = value
-        directory = self._dataset_dir(entry.dataset_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_stream_state(directory / _STATE_FILE, state)
+        if not state_path.is_file():
+            # First commit into this directory: its own entry in the root
+            # must be durable too, or a crash could lose the whole dataset.
+            directory.mkdir(parents=True, exist_ok=True)
+            _fsync(self.root)
+        # The crowd file is named by its cursor and written first, so the
+        # state file's rename is the checkpoint's single commit point: a
+        # crash before it leaves the previous state, whose own crowd file
+        # is still there.
+        crowd_name = None
         if entry.stream.crowd is not None:
-            save_crowd(directory / _CROWD_FILE, entry.stream.crowd)
+            crowd_name = _crowd_file(state["updates"])
+            save_crowd(directory / crowd_name, entry.stream.crowd)
+        save_stream_state(state_path, state)
+        _remove_stale_files(directory, keep=crowd_name)
         entry.dirty = False
         with self._lock:
             self.stats["checkpoints"] += 1

@@ -110,8 +110,8 @@ class TestEviction:
         service.partial_fit("gamma", batches[2])
         # alpha was touched first -> evicted to disk when gamma arrived.
         assert service.resident_datasets() == ("beta", "gamma")
-        assert (tmp_path / "alpha" / "state.npz").is_file()
-        assert (tmp_path / "alpha" / "crowd.shard").is_file()
+        assert (tmp_path / "alpha" / "state.ckpt").is_file()
+        assert (tmp_path / "alpha" / "crowd-1.shard").is_file()
         assert service.stats["evictions"] == 1
         assert service.cursor("alpha") == 1  # readable while cold
 
@@ -149,8 +149,10 @@ class TestRestart:
             service.partial_fit("ds-a", batches[1])
             service.partial_fit("ds-b", batches[2])
         # close() checkpointed the dirty residents.
-        assert (tmp_path / "ds-a" / "state.npz").is_file()
-        assert (tmp_path / "ds-b" / "state.npz").is_file()
+        assert (tmp_path / "ds-a" / "state.ckpt").is_file()
+        assert (tmp_path / "ds-a" / "crowd-2.shard").is_file()
+        assert (tmp_path / "ds-b" / "state.ckpt").is_file()
+        assert (tmp_path / "ds-b" / "crowd-1.shard").is_file()
 
         # The revived service has *different* defaults; each dataset must
         # resume under the configuration stored in its checkpoint.
