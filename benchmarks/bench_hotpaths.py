@@ -43,8 +43,9 @@ frozen seed-commit implementations (``seed_baseline.py``):
 * **dtype** — float64 (reference) vs float32 (fast path) training epochs
   of the two paper networks: a Kim TextCNN sentiment epoch
   (``run_classification_epoch``) and a CNN+GRU tagger epoch
-  (``run_sequence_epoch``), same seeds both sides so the float32 model's
-  weights are exactly the rounded float64 draws. Reports epoch wall
+  (``run_sequence_epoch``). Both twins are built the same way and differ
+  only in ``TrainerConfig.dtype``; the trainer's cast makes the float32
+  model's weights exactly the rounded float64 ones. Reports epoch wall
   clock, ``tracemalloc`` peak memory for the training step (the tape +
   activations dominate), and the max abs initial-logits difference
   between the twins (gated at 1e-2 — a correctness check that the fast
@@ -552,12 +553,17 @@ def _measure_dtype_pair(build, repeats) -> dict:
 
     ``build`` returns ``(epoch_fn, initial_logits_fn)`` for a freshly
     constructed same-seed model; the logits gate runs on the untrained
-    weights (eval mode) before any timing touches the parameters.
+    weights (eval mode), cast to the trainer's dtype, before any timing
+    touches the parameters.
     """
     timings, peaks, logits = {}, {}, {}
     for dtype in ("float64", "float32"):
         epoch_fn, logits_fn = build(dtype)
         logits[dtype] = logits_fn()
+        if logits[dtype].dtype != np.dtype(dtype):
+            raise AssertionError(
+                f"{dtype} twin computed its logits in {logits[dtype].dtype}"
+            )
         epoch_fn()  # warm-up: BLAS paths, allocator pools
         best = np.inf
         for _ in range(repeats):
@@ -594,9 +600,7 @@ def bench_dtype(text_cfg, crnn_cfg, repeats, rng) -> dict:
     targets = np.eye(tc["classes"])[rng.integers(0, tc["classes"], size=tc["instances"])]
 
     def build_text_cnn(dtype):
-        config = TextCNNConfig(
-            num_classes=tc["classes"], feature_maps=tc["feature_maps"], dtype=dtype
-        )
+        config = TextCNNConfig(num_classes=tc["classes"], feature_maps=tc["feature_maps"])
         model = TextCNN(embeddings, config, np.random.default_rng(42))
         trainer = TrainerConfig(
             epochs=1, batch_size=tc["batch_size"], optimizer="adadelta",
@@ -605,13 +609,14 @@ def bench_dtype(text_cfg, crnn_cfg, repeats, rng) -> dict:
 
         def epoch():
             model.train()
-            optimizer, _ = build_optimizer(model.parameters(), trainer)
+            optimizer, _ = build_optimizer([model], trainer)
             run_classification_epoch(
                 model, optimizer, tokens, lengths, targets,
                 np.random.default_rng(7), trainer,
             )
 
         def initial_logits():
+            build_optimizer([model], trainer)  # the trainer's cast, as epoch() runs it
             model.eval()
             with no_grad():
                 return model.logits(tokens[: tc["batch_size"]],
@@ -638,7 +643,7 @@ def bench_dtype(text_cfg, crnn_cfg, repeats, rng) -> dict:
     def build_crnn(dtype):
         config = NERTaggerConfig(
             num_classes=nc["classes"], conv_features=nc["conv_features"],
-            gru_hidden=nc["gru_hidden"], dtype=dtype,
+            gru_hidden=nc["gru_hidden"],
         )
         model = NERTagger(ner_embeddings, config, np.random.default_rng(42))
         trainer = TrainerConfig(
@@ -648,13 +653,14 @@ def bench_dtype(text_cfg, crnn_cfg, repeats, rng) -> dict:
 
         def epoch():
             model.train()
-            optimizer, _ = build_optimizer(model.parameters(), trainer)
+            optimizer, _ = build_optimizer([model], trainer)
             run_sequence_epoch(
                 model, optimizer, ner_tokens, ner_lengths, ner_targets,
                 np.random.default_rng(7), trainer,
             )
 
         def initial_logits():
+            build_optimizer([model], trainer)  # the trainer's cast, as epoch() runs it
             model.eval()
             with no_grad():
                 return model.logits(ner_tokens[: nc["batch_size"]],

@@ -25,9 +25,15 @@ Resolution rules (deterministic, applied everywhere):
   primitive's *output* and accumulates into each parameter in the
   parameter's *own* dtype.
 
-An AST lint test (``tests/tooling/test_no_float64_literals.py``) forbids
-raw ``np.float64`` / ``np.float32`` literals anywhere else inside
-``repro.autodiff``, so the policy cannot silently erode.
+The ``dtype-literal`` rule of the contract linter (:mod:`repro.analysis`)
+forbids raw ``np.float64`` / ``np.float32`` literals anywhere else in
+``src/repro``, and holds ``repro.autodiff`` at zero findings, so the
+policy cannot silently erode.
+
+Above the layer library the one precision setting is
+``TrainerConfig.dtype``: models are built without a dtype and the
+trainer casts them (:meth:`repro.autodiff.nn.Module.cast`) before it
+allocates optimizer state.
 """
 
 from __future__ import annotations

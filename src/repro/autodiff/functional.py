@@ -10,14 +10,12 @@ These are the composite operations the paper's two architectures require:
 * ``max_over_time`` — max pooling over the (optionally masked) time axis;
 * ``softmax`` / ``log_softmax`` — numerically stable, any axis;
 * ``dropout`` — inverted dropout driven by an explicit RNG;
-* ``concat`` / ``stack`` / ``unbind`` — graph-aware joins/splits used by
-  multi-window CNNs and the GRU time loop;
-* ``gru_sequence`` — the production GRU hot path: the entire layer
-  (whole-sequence input projection + packed time loop) as a *single* tape
-  node with a hand-derived BPTT rule (the fused sigmoid/tanh-with-grad
-  path); ``gru_step`` is the same fused math for one timestep (a tested
-  building block, not on the production path — with ``unbind`` it gives a
-  2-nodes-per-step loop, vs ~12 for the per-gate cell);
+* ``concat`` / ``stack`` — graph-aware joins used by multi-window CNNs
+  and the per-gate reference GRU loop;
+* ``gru_sequence`` — the GRU hot path: the entire layer (whole-sequence
+  input projection + packed time loop) as a *single* tape node with a
+  hand-derived BPTT rule (the fused sigmoid/tanh-with-grad path), vs ~12
+  nodes per timestep for the per-gate cell;
 * soft-target cross-entropy losses — the Logic-LNCL pseudo-M-step trains
   against *distributions* ``qf(t)`` (paper Eq. 8/10), not hard labels, so the
   losses accept a full target distribution and optional per-instance weights
@@ -48,22 +46,10 @@ __all__ = [
     "dropout",
     "concat",
     "stack",
-    "unbind",
-    "gru_step",
     "gru_sequence",
     "cross_entropy_soft",
     "sequence_cross_entropy_soft",
 ]
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function on a plain array.
-
-    ``sigmoid(x) = (1 + tanh(x/2)) / 2`` — one vectorized ``tanh`` call,
-    no overflow for any input, no branch/boolean-mask traffic. Matches
-    :meth:`Tensor.sigmoid` bit-for-bit (same formula).
-    """
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _cast(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -302,84 +288,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), "stack", (axis,))
 
 
-def unbind(x: Tensor, axis: int = 0) -> list[Tensor]:
-    """Split ``x`` into views along ``axis`` (the axis is removed).
-
-    Inverse of :func:`stack`. Each piece's backward adds its gradient in
-    place into the parent's buffer (:meth:`Tensor._accumulate_at`), so
-    consuming all ``T`` slices of a sequence costs O(T) total backward
-    memory traffic rather than O(T^2). Used by the GRU time loop to read
-    the precomputed per-step input projections.
-    """
-    axis = axis % x.data.ndim
-    length = x.data.shape[axis]
-    tracked = _tracking(x)
-    pieces: list[Tensor] = []
-    for position in range(length):
-        index = (slice(None),) * axis + (position,)
-        piece_data = np.ascontiguousarray(x.data[index])
-        if not tracked:
-            pieces.append(Tensor(piece_data))
-            continue
-        pieces.append(Tensor._link(piece_data, (x,), "unbind", (index,)))
-    return pieces
-
-
-def gru_step(gx: Tensor, h: Tensor, w_h: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """One fused GRU timestep (PyTorch gate convention).
-
-    Computes, as a single tape node::
-
-        gh = h @ w_h                      # (B, 3H), columns [r | z | n]
-        r  = sigmoid(gx_r + gh_r)
-        z  = sigmoid(gx_z + gh_z)
-        n  = tanh(gx_n + r * gh_n)
-        h' = (1 - z) * n + z * h
-        out = m * h' + (1 - m) * h        # when a padding mask is given
-
-    Parameters
-    ----------
-    gx:
-        ``(B, 3H)`` precomputed input projection ``x_t @ w_x + b`` for this
-        timestep (hoisted out of the time loop as one big matmul).
-    h:
-        ``(B, H)`` previous hidden state.
-    w_h:
-        ``(H, 3H)`` fused recurrent weight matrix.
-    mask:
-        Optional ``(B,)`` float validity mask; padded rows (0) copy the
-        previous state forward, exactly as the pre-fusion time loop did.
-
-    The registered VJP re-derives all six gate gradients analytically from
-    the saved activations (the fused sigmoid/tanh-with-grad path), so no
-    intermediate tensors ever land on the tape.
-    """
-    hidden = h.data.shape[1]
-    if gx.data.shape != (h.data.shape[0], 3 * hidden):
-        raise ValueError(f"gx shape {gx.data.shape} != ({h.data.shape[0]}, {3 * hidden})")
-    if w_h.data.shape != (hidden, 3 * hidden):
-        raise ValueError(f"w_h shape {w_h.data.shape} != ({hidden}, {3 * hidden})")
-
-    gh = h.data @ w_h.data
-    r = _stable_sigmoid(gx.data[:, :hidden] + gh[:, :hidden])
-    z = _stable_sigmoid(gx.data[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])
-    gh_n = gh[:, 2 * hidden :]
-    n = np.tanh(gx.data[:, 2 * hidden :] + r * gh_n)
-    h_new = (1.0 - z) * n + z * h.data
-
-    m = None
-    if mask is not None:
-        m = np.asarray(mask, dtype=h_new.dtype).reshape(-1, 1)
-        out_data = h_new * m + h.data * (1.0 - m)
-    else:
-        out_data = h_new
-
-    if not _tracking(gx, h, w_h):
-        return Tensor(out_data)
-    ctx = (r, z, n, gh_n, h.data, w_h.data, m)
-    return Tensor._link(out_data, (gx, h, w_h), "gru_step", ctx)
-
-
 def _prefix_lengths(mask: np.ndarray) -> np.ndarray | None:
     """Return per-row valid lengths if ``mask`` is a prefix mask, else None.
 
@@ -410,7 +318,8 @@ def gru_sequence(
 ) -> Tensor:
     """Run a whole GRU layer (projection + time loop) as a *single* tape node.
 
-    The per-step math of :func:`gru_step` (same gate equations, same
+    The math of the per-gate reference loop (``gru_reference_forward``
+    over a :class:`~repro.autodiff.nn.GRUCell`: same gate equations, same
     padding-mask carry), but with the entire ``(B, T)`` unroll fused:
 
     * when ``w_x``/``bias`` are given, the input projection

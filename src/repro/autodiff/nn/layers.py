@@ -100,9 +100,8 @@ class Embedding(Module):
 class Conv1dSeq(Module):
     """1-D convolution over the time axis of ``(B, T, D)`` sequences.
 
-    ``variant`` selects the :func:`~repro.autodiff.functional.conv1d_seq`
-    execution path (``"auto"``/``"im2col"``/``"width_loop"``); the default
-    lets the functional layer pick by window-buffer size.
+    :func:`~repro.autodiff.functional.conv1d_seq` picks its execution
+    variant from the input shape, so the layer exposes no variant choice.
     """
 
     def __init__(
@@ -112,15 +111,11 @@ class Conv1dSeq(Module):
         width: int,
         rng: np.random.Generator,
         pad: str = "valid",
-        variant: str = "auto",
         dtype=None,
     ) -> None:
         super().__init__()
-        if variant not in F.CONV1D_VARIANTS:
-            raise ValueError(f"variant must be one of {F.CONV1D_VARIANTS}, got {variant!r}")
         self.width = width
         self.pad = pad
-        self.variant = variant
         fan_in = width * in_dim
         self.weight = Tensor(
             init.glorot_uniform(rng, fan_in, out_channels, dtype=dtype),
@@ -132,9 +127,7 @@ class Conv1dSeq(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv1d_seq(
-            x, self.weight, self.bias, self.width, pad=self.pad, variant=self.variant
-        )
+        return F.conv1d_seq(x, self.weight, self.bias, self.width, pad=self.pad)
 
 
 class Dropout(Module):

@@ -1,4 +1,4 @@
-"""Module base class: parameter registration, train/eval mode, state dicts."""
+"""Module base class: parameter registration, precision cast, train/eval mode, state dicts."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..dtypes import canonical_dtype
 from ..tensor import Tensor
 
 __all__ = ["Module", "Sequential"]
@@ -27,18 +28,22 @@ class Module:
     # ------------------------------------------------------------------ #
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         """Yield ``(dotted_name, tensor)`` for every trainable parameter."""
+        for path, tensor in self._named_tensors(prefix):
+            if tensor.requires_grad:
+                yield path, tensor
+
+    def _named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        """Yield ``(dotted_name, tensor)`` for every tensor, frozen ones included."""
         for name, value in vars(self).items():
             if name == "training":
                 continue
-            path = f"{prefix}{name}"
-            yield from self._walk(path, value)
+            yield from self._walk(f"{prefix}{name}", value)
 
     def _walk(self, path: str, value) -> Iterator[tuple[str, Tensor]]:
         if isinstance(value, Tensor):
-            if value.requires_grad:
-                yield path, value
+            yield path, value
         elif isinstance(value, Module):
-            yield from value.named_parameters(prefix=f"{path}.")
+            yield from value._named_tensors(prefix=f"{path}.")
         elif isinstance(value, (list, tuple)):
             for i, item in enumerate(value):
                 yield from self._walk(f"{path}.{i}", item)
@@ -57,6 +62,27 @@ class Module:
                 for item in value:
                     if isinstance(item, Module):
                         yield from item.modules()
+
+    # ------------------------------------------------------------------ #
+    # Precision
+    # ------------------------------------------------------------------ #
+    def cast(self, dtype) -> "Module":
+        """Cast every tensor of this module tree to ``dtype``, in place.
+
+        Frozen tensors (a static embedding) are cast along with the
+        parameters, so the whole forward pass runs at ``dtype``. A tensor
+        already at ``dtype`` keeps its array object: casting to the
+        precision a model was built at copies nothing. Initializers draw in
+        float64 and cast, so a model cast after construction holds exactly
+        the weights it would have been built with at ``dtype``.
+        """
+        dtype = canonical_dtype(dtype)
+        for _, tensor in self._named_tensors():
+            if tensor.data.dtype != dtype:
+                tensor.data = tensor.data.astype(dtype)
+                if tensor.grad is not None:
+                    tensor.grad = tensor.grad.astype(dtype)
+        return self
 
     # ------------------------------------------------------------------ #
     # Modes and gradients

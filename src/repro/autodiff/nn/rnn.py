@@ -8,12 +8,11 @@ per-gate input matrices live in one ``(D, 3H)`` block and the three
 recurrent matrices in one ``(H, 3H)`` block, and the whole layer —
 whole-sequence input projection plus the packed time loop — runs as a
 *single* tape node (:func:`repro.autodiff.functional.gru_sequence`),
-versus ~12 nodes per timestep for the per-gate loop. (The finer-grained
-``gru_step``/``unbind`` ops exist as tested building blocks but are not on
-the production path.) Padding semantics are unchanged: masked steps copy
-the previous hidden state forward exactly as the per-gate loop's
-``m * h' + (1 - m) * h`` arithmetic did, so outputs are invariant to
-padding length bit-for-bit with the reference.
+versus ~12 nodes per timestep for the per-gate loop. Padding semantics
+are unchanged: masked steps copy the previous hidden state forward
+exactly as the per-gate loop's ``m * h' + (1 - m) * h`` arithmetic did,
+so outputs are invariant to padding length bit-for-bit with the
+reference.
 
 :class:`GRUCell` is the original per-gate single-step cell. It is kept as
 the executable specification: the fused path is validated against it in

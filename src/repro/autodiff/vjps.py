@@ -19,12 +19,12 @@ Three registration forms cover every op in the engine:
   ``_accumulate`` vs ``_accumulate_owned`` exactly.
 * A VJP may also return an :class:`IndexedGrad` — a ``(index, grad)``
   sentinel accumulated in place into the parent's buffer slice. This is
-  what keeps basic-slice ``__getitem__``/``unbind`` backward O(T) for the
+  what keeps basic-slice ``__getitem__`` backward O(T) for the per-gate
   GRU time loop instead of one full-size scratch array per consumer.
 * :func:`defvjp_fused` — a single joint VJP ``(g, ans, needs, *ctx) ->
   tuple_of_grads`` for primitives whose per-argument gradients share heavy
-  intermediate work (the BPTT loop of ``gru_sequence``, the gate algebra of
-  ``gru_step``, variable-arity ``concat``/``stack``). ``needs`` mirrors
+  intermediate work (the BPTT loop of ``gru_sequence``, variable-arity
+  ``concat``/``stack``). ``needs`` mirrors
   ``parent._tracked`` per argument; entries may be ``None``. Fused results
   are always treated as owned, so they must never return a view of ``g``.
 
@@ -232,8 +232,6 @@ def _getitem_fancy_vjp(g, ans, x, index):
 
 defvjp("getitem_fancy", _getitem_fancy_vjp, owned=(True,))
 
-defvjp("unbind", lambda g, ans, index: IndexedGrad(index, g))
-
 # --------------------------------------------------------------------- #
 # functional.py composites
 # --------------------------------------------------------------------- #
@@ -367,35 +365,10 @@ defvjp_fused("stack", _stack_fused)
 
 
 # --------------------------------------------------------------------- #
-# Fused GRU ops (hand-derived BPTT; parents share the heavy intermediates,
-# so these register as joint VJPs — per-argument entries would recompute
-# the whole gate algebra / time loop once per parent).
+# Fused GRU op (hand-derived BPTT; parents share the heavy intermediates,
+# so it registers as a joint VJP — per-argument entries would recompute
+# the whole time loop once per parent).
 # --------------------------------------------------------------------- #
-
-
-def _gru_step_fused(g, ans, needs, r, z, n, gh_n, h_prev, w_h, m):
-    # Parents: (gx, h, w_h). Same algebra as the fused forward, re-derived
-    # from the saved activations.
-    if m is not None:
-        d_new = g * m
-        d_prev = g * (1.0 - m) + d_new * z
-    else:
-        d_new = g
-        d_prev = d_new * z
-    da_n = d_new * (1.0 - z) * (1.0 - n * n)     # through tanh
-    dr = da_n * gh_n
-    da_z = d_new * (h_prev - n) * z * (1.0 - z)  # through sigmoid(z)
-    da_r = dr * r * (1.0 - r)                    # through sigmoid(r)
-    dgh = np.concatenate([da_r, da_z, da_n * r], axis=1)
-    d_prev = d_prev + dgh @ w_h.T
-    return (
-        np.concatenate([da_r, da_z, da_n], axis=1) if needs[0] else None,
-        d_prev if needs[1] else None,
-        h_prev.T @ dgh if needs[2] else None,
-    )
-
-
-defvjp_fused("gru_step", _gru_step_fused)
 
 
 def _gru_sequence_fused(g, ans, needs, saved):

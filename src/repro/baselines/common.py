@@ -10,6 +10,7 @@ describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +45,13 @@ class TrainerConfig:
     50, 30 epochs, patience 5. NER: Adam 1e-3, batch 64, 30 epochs,
     patience 5.
 
-    ``dtype`` sets the training precision: "float64" (default) is the
+    ``dtype`` is the one precision setting: "float64" (default) is the
     reference path every equivalence test is pinned to; "float32" is the
-    fast path (~2x GEMM throughput, half the tape memory). Epoch runners
-    scope the autodiff ambient default to this dtype, so scalar constants
-    and loss coercions inside the loop follow the configured precision.
-    Note the model's own parameter dtype is fixed at construction (via
-    ``MLPConfig``/``TextCNNConfig``/``NERTaggerConfig``); for a full
-    fast-path run, set both to "float32".
+    fast path (~2x GEMM throughput, half the tape memory). Models are
+    built without a dtype; :func:`build_optimizer` casts every tensor they
+    hold to this dtype before allocating optimizer state, and the training
+    loops scope the autodiff ambient default to it, so scalar constants
+    and loss coercions inside the loop follow the same precision.
     """
 
     epochs: int = 30
@@ -92,8 +92,21 @@ class TrainerConfig:
         self.dtype = canonical_dtype(self.dtype).name
 
 
-def build_optimizer(parameters, config: TrainerConfig) -> tuple[Optimizer, StepDecay | None]:
-    """Instantiate the optimizer (and LR schedule) named by the config."""
+def build_optimizer(
+    modules: Sequence[Module], config: TrainerConfig
+) -> tuple[Optimizer, StepDecay | None]:
+    """Instantiate the optimizer (and LR schedule) named by the config.
+
+    First casts every tensor ``modules`` hold, frozen ones included, to
+    ``config.dtype`` in place (:meth:`Module.cast`), so the optimizer
+    state allocated ``zeros_like`` the parameters is born at the training
+    precision. At the precision the modules were built in, the cast
+    copies nothing. The optimizer steps the modules' parameters in the
+    order the modules are given.
+    """
+    parameters: list = []
+    for module in modules:
+        parameters += module.cast(config.dtype).parameters()
     if config.optimizer == "adadelta":
         optimizer: Optimizer = Adadelta(parameters, lr=config.learning_rate)
     elif config.optimizer == "adam":
@@ -269,7 +282,7 @@ def fit_classifier(
     """
     if targets.ndim == 1:  # hard labels → one-hot
         targets = np.eye(model.num_classes)[targets]
-    optimizer, schedule = build_optimizer(model.parameters(), config)
+    optimizer, schedule = build_optimizer([model], config)
     stopper = EarlyStopping(model, config.patience) if dev is not None else None
     history: dict = {"loss": [], "dev_score": []}
     for _ in range(config.epochs):
@@ -304,12 +317,13 @@ def fit_tagger(
     """Supervised sequence training; dev metric is strict span F1."""
     if targets.ndim == 2:  # hard tags → one-hot (padding rows become class 0)
         targets = np.eye(model.num_classes)[targets]
+    optimizer, schedule = build_optimizer([model], config)
+    # After the cast, so the prior bias is computed at the training precision.
     if hasattr(model, "initialize_output_bias"):
         mask = np.arange(tokens.shape[1])[None, :] < lengths[:, None]
         priors = (targets * mask[:, :, None]).sum(axis=(0, 1))
         if priors.sum() > 0:  # empty training set: keep the default bias
             model.initialize_output_bias(priors / priors.sum())
-    optimizer, schedule = build_optimizer(model.parameters(), config)
     stopper = EarlyStopping(model, config.patience) if dev is not None else None
     history: dict = {"loss": [], "dev_score": []}
     for _ in range(config.epochs):

@@ -18,10 +18,14 @@ estimated labels with Majority Voting" — reproduced with
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff import functional as F
+from ..autodiff.dtypes import default_dtype
+from ..autodiff.nn import Module
 from ..baselines.common import (
     EarlyStopping,
     TrainerConfig,
@@ -44,12 +48,17 @@ __all__ = ["CrowdLayerClassifier", "CrowdLayerSequenceTagger", "CROWD_LAYER_VARI
 CROWD_LAYER_VARIANTS = ("MW", "VW", "VW-B")
 
 
-class _CrowdLayer:
-    """Annotator adaptation layer shared by both task variants."""
+class _CrowdLayer(Module):
+    """Annotator adaptation layer shared by both task variants.
+
+    A :class:`Module`, so the trainer's cast reaches its MW/VW/B tensors
+    along with the base network's.
+    """
 
     def __init__(self, variant: str, num_annotators: int, num_classes: int) -> None:
         if variant not in CROWD_LAYER_VARIANTS:
             raise ValueError(f"variant must be one of {CROWD_LAYER_VARIANTS}, got {variant!r}")
+        super().__init__()
         self.variant = variant
         self.num_annotators = num_annotators
         self.num_classes = num_classes
@@ -69,9 +78,6 @@ class _CrowdLayer:
                 if variant == "VW-B"
                 else None
             )
-
-    def parameters(self) -> list[Tensor]:
-        return [p for p in (self.matrix, self.scale, self.bias) if p is not None]
 
     def annotator_scores(self, proba: Tensor) -> Tensor:
         """Map base probabilities ``(..., K)`` to scores ``(..., J, K)``."""
@@ -93,13 +99,15 @@ def _masked_annotator_ce(scores: Tensor, target_one_hot: np.ndarray) -> Tensor:
 
     ``target_one_hot`` is zero everywhere an annotator did not label, so
     those cells contribute nothing; the loss normalizes by the number of
-    observed labels.
+    observed labels. Like the soft-target losses, it computes in the
+    scores' dtype.
     """
     logp = F.log_softmax(scores, axis=-1)
-    observed = float(target_one_hot.sum())
+    target = np.asarray(target_one_hot, dtype=scores.data.dtype)
+    observed = float(target.sum())
     if observed == 0:
         raise ValueError("batch contains no crowd labels")
-    return -(Tensor(target_one_hot) * logp).sum() * (1.0 / observed)
+    return -(Tensor(target) * logp).sum() * (1.0 / observed)
 
 
 class CrowdLayerClassifier:
@@ -145,14 +153,8 @@ class CrowdLayerClassifier:
         history: dict = {"pretrain": None, "loss": [], "dev_score": []}
         if self.pretrain_epochs > 0:
             mv_hard = majority_vote_posterior(crowd).argmax(axis=1)
-            pre_config = TrainerConfig(
-                epochs=self.pretrain_epochs,
-                batch_size=self.config.batch_size,
-                optimizer=self.config.optimizer,
-                learning_rate=self.config.learning_rate,
-                lr_decay_every=None,
-                patience=self.config.patience,
-                grad_clip=self.config.grad_clip,
+            pre_config = replace(
+                self.config, epochs=self.pretrain_epochs, lr_decay_every=None
             )
             history["pretrain"] = fit_classifier(
                 self.model, pre_config, self.rng, train.tokens, train.lengths,
@@ -160,38 +162,38 @@ class CrowdLayerClassifier:
             )
 
         one_hot = crowd.one_hot()                                # (I, J, K)
-        parameters = self.model.parameters() + self.layer.parameters()
-        optimizer, schedule = build_optimizer(parameters, self.config)
+        optimizer, schedule = build_optimizer([self.model, self.layer], self.config)
         stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
 
-        for _ in range(self.config.epochs):
-            self.model.train()
-            total = 0.0
-            batches = 0
-            for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
-                optimizer.zero_grad()
-                logits = self.model.logits(train.tokens[batch], train.lengths[batch])
-                proba = F.softmax(logits, axis=-1)
-                scores = self.layer.annotator_scores(proba)
-                loss = _masked_annotator_ce(scores, one_hot[batch])
-                loss.backward()
-                optimizer.step()
-                if hasattr(self.model, "apply_max_norm"):
-                    self.model.apply_max_norm()
-                total += loss.item()
-                batches += 1
-            history["loss"].append(total / max(batches, 1))
-            if schedule is not None:
-                schedule.step()
+        with default_dtype(self.config.dtype):
+            for _ in range(self.config.epochs):
+                self.model.train()
+                total = 0.0
+                batches = 0
+                for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
+                    optimizer.zero_grad()
+                    logits = self.model.logits(train.tokens[batch], train.lengths[batch])
+                    proba = F.softmax(logits, axis=-1)
+                    scores = self.layer.annotator_scores(proba)
+                    loss = _masked_annotator_ce(scores, one_hot[batch])
+                    loss.backward()
+                    optimizer.step()
+                    if hasattr(self.model, "apply_max_norm"):
+                        self.model.apply_max_norm()
+                    total += loss.item()
+                    batches += 1
+                history["loss"].append(total / max(batches, 1))
+                if schedule is not None:
+                    schedule.step()
+                if stopper is not None:
+                    score = accuracy(dev.labels, self.model.predict(dev.tokens, dev.lengths))
+                    history["dev_score"].append(score)
+                    if stopper.update(score):
+                        break
             if stopper is not None:
-                score = accuracy(dev.labels, self.model.predict(dev.tokens, dev.lengths))
-                history["dev_score"].append(score)
-                if stopper.update(score):
-                    break
-        if stopper is not None:
-            stopper.restore_best()
-            history["best_dev_score"] = stopper.best_score
-        self.train_proba_ = predict_proba_batched(self.model, train.tokens, train.lengths)
+                stopper.restore_best()
+                history["best_dev_score"] = stopper.best_score
+            self.train_proba_ = predict_proba_batched(self.model, train.tokens, train.lengths)
         return history
 
     def predict(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -261,14 +263,8 @@ class CrowdLayerSequenceTagger:
             for i in range(len(train)):
                 votes = crowd.token_vote_counts(i)
                 targets[i, : votes.shape[0]] = np.eye(K)[votes.argmax(axis=1)]
-            pre_config = TrainerConfig(
-                epochs=self.pretrain_epochs,
-                batch_size=self.config.batch_size,
-                optimizer=self.config.optimizer,
-                learning_rate=self.config.learning_rate,
-                lr_decay_every=None,
-                patience=self.config.patience,
-                grad_clip=self.config.grad_clip,
+            pre_config = replace(
+                self.config, epochs=self.pretrain_epochs, lr_decay_every=None
             )
             history["pretrain"] = fit_tagger(
                 self.model, pre_config, self.rng, train.tokens, train.lengths, targets, dev=None
@@ -281,38 +277,37 @@ class CrowdLayerSequenceTagger:
                 self.model.initialize_output_bias(votes / votes.sum())
 
         one_hot = self._padded_crowd_one_hot(train)
-        parameters = self.model.parameters() + self.layer.parameters()
-        optimizer, schedule = build_optimizer(parameters, self.config)
+        optimizer, schedule = build_optimizer([self.model, self.layer], self.config)
         stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
 
-        for _ in range(self.config.epochs):
-            self.model.train()
-            total = 0.0
-            batches = 0
-            for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
-                optimizer.zero_grad()
-                logits = self.model.logits(train.tokens[batch], train.lengths[batch])
-                proba = F.softmax(logits, axis=-1)                 # (B, T, K)
-                scores = self.layer.annotator_scores(proba)        # (B, T, J, K)
-                loss = _masked_annotator_ce(scores, one_hot[batch])
-                loss.backward()
-                optimizer.step()
-                total += loss.item()
-                batches += 1
-            history["loss"].append(total / max(batches, 1))
-            if schedule is not None:
-                schedule.step()
+        with default_dtype(self.config.dtype):
+            for _ in range(self.config.epochs):
+                self.model.train()
+                total = 0.0
+                batches = 0
+                for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
+                    optimizer.zero_grad()
+                    logits = self.model.logits(train.tokens[batch], train.lengths[batch])
+                    proba = F.softmax(logits, axis=-1)                 # (B, T, K)
+                    scores = self.layer.annotator_scores(proba)        # (B, T, J, K)
+                    loss = _masked_annotator_ce(scores, one_hot[batch])
+                    loss.backward()
+                    optimizer.step()
+                    total += loss.item()
+                    batches += 1
+                history["loss"].append(total / max(batches, 1))
+                if schedule is not None:
+                    schedule.step()
+                if stopper is not None:
+                    predictions = self.model.predict(dev.tokens, dev.lengths)
+                    score = span_f1_score(dev.tags, predictions).f1
+                    history["dev_score"].append(score)
+                    if stopper.update(score):
+                        break
             if stopper is not None:
-                predictions = self.model.predict(dev.tokens, dev.lengths)
-                score = span_f1_score(dev.tags, predictions).f1
-                history["dev_score"].append(score)
-                if stopper.update(score):
-                    break
-        if stopper is not None:
-            stopper.restore_best()
-            history["best_dev_score"] = stopper.best_score
-
-        proba = predict_sequence_proba_batched(self.model, train.tokens, train.lengths)
+                stopper.restore_best()
+                history["best_dev_score"] = stopper.best_score
+            proba = predict_sequence_proba_batched(self.model, train.tokens, train.lengths)
         self.train_proba_ = [proba[i, : int(train.lengths[i])] for i in range(len(train))]
         return history
 

@@ -120,7 +120,7 @@ class LogicLNCLClassifier:
         qb = qf.copy()
         confusions = update_confusions(qf, crowd, self.config.confusion_smoothing)
 
-        optimizer, schedule = build_optimizer(self.model.parameters(), self.config)
+        optimizer, schedule = build_optimizer([self.model], self.config)
         stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
         best_extras: dict | None = None
         history: dict = {"loss": [], "dev_score": [], "k": []}

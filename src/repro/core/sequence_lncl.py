@@ -136,12 +136,12 @@ class LogicLNCLSequenceTagger:
         qa, qb = qf, qf
         confusions = sequence_update_confusions(qf, crowd, self.config.confusion_smoothing)
 
+        optimizer, schedule = build_optimizer([self.model], self.config)
+        # After the cast, so the prior bias is computed at the training precision.
         if hasattr(self.model, "initialize_output_bias") and qf:
             priors = np.concatenate(qf, axis=0).sum(axis=0)
             if priors.sum() > 0:  # empty training set: keep the default bias
                 self.model.initialize_output_bias(priors / priors.sum())
-
-        optimizer, schedule = build_optimizer(self.model.parameters(), self.config)
         stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
         best_extras: dict | None = None
         history: dict = {"loss": [], "dev_score": [], "k": []}

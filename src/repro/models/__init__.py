@@ -1,7 +1,7 @@
 """Classifier architectures: Kim-CNN, CNN+GRU tagger, bag-of-embeddings."""
 
 from .base import SequenceTagger, TextClassifier
-from .mlp import BagOfEmbeddingsClassifier, MLPClassifier, MLPConfig
+from .mlp import BagOfEmbeddingsClassifier, MLPClassifier
 from .ner_crnn import NERTagger, NERTaggerConfig
 from .text_cnn import TextCNN, TextCNNConfig
 
@@ -13,6 +13,5 @@ __all__ = [
     "NERTagger",
     "NERTaggerConfig",
     "BagOfEmbeddingsClassifier",
-    "MLPConfig",
     "MLPClassifier",
 ]

@@ -7,40 +7,30 @@ and is used in unit tests where a tiny trainable model is convenient.
 
 Like the larger networks, both classifiers follow the autodiff precision
 policy: pooling masks and length normalizers are built in the embedding
-matrix's dtype, so a float32 model never promotes to float64 mid-graph.
+matrix's dtype, so a model cast to float32 never promotes to float64
+mid-graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..autodiff import Tensor
-from ..autodiff.dtypes import canonical_dtype
 from ..autodiff.nn import Embedding, Linear
 from .base import TextClassifier
 
-__all__ = ["BagOfEmbeddingsClassifier", "MLPConfig", "MLPClassifier"]
+__all__ = ["BagOfEmbeddingsClassifier", "MLPClassifier"]
 
 
 class BagOfEmbeddingsClassifier(TextClassifier):
     """Logistic regression on mean-pooled (frozen) word embeddings."""
 
-    def __init__(
-        self,
-        embeddings: np.ndarray,
-        num_classes: int,
-        rng: np.random.Generator,
-        dtype=None,
-    ) -> None:
+    def __init__(self, embeddings: np.ndarray, num_classes: int, rng: np.random.Generator) -> None:
         super().__init__()
         vocab_size, dim = embeddings.shape
         self.num_classes = num_classes
-        self.embedding = Embedding(
-            vocab_size, dim, pretrained=embeddings, trainable=False, dtype=dtype
-        )
-        self.output = Linear(dim, num_classes, rng, dtype=dtype)
+        self.embedding = Embedding(vocab_size, dim, pretrained=embeddings, trainable=False)
+        self.output = Linear(dim, num_classes, rng)
 
     def _pooled(self, tokens: np.ndarray, lengths: np.ndarray) -> Tensor:
         tokens = np.asarray(tokens)
@@ -55,50 +45,16 @@ class BagOfEmbeddingsClassifier(TextClassifier):
         return self.output(self._pooled(tokens, lengths))
 
 
-@dataclass
-class MLPConfig:
-    """Hyper-parameters of the small test MLP.
-
-    ``dtype`` selects the parameter/compute precision ("float64" reference
-    or the "float32" fast path), mirroring :class:`TextCNNConfig` and
-    :class:`NERTaggerConfig`.
-    """
-
-    num_classes: int = 2
-    hidden: int = 16
-    dtype: str = "float64"
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.hidden < 1:
-            raise ValueError("hidden width must be positive")
-        self.dtype = canonical_dtype(self.dtype).name
-
-
 class MLPClassifier(BagOfEmbeddingsClassifier):
     """One-hidden-layer tanh MLP on mean-pooled embeddings."""
 
     def __init__(
-        self,
-        embeddings: np.ndarray,
-        num_classes: int,
-        hidden: int,
-        rng: np.random.Generator,
-        dtype=None,
+        self, embeddings: np.ndarray, num_classes: int, hidden: int, rng: np.random.Generator
     ) -> None:
-        super().__init__(embeddings, num_classes, rng, dtype=dtype)
+        super().__init__(embeddings, num_classes, rng)
         dim = embeddings.shape[1]
-        self.hidden_layer = Linear(dim, hidden, rng, dtype=dtype)
-        self.output = Linear(hidden, num_classes, rng, dtype=dtype)
-
-    @classmethod
-    def from_config(
-        cls, embeddings: np.ndarray, config: MLPConfig, rng: np.random.Generator
-    ) -> "MLPClassifier":
-        return cls(
-            embeddings, config.num_classes, config.hidden, rng, dtype=config.dtype
-        )
+        self.hidden_layer = Linear(dim, hidden, rng)
+        self.output = Linear(hidden, num_classes, rng)
 
     def logits(self, tokens: np.ndarray, lengths: np.ndarray) -> Tensor:
         return self.output(self.hidden_layer(self._pooled(tokens, lengths)).tanh())

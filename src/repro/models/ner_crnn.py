@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Tensor
-from ..autodiff.dtypes import canonical_dtype
 from ..autodiff.nn import GRU, Conv1dSeq, Dropout, Embedding, Linear
 from .base import SequenceTagger
 
@@ -33,15 +32,12 @@ class NERTaggerConfig:
     gru_hidden: int = 50
     dropout: float = 0.5
     static_embeddings: bool = True
-    conv_variant: str = "auto"
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.conv_width < 1:
             raise ValueError("conv width must be >= 1")
         if self.conv_features < 1 or self.gru_hidden < 1:
             raise ValueError("layer widths must be positive")
-        self.dtype = canonical_dtype(self.dtype).name
 
 
 class NERTagger(SequenceTagger):
@@ -58,19 +54,12 @@ class NERTagger(SequenceTagger):
         self.config = config
         self.num_classes = config.num_classes
         self.embedding = Embedding(
-            vocab_size,
-            dim,
-            pretrained=embeddings,
-            trainable=not config.static_embeddings,
-            dtype=config.dtype,
+            vocab_size, dim, pretrained=embeddings, trainable=not config.static_embeddings
         )
-        self.conv = Conv1dSeq(
-            dim, config.conv_features, config.conv_width, rng,
-            pad="same", variant=config.conv_variant, dtype=config.dtype,
-        )
+        self.conv = Conv1dSeq(dim, config.conv_features, config.conv_width, rng, pad="same")
         self.dropout = Dropout(config.dropout, rng)
-        self.gru = GRU(config.conv_features, config.gru_hidden, rng, dtype=config.dtype)
-        self.output = Linear(config.gru_hidden, config.num_classes, rng, dtype=config.dtype)
+        self.gru = GRU(config.conv_features, config.gru_hidden, rng)
+        self.output = Linear(config.gru_hidden, config.num_classes, rng)
 
     def logits(self, tokens: np.ndarray, lengths: np.ndarray) -> Tensor:
         tokens = np.asarray(tokens)

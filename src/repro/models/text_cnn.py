@@ -15,7 +15,6 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff import functional as F
-from ..autodiff.dtypes import canonical_dtype
 from ..autodiff.nn import Conv1dSeq, Dropout, Embedding, Linear
 from .base import TextClassifier
 
@@ -37,8 +36,6 @@ class TextCNNConfig:
     dropout: float = 0.5
     max_norm: float = 3.0
     static_embeddings: bool = True
-    conv_variant: str = "auto"
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if not self.filter_windows:
@@ -47,7 +44,6 @@ class TextCNNConfig:
             raise ValueError(f"filter windows must be >= 1, got {self.filter_windows}")
         if self.feature_maps < 1:
             raise ValueError("need at least one feature map")
-        self.dtype = canonical_dtype(self.dtype).name
 
 
 class TextCNN(TextClassifier):
@@ -70,26 +66,14 @@ class TextCNN(TextClassifier):
         self.config = config
         self.num_classes = config.num_classes
         self.embedding = Embedding(
-            vocab_size,
-            dim,
-            pretrained=embeddings,
-            trainable=not config.static_embeddings,
-            dtype=config.dtype,
+            vocab_size, dim, pretrained=embeddings, trainable=not config.static_embeddings
         )
         self.convs = [
-            Conv1dSeq(
-                dim,
-                config.feature_maps,
-                width,
-                rng,
-                variant=config.conv_variant,
-                dtype=config.dtype,
-            )
-            for width in config.filter_windows
+            Conv1dSeq(dim, config.feature_maps, width, rng) for width in config.filter_windows
         ]
         self.dropout = Dropout(config.dropout, rng)
         hidden = config.feature_maps * len(config.filter_windows)
-        self.output = Linear(hidden, config.num_classes, rng, dtype=config.dtype)
+        self.output = Linear(hidden, config.num_classes, rng)
 
     def logits(self, tokens: np.ndarray, lengths: np.ndarray) -> Tensor:
         tokens = np.asarray(tokens)

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff import functional as F
+from ..autodiff.dtypes import default_dtype
 from ..baselines.common import (
     EarlyStopping,
     TrainerConfig,
@@ -105,39 +106,40 @@ def forward_correction_baseline(
     K = model.num_classes
     if transition.shape != (K, K):
         raise ValueError(f"transition must be ({K}, {K}), got {transition.shape}")
-    noisy_one_hot = np.eye(K)[crowd.labels[:, 0]]
+    noisy_one_hot = np.eye(K, dtype=config.dtype)[crowd.labels[:, 0]]
 
-    optimizer, schedule = build_optimizer(model.parameters(), config)
+    optimizer, schedule = build_optimizer([model], config)
     stopper = EarlyStopping(model, config.patience) if dev is not None else None
     history: dict = {"loss": [], "dev_score": []}
-    T = Tensor(transition)
-    for _ in range(config.epochs):
-        model.train()
-        total = 0.0
-        batches = 0
-        for batch in batch_indices(len(train), config.batch_size, rng=rng):
-            optimizer.zero_grad()
-            logits = model.logits(train.tokens[batch], train.lengths[batch])
-            clean_proba = F.softmax(logits, axis=-1)
-            noisy_proba = clean_proba @ T            # p(noisy = n) = Σ_m p_m T_mn
-            log_noisy = (noisy_proba + 1e-12).log()
-            loss = -(Tensor(noisy_one_hot[batch]) * log_noisy).sum() * (
-                1.0 / len(batch)
-            )
-            loss.backward()
-            optimizer.step()
-            if hasattr(model, "apply_max_norm"):
-                model.apply_max_norm()
-            total += loss.item()
-            batches += 1
-        history["loss"].append(total / max(batches, 1))
-        if schedule is not None:
-            schedule.step()
-        if stopper is not None:
-            score = accuracy(dev.labels, model.predict(dev.tokens, dev.lengths))
-            history["dev_score"].append(score)
-            if stopper.update(score):
-                break
+    T = Tensor(transition, dtype=config.dtype)
+    with default_dtype(config.dtype):
+        for _ in range(config.epochs):
+            model.train()
+            total = 0.0
+            batches = 0
+            for batch in batch_indices(len(train), config.batch_size, rng=rng):
+                optimizer.zero_grad()
+                logits = model.logits(train.tokens[batch], train.lengths[batch])
+                clean_proba = F.softmax(logits, axis=-1)
+                noisy_proba = clean_proba @ T            # p(noisy = n) = Σ_m p_m T_mn
+                log_noisy = (noisy_proba + 1e-12).log()
+                loss = -(Tensor(noisy_one_hot[batch]) * log_noisy).sum() * (
+                    1.0 / len(batch)
+                )
+                loss.backward()
+                optimizer.step()
+                if hasattr(model, "apply_max_norm"):
+                    model.apply_max_norm()
+                total += loss.item()
+                batches += 1
+            history["loss"].append(total / max(batches, 1))
+            if schedule is not None:
+                schedule.step()
+            if stopper is not None:
+                score = accuracy(dev.labels, model.predict(dev.tokens, dev.lengths))
+                history["dev_score"].append(score)
+                if stopper.update(score):
+                    break
     if stopper is not None:
         stopper.restore_best()
         history["best_dev_score"] = stopper.best_score

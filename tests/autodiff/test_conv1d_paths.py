@@ -140,39 +140,3 @@ class TestAutoSelection:
         with pytest.raises(ValueError, match="variant"):
             F.conv1d_seq(x, w, None, width=3, variant="fft")
         assert set(CONV1D_VARIANTS) == {"auto", "im2col", "width_loop"}
-
-
-class TestLayerAndModelPlumbing:
-    def test_conv1dseq_layer_forwards_variant(self):
-        from repro.autodiff.nn import Conv1dSeq
-
-        rng = np.random.default_rng(3)
-        layer = Conv1dSeq(4, 3, 2, rng, variant="width_loop")
-        out = layer(Tensor(rng.normal(size=(2, 6, 4))))
-        assert out.shape == (2, 5, 3)
-        with pytest.raises(ValueError, match="variant"):
-            Conv1dSeq(4, 3, 2, rng, variant="fft")
-
-    def test_text_cnn_config_plumbs_variant(self):
-        from repro.models import TextCNN, TextCNNConfig
-
-        rng = np.random.default_rng(4)
-        embeddings = rng.normal(size=(30, 6))
-        config = TextCNNConfig(feature_maps=3, conv_variant="width_loop")
-        model = TextCNN(embeddings, config, rng)
-        assert all(conv.variant == "width_loop" for conv in model.convs)
-        tokens = rng.integers(0, 30, size=(2, 9))
-        logits = model.logits(tokens, np.array([9, 6]))
-        assert logits.shape == (2, 2)
-
-    def test_ner_tagger_config_plumbs_variant(self):
-        from repro.models import NERTagger, NERTaggerConfig
-
-        rng = np.random.default_rng(5)
-        embeddings = rng.normal(size=(30, 6))
-        config = NERTaggerConfig(conv_features=4, gru_hidden=3, conv_variant="width_loop")
-        model = NERTagger(embeddings, config, rng)
-        assert model.conv.variant == "width_loop"
-        tokens = rng.integers(0, 30, size=(2, 7))
-        logits = model.logits(tokens, np.array([7, 4]))
-        assert logits.shape == (2, 7, 9)

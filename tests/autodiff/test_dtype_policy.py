@@ -26,7 +26,7 @@ from repro.autodiff.nn import Embedding, init
 from repro.autodiff.nn.rnn import GRU, GRUCell, gru_reference_forward
 from repro.autodiff.optim import Adam
 from repro.baselines.common import TrainerConfig, run_classification_epoch, build_optimizer
-from repro.models import MLPClassifier, MLPConfig, NERTaggerConfig, TextCNNConfig
+from repro.models import MLPClassifier
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -209,40 +209,25 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             TrainerConfig(dtype="float16")
 
-    def test_model_configs_validate_dtype(self):
-        assert TextCNNConfig(dtype=np.float32).dtype == "float32"
-        assert NERTaggerConfig(dtype="float32").dtype == "float32"
-        assert MLPConfig(dtype="float32").dtype == "float32"
-        for bad in ("int32", "float128"):
-            with pytest.raises(ValueError):
-                TextCNNConfig(dtype=bad)
-
-    def test_mlp_from_config_builds_at_configured_dtype(self):
-        embeddings = np.random.default_rng(0).normal(size=(10, 4))
-        model = MLPClassifier.from_config(
-            embeddings, MLPConfig(num_classes=3, hidden=8, dtype="float32"),
-            np.random.default_rng(1),
-        )
-        assert model.embedding.weight.data.dtype == F32
-        assert model.output.weight.data.dtype == F32
-        logits = model.logits(np.array([[1, 2, 0]]), np.array([2]))
-        assert logits.dtype == F32
-
 
 def _toy_classification(dtype: str):
-    """Same-seed float twin setup: model + data for one training epoch."""
+    """Same-seed float twin setup: model + data for one training epoch.
+
+    Both twins come from the same constructor; only the trainer config's
+    dtype differs, and ``build_optimizer`` casts the model to it.
+    """
     rng = np.random.default_rng(3)
     embeddings = rng.normal(size=(12, 6))
     tokens = rng.integers(0, 12, size=(16, 5))
     lengths = rng.integers(1, 6, size=16)
     labels = rng.integers(0, 3, size=16)
     targets = np.eye(3)[labels]
-    model = MLPClassifier(embeddings, 3, 8, np.random.default_rng(7), dtype=dtype)
+    model = MLPClassifier(embeddings, 3, 8, np.random.default_rng(7))
     config = TrainerConfig(
         epochs=1, batch_size=4, optimizer="sgd", learning_rate=0.1,
         lr_decay_every=None, grad_clip=None, dtype=dtype,
     )
-    optimizer, _ = build_optimizer(model.parameters(), config)
+    optimizer, _ = build_optimizer([model], config)
     return model, optimizer, tokens, lengths, targets, config
 
 

@@ -9,7 +9,7 @@ without padding masks, on prefix and non-prefix masks.
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, functional as F, tape_node_count
+from repro.autodiff import Tensor, tape_node_count
 from repro.autodiff.nn.rnn import GRU, GRUCell, gru_reference_forward
 
 from .gradcheck import assert_grad_matches
@@ -139,27 +139,6 @@ class TestGradientEquivalence:
 
 
 class TestFusedOps:
-    def test_gru_step_matches_cell(self):
-        gru, cell = _pair(in_dim=4, hidden=3, seed=11)
-        rng = _rng(7)
-        x_t = rng.normal(size=(5, 4))
-        h = rng.normal(size=(5, 3))
-        gx = Tensor(x_t @ gru.w_x.data + gru.bias.data)
-        fused = F.gru_step(gx, Tensor(h), gru.w_h).numpy()
-        reference = cell(Tensor(x_t), Tensor(h)).numpy()
-        np.testing.assert_allclose(fused, reference, atol=ATOL, rtol=0)
-
-    def test_unbind_roundtrip_and_gradient(self):
-        x = Tensor(_rng(8).normal(size=(2, 3, 4)), requires_grad=True)
-        pieces = F.unbind(x, axis=1)
-        assert len(pieces) == 3 and pieces[0].shape == (2, 4)
-        total = pieces[0].sum() + (pieces[2] * 2.0).sum()
-        total.backward()
-        expected = np.zeros((2, 3, 4))
-        expected[:, 0] = 1.0
-        expected[:, 2] = 2.0
-        np.testing.assert_array_equal(x.grad, expected)
-
     def test_no_grad_builds_no_nodes(self):
         from repro.autodiff import no_grad
 

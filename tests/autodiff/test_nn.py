@@ -74,6 +74,30 @@ class TestModule:
         lin = nn.Linear(3, 2, _rng())
         assert lin.num_parameters() == 3 * 2 + 2
 
+    def test_cast_reaches_frozen_tensors_and_gradients(self):
+        rng = _rng()
+        seq = nn.Sequential(
+            nn.Embedding(5, 3, pretrained=rng.normal(size=(5, 3)), trainable=False),
+            nn.Linear(3, 2, rng),
+        )
+        embedding, linear = seq.layers
+        (linear(Tensor(np.ones((1, 3)))) ** 2).sum().backward()
+        reference = linear.weight.data.copy()
+        assert seq.cast("float32") is seq
+        assert embedding.weight.dtype == np.float32
+        assert linear.weight.grad.dtype == np.float32
+        np.testing.assert_array_equal(linear.weight.data, reference.astype(np.float32))
+        assert [p.dtype for p in seq.parameters()] == [np.float32, np.float32]
+
+    def test_cast_to_own_dtype_keeps_every_array(self):
+        rng = _rng()
+        lin = nn.Linear(3, 2, rng)
+        arrays = [lin.weight.data, lin.bias.data]
+        lin.cast("float64")
+        assert lin.weight.data is arrays[0] and lin.bias.data is arrays[1]
+        with pytest.raises(ValueError):
+            lin.cast("float16")
+
 
 class TestLinear:
     def test_forward_matches_manual(self):

@@ -160,15 +160,6 @@ def _getitem_fancy(rng):
     return lambda: (a[idx] * 1.5).sum(), [a]
 
 
-@case("unbind")
-def _unbind(rng):
-    a = _leaf(rng, 3, 4)
-    def loss():
-        rows = F.unbind(a, axis=0)
-        return (rows[0] * rows[2]).sum() + rows[1].sum()
-    return loss, [a]
-
-
 @case("concat")
 def _concat(rng):
     a, b = _leaf(rng, 3, 2), _leaf(rng, 3, 4)
@@ -233,14 +224,6 @@ def _dropout(rng):
     def loss():
         return (F.dropout(x, 0.4, np.random.default_rng(7), training=True) ** 2).sum()
     return loss, [x]
-
-
-@case("gru_step")
-def _gru_step(rng):
-    hidden = 3
-    gx, h, w_h = _leaf(rng, 2, 3 * hidden), _leaf(rng, 2, hidden), _leaf(rng, hidden, 3 * hidden)
-    mask = np.array([True, False])
-    return lambda: (F.gru_step(gx, h, w_h, mask=mask) ** 2).sum(), [gx, h, w_h]
 
 
 @case("gru_sequence")

@@ -87,16 +87,14 @@ class TestTrainerConfig:
     def test_build_optimizer_variants(self, name, sentiment_task):
         model = _cnn(sentiment_task)
         optimizer, schedule = build_optimizer(
-            model.parameters(), TrainerConfig(optimizer=name, learning_rate=0.5)
+            [model], TrainerConfig(optimizer=name, learning_rate=0.5)
         )
         assert optimizer.lr == 0.5
         assert schedule is not None  # default decay every 5
 
     def test_no_schedule_when_disabled(self, sentiment_task):
         model = _cnn(sentiment_task)
-        _, schedule = build_optimizer(
-            model.parameters(), TrainerConfig(lr_decay_every=None)
-        )
+        _, schedule = build_optimizer([model], TrainerConfig(lr_decay_every=None))
         assert schedule is None
 
 

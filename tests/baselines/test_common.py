@@ -56,15 +56,13 @@ class TestTrainerConfigValidation:
 
     def test_none_decay_period_disables_schedule(self):
         config = TrainerConfig(lr_decay_every=None)
-        _, schedule = build_optimizer(_classifier().parameters(), config)
+        _, schedule = build_optimizer([_classifier()], config)
         assert schedule is None
 
     def test_decay_period_of_one_builds_a_schedule(self):
         # Regression for the truthiness guard: a valid small period must
         # not be confused with "disabled".
-        _, schedule = build_optimizer(
-            _classifier().parameters(), TrainerConfig(lr_decay_every=1)
-        )
+        _, schedule = build_optimizer([_classifier()], TrainerConfig(lr_decay_every=1))
         assert schedule is not None
 
 
@@ -173,7 +171,7 @@ class TestEmptyTrainingSet:
 
         model = _classifier()
         config = TrainerConfig()
-        optimizer, _ = build_optimizer(model.parameters(), config)
+        optimizer, _ = build_optimizer([model], config)
         loss = run_classification_epoch(
             model, optimizer,
             np.zeros((0, 7), dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -181,7 +179,7 @@ class TestEmptyTrainingSet:
         )
         assert loss == 0.0
         tagger = _tagger()
-        optimizer, _ = build_optimizer(tagger.parameters(), config)
+        optimizer, _ = build_optimizer([tagger], config)
         loss = run_sequence_epoch(
             tagger, optimizer,
             np.zeros((0, 9), dtype=np.int64), np.zeros(0, dtype=np.int64),
