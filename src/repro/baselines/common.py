@@ -1,24 +1,38 @@
-"""Shared training machinery: optimizer construction, epoch loops, early
-stopping. Used by every LNCL method (two-stage, EM family, CrowdLayer,
-DL-DN, Gold) and by Logic-LNCL itself.
+"""The one training protocol: every trainer runs the two loops defined here.
+
+* :func:`run_epoch`, the mini-batch loop: zero the gradients, compute the
+  trainer's batch loss, back-propagate, clip to ``grad_clip``, step the
+  optimizer, apply the model's max-norm constraint if it has one.
+* :func:`fit_epochs`, the early-stopped epoch loop: build the optimizer
+  (casting the model to ``dtype``), set a tagger's output-bias prior, then
+  per epoch train, step the LR schedule, run the pseudo-E-step if any,
+  score the dev set and update :class:`EarlyStopping`; finally restore the
+  best epoch's weights and EM state.
+
+A trainer supplies only its batch loss and, for Logic-LNCL, its
+pseudo-E-step. :func:`run_classification_epoch` and
+:func:`run_sequence_epoch` are the soft-target losses (Gold, two-stage,
+DL-DN, Logic-LNCL); CrowdLayer and forward correction pass their own.
 
 Hyper-parameter defaults follow Table I of the paper; the dev set picks the
 early-stopping epoch with patience 5 for *all* methods, exactly as §VI-A3
-describes.
+describes: accuracy on a classification dev set, strict span F1 on a
+tagging one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..autodiff import Tensor, no_grad
 from ..autodiff import functional as F
-from ..autodiff import no_grad
 from ..autodiff.dtypes import canonical_dtype, default_dtype
 from ..autodiff.nn import Module
 from ..autodiff.optim import SGD, Adadelta, Adam, Optimizer, StepDecay, clip_grad_norm
+from ..data.datasets import SequenceTaggingDataset, TextClassificationDataset, length_mask
 from ..data.loaders import batch_indices
 from ..eval.classification import accuracy
 from ..eval.ner_f1 import span_f1_score
@@ -28,6 +42,8 @@ __all__ = [
     "TrainerConfig",
     "build_optimizer",
     "EarlyStopping",
+    "run_epoch",
+    "fit_epochs",
     "run_classification_epoch",
     "run_sequence_epoch",
     "predict_proba_batched",
@@ -44,6 +60,10 @@ class TrainerConfig:
     Sentiment paper values: Adadelta, lr 1.0 halved every 5 epochs, batch
     50, 30 epochs, patience 5. NER: Adam 1e-3, batch 64, 30 epochs,
     patience 5.
+
+    Every trainer honours every field: all of them train through
+    :func:`run_epoch` and :func:`fit_epochs`. ``weighted_loss`` (Eq. 10)
+    weights by annotator counts, so only the Logic-LNCL trainers read it.
 
     ``dtype`` is the one precision setting: "float64" (default) is the
     reference path every equivalence test is pinned to; "float32" is the
@@ -144,6 +164,107 @@ class EarlyStopping:
             self.model.load_state_dict(self.best_state)
 
 
+def run_epoch(
+    model: Module,
+    optimizer: Optimizer,
+    num_instances: int,
+    batch_loss: Callable[[np.ndarray], Tensor],
+    rng: np.random.Generator,
+    config: TrainerConfig,
+) -> float:
+    """One epoch of mini-batch training: the training step of every trainer.
+
+    ``batch_loss(batch)`` is the scalar loss of the instances ``batch``.
+    Clips the global gradient norm to ``config.grad_clip`` (None: no
+    clipping) and returns the mean batch loss. An empty training set is a
+    no-op epoch: loss 0.0, zero optimizer steps, parameters untouched.
+    """
+    model.train()
+    total_loss = 0.0
+    batches = 0
+    with default_dtype(config.dtype):
+        for batch in batch_indices(num_instances, config.batch_size, rng=rng):
+            optimizer.zero_grad()
+            loss = batch_loss(batch)
+            loss.backward()
+            if config.grad_clip is not None:
+                clip_grad_norm(optimizer.parameters, config.grad_clip)
+            optimizer.step()
+            if hasattr(model, "apply_max_norm"):
+                model.apply_max_norm()
+            total_loss += loss.item()
+            batches += 1
+    return total_loss / max(batches, 1)
+
+
+def _dev_score(model: Module, dev: TextClassificationDataset | SequenceTaggingDataset) -> float:
+    """Accuracy on a classification dev set, strict span F1 on a tagging one."""
+    if isinstance(dev, SequenceTaggingDataset):
+        return span_f1_score(dev.tags, model.predict(dev.tokens, dev.lengths)).f1
+    if isinstance(dev, TextClassificationDataset):
+        return accuracy(dev.labels, model.predict(dev.tokens, dev.lengths))
+    raise TypeError(f"dev must be a dataset, got {type(dev).__name__}")
+
+
+def fit_epochs(
+    modules: Sequence[Module],
+    config: TrainerConfig,
+    train_epoch: Callable[[Optimizer], float],
+    dev: TextClassificationDataset | SequenceTaggingDataset | None = None,
+    output_prior: np.ndarray | None = None,
+    pseudo_e_step: Callable[[int], Any] | None = None,
+) -> tuple[dict, Any]:
+    """The early-stopped epoch loop every trainer runs.
+
+    ``modules[0]`` is the model; further modules (CrowdLayer's annotator
+    layer) train alongside it. Before the first step, a model with
+    ``initialize_output_bias`` starts from ``output_prior``, the class
+    totals of its initial targets. Each epoch, numbered from 1, runs
+    ``train_epoch(optimizer)`` (the mean loss), the LR schedule and
+    ``pseudo_e_step(epoch)`` (the EM state after the epoch), then scores
+    ``dev``. With a dev set the best epoch's weights and EM state are
+    restored at the end; the state is kept by reference, so the
+    pseudo-E-step must build a new one each epoch rather than update an
+    earlier one in place. All of it runs under
+    ``default_dtype(config.dtype)``.
+
+    Returns the history (``loss``, ``dev_score``, plus ``best_dev_score``
+    with a dev set) and the final EM state (None without a pseudo-E-step).
+    """
+    model = modules[0]
+    history: dict = {"loss": [], "dev_score": []}
+    state = best_state = None
+    with default_dtype(config.dtype):
+        optimizer, schedule = build_optimizer(modules, config)
+        # After the cast, so the prior bias is computed at the training
+        # precision; an empty training set keeps the default bias.
+        if output_prior is not None and hasattr(model, "initialize_output_bias"):
+            if output_prior.sum() > 0:
+                model.initialize_output_bias(output_prior / output_prior.sum())
+        stopper = EarlyStopping(model, config.patience) if dev is not None else None
+        for epoch in range(1, config.epochs + 1):
+            history["loss"].append(train_epoch(optimizer))
+            if schedule is not None:
+                schedule.step()
+            if pseudo_e_step is not None:
+                state = pseudo_e_step(epoch)
+            if stopper is None:
+                continue
+            score = _dev_score(model, dev)
+            history["dev_score"].append(score)
+            stop = stopper.update(score)
+            if stopper.bad_epochs == 0:  # a new best epoch
+                best_state = state
+            if stop:
+                break
+        if stopper is not None:
+            stopper.restore_best()
+            history["best_dev_score"] = stopper.best_score
+            if best_state is not None:
+                state = best_state
+    return history, state
+
+
 def run_classification_epoch(
     model: TextClassifier,
     optimizer: Optimizer,
@@ -156,29 +277,17 @@ def run_classification_epoch(
 ) -> float:
     """One epoch of soft-target training (paper Eq. 8 / Eq. 10 + Eq. 11).
 
+    :func:`run_epoch` with the soft-target cross-entropy as batch loss.
     Returns the mean training loss. ``targets`` is the ``(I, K)`` learning
     target — ``qf(t)`` for EM-family methods, one-hot labels otherwise.
-    An empty training set is a no-op epoch: loss 0.0, zero optimizer
-    steps (``batch_indices`` yields no batches), parameters untouched.
     """
-    model.train()
-    total_loss = 0.0
-    batches = 0
-    with default_dtype(config.dtype):
-        for batch in batch_indices(len(lengths), config.batch_size, rng=rng):
-            optimizer.zero_grad()
-            logits = model.logits(tokens[batch], lengths[batch])
-            batch_weights = weights[batch] if weights is not None else None
-            loss = F.cross_entropy_soft(logits, targets[batch], weights=batch_weights)
-            loss.backward()
-            if config.grad_clip is not None:
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
-            if hasattr(model, "apply_max_norm"):
-                model.apply_max_norm()
-            total_loss += loss.item()
-            batches += 1
-    return total_loss / max(batches, 1)
+
+    def batch_loss(batch: np.ndarray) -> Tensor:
+        logits = model.logits(tokens[batch], lengths[batch])
+        batch_weights = weights[batch] if weights is not None else None
+        return F.cross_entropy_soft(logits, targets[batch], weights=batch_weights)
+
+    return run_epoch(model, optimizer, len(lengths), batch_loss, rng, config)
 
 
 def run_sequence_epoch(
@@ -193,32 +302,20 @@ def run_sequence_epoch(
 ) -> float:
     """One epoch of per-token soft-target training.
 
-    ``targets`` is ``(I, T, K)``; padded positions are masked from the loss.
-    ``weights`` (``(I, T)``) carries per-token annotator counts for Eq. 10.
-    Empty training sets are no-op epochs, as in
-    :func:`run_classification_epoch`.
+    :func:`run_epoch` with the masked per-token soft-target cross-entropy
+    as batch loss. ``targets`` is ``(I, T, K)``; padded positions are
+    masked from the loss. ``weights`` (``(I, T)``) carries per-token
+    annotator counts for Eq. 10.
     """
-    model.train()
     max_time = tokens.shape[1]
-    position = np.arange(max_time)[None, :]
-    total_loss = 0.0
-    batches = 0
-    with default_dtype(config.dtype):
-        for batch in batch_indices(len(lengths), config.batch_size, rng=rng):
-            optimizer.zero_grad()
-            logits = model.logits(tokens[batch], lengths[batch])
-            mask = position < lengths[batch][:, None]
-            batch_weights = weights[batch] if weights is not None else None
-            loss = F.sequence_cross_entropy_soft(
-                logits, targets[batch], mask, weights=batch_weights
-            )
-            loss.backward()
-            if config.grad_clip is not None:
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
-            total_loss += loss.item()
-            batches += 1
-    return total_loss / max(batches, 1)
+
+    def batch_loss(batch: np.ndarray) -> Tensor:
+        logits = model.logits(tokens[batch], lengths[batch])
+        mask = length_mask(lengths[batch], max_time)
+        batch_weights = weights[batch] if weights is not None else None
+        return F.sequence_cross_entropy_soft(logits, targets[batch], mask, weights=batch_weights)
+
+    return run_epoch(model, optimizer, len(lengths), batch_loss, rng, config)
 
 
 def predict_proba_batched(
@@ -269,38 +366,26 @@ def fit_classifier(
     tokens: np.ndarray,
     lengths: np.ndarray,
     targets: np.ndarray,
-    dev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    dev: TextClassificationDataset | None = None,
     weights: np.ndarray | None = None,
 ) -> dict:
     """Supervised training against fixed (possibly soft) targets.
 
-    Used by Gold, the two-stage methods, and DL-DN member networks. With a
-    dev triple ``(tokens, lengths, labels)``, applies early stopping and
-    restores the best snapshot.
+    Used by Gold, the two-stage methods, DL-DN member networks and
+    CrowdLayer's pre-training. With a ``dev`` dataset, applies early
+    stopping and restores the best snapshot.
 
     Returns a history dict with per-epoch losses and dev scores.
     """
     if targets.ndim == 1:  # hard labels → one-hot
         targets = np.eye(model.num_classes)[targets]
-    optimizer, schedule = build_optimizer([model], config)
-    stopper = EarlyStopping(model, config.patience) if dev is not None else None
-    history: dict = {"loss": [], "dev_score": []}
-    for _ in range(config.epochs):
-        loss = run_classification_epoch(
+
+    def train_epoch(optimizer: Optimizer) -> float:
+        return run_classification_epoch(
             model, optimizer, tokens, lengths, targets, rng, config, weights=weights
         )
-        history["loss"].append(loss)
-        if schedule is not None:
-            schedule.step()
-        if stopper is not None:
-            dev_tokens, dev_lengths, dev_labels = dev
-            score = accuracy(dev_labels, model.predict(dev_tokens, dev_lengths))
-            history["dev_score"].append(score)
-            if stopper.update(score):
-                break
-    if stopper is not None:
-        stopper.restore_best()
-        history["best_dev_score"] = stopper.best_score
+
+    history, _ = fit_epochs([model], config, train_epoch, dev)
     return history
 
 
@@ -311,36 +396,24 @@ def fit_tagger(
     tokens: np.ndarray,
     lengths: np.ndarray,
     targets: np.ndarray,
-    dev: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None,
+    dev: SequenceTaggingDataset | None = None,
     weights: np.ndarray | None = None,
 ) -> dict:
-    """Supervised sequence training; dev metric is strict span F1."""
+    """Supervised sequence training; dev metric is strict span F1.
+
+    The output bias starts from the class prior of ``targets``.
+    """
     if targets.ndim == 2:  # hard tags → one-hot (padding rows become class 0)
         targets = np.eye(model.num_classes)[targets]
-    optimizer, schedule = build_optimizer([model], config)
-    # After the cast, so the prior bias is computed at the training precision.
-    if hasattr(model, "initialize_output_bias"):
-        mask = np.arange(tokens.shape[1])[None, :] < lengths[:, None]
-        priors = (targets * mask[:, :, None]).sum(axis=(0, 1))
-        if priors.sum() > 0:  # empty training set: keep the default bias
-            model.initialize_output_bias(priors / priors.sum())
-    stopper = EarlyStopping(model, config.patience) if dev is not None else None
-    history: dict = {"loss": [], "dev_score": []}
-    for _ in range(config.epochs):
-        loss = run_sequence_epoch(
+    mask = length_mask(lengths, tokens.shape[1])
+
+    def train_epoch(optimizer: Optimizer) -> float:
+        return run_sequence_epoch(
             model, optimizer, tokens, lengths, targets, rng, config, weights=weights
         )
-        history["loss"].append(loss)
-        if schedule is not None:
-            schedule.step()
-        if stopper is not None:
-            dev_tokens, dev_lengths, dev_tags = dev
-            predictions = model.predict(dev_tokens, dev_lengths)
-            score = span_f1_score(dev_tags, predictions).f1
-            history["dev_score"].append(score)
-            if stopper.update(score):
-                break
-    if stopper is not None:
-        stopper.restore_best()
-        history["best_dev_score"] = stopper.best_score
+
+    history, _ = fit_epochs(
+        [model], config, train_epoch, dev,
+        output_prior=(targets * mask[:, :, None]).sum(axis=(0, 1)),
+    )
     return history

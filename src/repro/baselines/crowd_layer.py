@@ -14,6 +14,12 @@ Three parameterizations of annotator reliability (Table II/III variants):
 The paper notes CL (MW) "relies on several epochs of pre-training on
 estimated labels with Majority Voting" — reproduced with
 ``pretrain_epochs`` (Table III compares 5 vs 1).
+
+Both phases run the shared loops of :mod:`repro.baselines.common`, so
+``grad_clip``, the LR schedule and early stopping apply as for every
+trainer: pre-training is :func:`fit_classifier` / :func:`fit_tagger`, and
+the joint phase passes the masked annotator cross-entropy to
+:func:`run_epoch`.
 """
 
 from __future__ import annotations
@@ -26,20 +32,22 @@ from ..autodiff import Tensor
 from ..autodiff import functional as F
 from ..autodiff.dtypes import default_dtype
 from ..autodiff.nn import Module
+from ..autodiff.optim import Optimizer
 from ..baselines.common import (
-    EarlyStopping,
     TrainerConfig,
-    build_optimizer,
     fit_classifier,
+    fit_epochs,
     fit_tagger,
     predict_proba_batched,
     predict_sequence_proba_batched,
+    run_epoch,
 )
-from ..crowd.types import MISSING
-from ..data.datasets import SequenceTaggingDataset, TextClassificationDataset
-from ..data.loaders import batch_indices
-from ..eval.classification import accuracy
-from ..eval.ner_f1 import span_f1_score
+from ..data.datasets import (
+    SequenceTaggingDataset,
+    TextClassificationDataset,
+    pad_ragged,
+    trim_padded,
+)
 from ..inference.majority_vote import majority_vote_posterior
 from ..models.base import SequenceTagger, TextClassifier
 
@@ -110,6 +118,32 @@ def _masked_annotator_ce(scores: Tensor, target_one_hot: np.ndarray) -> Tensor:
     return -(Tensor(target) * logp).sum() * (1.0 / observed)
 
 
+def _fit_joint(
+    trainer: CrowdLayerClassifier | CrowdLayerSequenceTagger,
+    train: TextClassificationDataset | SequenceTaggingDataset,
+    dev: TextClassificationDataset | SequenceTaggingDataset | None,
+    one_hot: np.ndarray,
+    output_prior: np.ndarray | None = None,
+) -> dict:
+    """The joint phase: base model and annotator layer trained end to end
+    on the masked annotator cross-entropy against ``one_hot`` crowd labels."""
+
+    def batch_loss(batch: np.ndarray) -> Tensor:
+        logits = trainer.model.logits(train.tokens[batch], train.lengths[batch])
+        scores = trainer.layer.annotator_scores(F.softmax(logits, axis=-1))   # (..., J, K)
+        return _masked_annotator_ce(scores, one_hot[batch])
+
+    def train_epoch(optimizer: Optimizer) -> float:
+        return run_epoch(
+            trainer.model, optimizer, len(train), batch_loss, trainer.rng, trainer.config
+        )
+
+    history, _ = fit_epochs(
+        [trainer.model, trainer.layer], trainer.config, train_epoch, dev, output_prior=output_prior
+    )
+    return history
+
+
 class CrowdLayerClassifier:
     """CL for classification.
 
@@ -150,51 +184,18 @@ class CrowdLayerClassifier:
         K = self.model.num_classes
         self.layer = _CrowdLayer(self.variant, crowd.num_annotators, K)
 
-        history: dict = {"pretrain": None, "loss": [], "dev_score": []}
+        pretrain = None
         if self.pretrain_epochs > 0:
             mv_hard = majority_vote_posterior(crowd).argmax(axis=1)
-            pre_config = replace(
-                self.config, epochs=self.pretrain_epochs, lr_decay_every=None
-            )
-            history["pretrain"] = fit_classifier(
-                self.model, pre_config, self.rng, train.tokens, train.lengths,
-                np.eye(K)[mv_hard], dev=None,
+            pre_config = replace(self.config, epochs=self.pretrain_epochs, lr_decay_every=None)
+            pretrain = fit_classifier(
+                self.model, pre_config, self.rng, train.tokens, train.lengths, mv_hard
             )
 
-        one_hot = crowd.one_hot()                                # (I, J, K)
-        optimizer, schedule = build_optimizer([self.model, self.layer], self.config)
-        stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
-
+        history = _fit_joint(self, train, dev, crowd.one_hot())        # one-hot (I, J, K)
         with default_dtype(self.config.dtype):
-            for _ in range(self.config.epochs):
-                self.model.train()
-                total = 0.0
-                batches = 0
-                for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
-                    optimizer.zero_grad()
-                    logits = self.model.logits(train.tokens[batch], train.lengths[batch])
-                    proba = F.softmax(logits, axis=-1)
-                    scores = self.layer.annotator_scores(proba)
-                    loss = _masked_annotator_ce(scores, one_hot[batch])
-                    loss.backward()
-                    optimizer.step()
-                    if hasattr(self.model, "apply_max_norm"):
-                        self.model.apply_max_norm()
-                    total += loss.item()
-                    batches += 1
-                history["loss"].append(total / max(batches, 1))
-                if schedule is not None:
-                    schedule.step()
-                if stopper is not None:
-                    score = accuracy(dev.labels, self.model.predict(dev.tokens, dev.lengths))
-                    history["dev_score"].append(score)
-                    if stopper.update(score):
-                        break
-            if stopper is not None:
-                stopper.restore_best()
-                history["best_dev_score"] = stopper.best_score
             self.train_proba_ = predict_proba_batched(self.model, train.tokens, train.lengths)
-        return history
+        return {"pretrain": pretrain, **history}
 
     def predict(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         return self.model.predict(tokens, lengths)
@@ -234,15 +235,11 @@ class CrowdLayerSequenceTagger:
     def _padded_crowd_one_hot(train: SequenceTaggingDataset) -> np.ndarray:
         """``(I, T, J, K)`` one-hot crowd labels (zeros where unlabeled)."""
         crowd = train.crowd
-        I, T = train.tokens.shape
-        J, K = crowd.num_annotators, crowd.num_classes
-        out = np.zeros((I, T, J, K))
-        for i in range(I):
-            matrix = crowd.labels[i]                    # (T_i, J)
-            observed = matrix != MISSING
-            t_idx, j_idx = np.nonzero(observed)
-            out[i, t_idx, j_idx, matrix[t_idx, j_idx]] = 1.0
-        return out
+        stacked, _ = crowd.flat_labels()                         # (ΣT_i, J)
+        tokens, annotators, given = crowd.flat_label_pairs()
+        flat = np.zeros(stacked.shape + (crowd.num_classes,))
+        flat[tokens, annotators, given] = 1.0
+        return pad_ragged(flat, train.lengths, train.tokens.shape[1])
 
     def fit(
         self,
@@ -255,61 +252,25 @@ class CrowdLayerSequenceTagger:
         K = self.model.num_classes
         self.layer = _CrowdLayer(self.variant, crowd.num_annotators, K)
 
-        history: dict = {"pretrain": None, "loss": [], "dev_score": []}
+        votes = crowd.token_vote_counts_flat()                   # (ΣT_i, K)
+        pretrain = output_prior = None
         if self.pretrain_epochs > 0:
             # Token-level MV hard tags.
-            max_time = train.tokens.shape[1]
-            targets = np.zeros((len(train), max_time, K))
-            for i in range(len(train)):
-                votes = crowd.token_vote_counts(i)
-                targets[i, : votes.shape[0]] = np.eye(K)[votes.argmax(axis=1)]
-            pre_config = replace(
-                self.config, epochs=self.pretrain_epochs, lr_decay_every=None
+            targets = pad_ragged(
+                np.eye(K)[votes.argmax(axis=1)], train.lengths, train.tokens.shape[1]
             )
-            history["pretrain"] = fit_tagger(
-                self.model, pre_config, self.rng, train.tokens, train.lengths, targets, dev=None
+            pre_config = replace(self.config, epochs=self.pretrain_epochs, lr_decay_every=None)
+            pretrain = fit_tagger(
+                self.model, pre_config, self.rng, train.tokens, train.lengths, targets
             )
-        elif hasattr(self.model, "initialize_output_bias") and len(train) > 0:
-            votes = np.sum(
-                [crowd.token_vote_counts(i).sum(axis=0) for i in range(len(train))], axis=0
-            ).astype(np.float64)
-            if votes.sum() > 0:  # no votes at all: keep the default bias
-                self.model.initialize_output_bias(votes / votes.sum())
+        else:
+            output_prior = votes.sum(axis=0)
 
-        one_hot = self._padded_crowd_one_hot(train)
-        optimizer, schedule = build_optimizer([self.model, self.layer], self.config)
-        stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
-
+        history = _fit_joint(self, train, dev, self._padded_crowd_one_hot(train), output_prior)
         with default_dtype(self.config.dtype):
-            for _ in range(self.config.epochs):
-                self.model.train()
-                total = 0.0
-                batches = 0
-                for batch in batch_indices(len(train), self.config.batch_size, rng=self.rng):
-                    optimizer.zero_grad()
-                    logits = self.model.logits(train.tokens[batch], train.lengths[batch])
-                    proba = F.softmax(logits, axis=-1)                 # (B, T, K)
-                    scores = self.layer.annotator_scores(proba)        # (B, T, J, K)
-                    loss = _masked_annotator_ce(scores, one_hot[batch])
-                    loss.backward()
-                    optimizer.step()
-                    total += loss.item()
-                    batches += 1
-                history["loss"].append(total / max(batches, 1))
-                if schedule is not None:
-                    schedule.step()
-                if stopper is not None:
-                    predictions = self.model.predict(dev.tokens, dev.lengths)
-                    score = span_f1_score(dev.tags, predictions).f1
-                    history["dev_score"].append(score)
-                    if stopper.update(score):
-                        break
-            if stopper is not None:
-                stopper.restore_best()
-                history["best_dev_score"] = stopper.best_score
             proba = predict_sequence_proba_batched(self.model, train.tokens, train.lengths)
-        self.train_proba_ = [proba[i, : int(train.lengths[i])] for i in range(len(train))]
-        return history
+        self.train_proba_ = trim_padded(proba, train.lengths)
+        return {"pretrain": pretrain, **history}
 
     def predict(self, tokens: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
         return self.model.predict(tokens, lengths)

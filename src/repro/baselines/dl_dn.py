@@ -74,7 +74,6 @@ class DeepMultiNetworkClassifier:
             )
 
         mv_hard = majority_vote_posterior(crowd).argmax(axis=1)
-        dev_triple = (dev.tokens, dev.lengths, dev.labels) if dev is not None else None
         self.members_ = []
         weights = []
         history: dict = {"members": []}
@@ -88,7 +87,7 @@ class DeepMultiNetworkClassifier:
                 train.tokens[mask],
                 train.lengths[mask],
                 crowd.labels[mask, j],
-                dev_triple,
+                dev,
             )
             self.members_.append(model)
             history["members"].append(

@@ -23,10 +23,7 @@ def train_gold_classifier(
     dev: TextClassificationDataset | None = None,
 ) -> dict:
     """Train on ground-truth labels (ignores any crowd labels)."""
-    dev_triple = (dev.tokens, dev.lengths, dev.labels) if dev is not None else None
-    return fit_classifier(
-        model, config, rng, train.tokens, train.lengths, train.labels, dev_triple
-    )
+    return fit_classifier(model, config, rng, train.tokens, train.lengths, train.labels, dev)
 
 
 def train_gold_tagger(
@@ -37,7 +34,4 @@ def train_gold_tagger(
     dev: SequenceTaggingDataset | None = None,
 ) -> dict:
     """Train on ground-truth tags (ignores any crowd labels)."""
-    dev_triple = (dev.tokens, dev.lengths, dev.tags) if dev is not None else None
-    return fit_tagger(
-        model, config, rng, train.tokens, train.lengths, train.padded_tags(), dev_triple
-    )
+    return fit_tagger(model, config, rng, train.tokens, train.lengths, train.padded_tags(), dev)

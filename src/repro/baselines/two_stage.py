@@ -11,8 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.common import TrainerConfig, fit_classifier, fit_tagger, predict_proba_batched
-from ..data.datasets import SequenceTaggingDataset, TextClassificationDataset
+from ..baselines.common import (
+    TrainerConfig,
+    fit_classifier,
+    fit_tagger,
+    predict_proba_batched,
+    predict_sequence_proba_batched,
+)
+from ..data.datasets import (
+    SequenceTaggingDataset,
+    TextClassificationDataset,
+    pad_ragged,
+    trim_padded,
+)
 from ..inference.base import TruthInferenceMethod
 from ..logic.distillation import chain_marginals, distill_posterior
 from ..logic.ner_rules import TransitionRules
@@ -62,10 +73,9 @@ class TwoStageClassifier:
             raise ValueError("training dataset carries no crowd labels")
         result = self.inference.infer(train.crowd)
         self.inferred_posterior_ = result.posterior
-        hard = np.eye(self.model.num_classes)[result.hard_labels()]
-        dev_triple = (dev.tokens, dev.lengths, dev.labels) if dev is not None else None
         return fit_classifier(
-            self.model, self.config, self.rng, train.tokens, train.lengths, hard, dev_triple
+            self.model, self.config, self.rng, train.tokens, train.lengths,
+            result.hard_labels(), dev,
         )
 
     def predict(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -119,19 +129,10 @@ class TwoStageSequenceTagger:
             raise ValueError("training dataset carries no crowd labels")
         result = self.inference.infer(train.crowd)
         self.inferred_posteriors_ = result.posteriors
-        K = self.model.num_classes
-        max_time = train.tokens.shape[1]
-        targets = np.zeros((len(train), max_time, K))
-        for i, hard in enumerate(result.hard_labels()):
-            targets[i, : len(hard)] = np.eye(K)[hard]
-        dev_triple = (dev.tokens, dev.lengths, dev.tags) if dev is not None else None
-        return fit_tagger(
-            self.model, self.config, self.rng, train.tokens, train.lengths, targets, dev_triple
-        )
+        hard = pad_ragged(result.hard_labels(), train.lengths, train.tokens.shape[1])
+        return fit_tagger(self.model, self.config, self.rng, train.tokens, train.lengths, hard, dev)
 
     def predict(self, tokens: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-        from ..baselines.common import predict_sequence_proba_batched
-
         proba = predict_sequence_proba_batched(self.model, tokens, lengths)
         if self.test_rules is not None:
             proba = chain_marginals(
@@ -140,7 +141,7 @@ class TwoStageSequenceTagger:
                 self.test_rules.pairwise_potential(self.C),
                 self.test_rules.initial_potential(self.C),
             )
-        return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
+        return trim_padded(proba.argmax(axis=-1), lengths)
 
     def inference_posteriors(self) -> list[np.ndarray]:
         if self.inferred_posteriors_ is None:

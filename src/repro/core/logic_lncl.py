@@ -9,6 +9,10 @@ The EM-alike iterative logic knowledge distillation framework:
   posterior ``qb`` (Eq. 15 via posterior regularization), and the mixture
   ``qf = (1-k)·qa + k·qb`` (Eq. 9) with the imitation schedule ``k(t)``.
 
+The loop is the shared :func:`repro.baselines.common.fit_epochs`; this
+module supplies the epoch (``run_classification_epoch`` against ``qf``)
+and the pseudo-E-step, whose state the loop restores with the best epoch.
+
 ``rule=None`` recovers the rule-free EM baseline — this is exactly the
 paper's *w/o-Rule* ablation and algorithmically the AggNet baseline (deep
 classifier + confusion-matrix EM). Passing ``fixed_qa`` freezes the truth
@@ -26,14 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.common import (
-    EarlyStopping,
-    build_optimizer,
-    predict_proba_batched,
-    run_classification_epoch,
-)
+from ..autodiff.optim import Optimizer
+from ..baselines.common import fit_epochs, predict_proba_batched, run_classification_epoch
 from ..data.datasets import TextClassificationDataset
-from ..eval.classification import accuracy
 from ..inference.majority_vote import majority_vote_posterior
 from ..logic.distillation import distill_posterior
 from ..logic.sentiment_rules import ButRule
@@ -108,36 +107,25 @@ class LogicLNCLClassifier:
             raise ValueError("fixed_qa shape does not match the training set")
 
         tokens, lengths = train.tokens, train.lengths
-        weights = (
-            crowd.annotations_per_instance().astype(np.float64)
-            if self.config.weighted_loss
-            else None
-        )
+        weights = crowd.annotations_per_instance() if self.config.weighted_loss else None
+        smoothing = self.config.confusion_smoothing
 
         # Algorithm 1, line 1: initialize qf with majority voting.
         qf = majority_vote_posterior(crowd)
-        qa = qf.copy()
-        qb = qf.copy()
-        confusions = update_confusions(qf, crowd, self.config.confusion_smoothing)
+        self.confusions_ = update_confusions(qf, crowd, smoothing)
+        self.qa_, self.qb_, self.qf_ = qf.copy(), qf.copy(), qf
+        ks: list[float] = []
 
-        optimizer, schedule = build_optimizer([self.model], self.config)
-        stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
-        best_extras: dict | None = None
-        history: dict = {"loss": [], "dev_score": [], "k": []}
-
-        for epoch in range(1, self.config.epochs + 1):
+        def train_epoch(optimizer: Optimizer) -> float:
             # Pseudo-M-step (classifier): Eq. 11 mini-batch updates on Eq. 8/10.
-            loss = run_classification_epoch(
-                self.model, optimizer, tokens, lengths, qf, self.rng, self.config,
+            return run_classification_epoch(
+                self.model, optimizer, tokens, lengths, self.qf_, self.rng, self.config,
                 weights=weights,
             )
-            history["loss"].append(loss)
-            if schedule is not None:
-                schedule.step()
 
+        def pseudo_e_step(epoch: int) -> tuple:
             # Pseudo-M-step (annotators): Eq. 12 with the current qf.
-            confusions = update_confusions(qf, crowd, self.config.confusion_smoothing)
-
+            confusions = update_confusions(self.qf_, crowd, smoothing)
             # Pseudo-E-step: Eq. 13 → Eq. 15 → Eq. 9.
             proba = predict_proba_batched(self.model, tokens, lengths)
             qa = self.fixed_qa if self.fixed_qa is not None else posterior_qa(
@@ -148,35 +136,17 @@ class LogicLNCLClassifier:
                 qb = distill_posterior(qa, penalties, self.config.C)
                 k = self.config.imitation(epoch)
             else:
-                qb = qa
-                k = 0.0
-            history["k"].append(k)
-            qf = (1.0 - k) * qa + k * qb
+                qb, k = qa, 0.0
+            ks.append(k)
+            self.confusions_, self.qa_, self.qb_ = confusions, qa, qb
+            self.qf_ = (1.0 - k) * qa + k * qb
+            return self.confusions_, self.qa_, self.qb_, self.qf_
 
-            if stopper is not None:
-                score = accuracy(dev.labels, self.model.predict(dev.tokens, dev.lengths))
-                history["dev_score"].append(score)
-                improved = score > stopper.best_score
-                stop = stopper.update(score)
-                if improved:
-                    best_extras = {
-                        "confusions": confusions.copy(),
-                        "qa": np.array(qa, copy=True),
-                        "qb": np.array(qb, copy=True),
-                        "qf": np.array(qf, copy=True),
-                    }
-                if stop:
-                    break
-
-        if stopper is not None:
-            stopper.restore_best()
-            history["best_dev_score"] = stopper.best_score
-            if best_extras is not None:
-                confusions = best_extras["confusions"]
-                qa, qb, qf = best_extras["qa"], best_extras["qb"], best_extras["qf"]
-
-        self.confusions_ = confusions
-        self.qa_, self.qb_, self.qf_ = qa, qb, qf
+        history, state = fit_epochs(
+            [self.model], self.config, train_epoch, dev, pseudo_e_step=pseudo_e_step
+        )
+        self.confusions_, self.qa_, self.qb_, self.qf_ = state
+        history["k"] = ks
         self.history_ = history
         return history
 

@@ -14,20 +14,21 @@ sequence-specific pieces:
   prediction;
 * the Eq. 10 weighted loss uses each sentence's annotator count as the
   per-token weight (Table I selects the weighted objective for NER).
+
+As in the classification variant, the loop is
+:func:`repro.baselines.common.fit_epochs`; this module supplies the epoch
+(``run_sequence_epoch`` against the padded ``qf``), the pseudo-E-step and
+the token-level majority-vote prior of the output bias.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.common import (
-    EarlyStopping,
-    build_optimizer,
-    predict_sequence_proba_batched,
-    run_sequence_epoch,
-)
-from ..data.datasets import SequenceTaggingDataset
-from ..eval.ner_f1 import span_f1_score
+from ..autodiff.optim import Optimizer
+from ..baselines.common import fit_epochs, predict_sequence_proba_batched, run_sequence_epoch
+from ..data.datasets import SequenceTaggingDataset, pad_ragged, trim_padded
+from ..inference.primitives import split_by_offsets
 from ..logic.distillation import chain_marginals
 from ..logic.ner_rules import TransitionRules
 from ..models.base import SequenceTagger
@@ -75,43 +76,37 @@ class LogicLNCLSequenceTagger:
         self.history_: dict | None = None
 
     # ------------------------------------------------------------------ #
-    def _distill(self, qa: list[np.ndarray]) -> list[np.ndarray]:
-        """Eq. 15 marginals of every sentence from one batched chain DP."""
-        lengths = np.array([q.shape[0] for q in qa], dtype=np.int64)
-        padded = self._pad_targets(qa, int(lengths.max(initial=0)), self.model.num_classes)
+    def _distill(self, qa: list[np.ndarray], lengths: np.ndarray) -> list[np.ndarray]:
+        """Eq. 15 marginals of every sentence from one batched chain DP.
+
+        Padded positions get a uniform row; the chain DP ignores them.
+        """
+        K = self.model.num_classes
+        padded = pad_ragged(qa, lengths, int(lengths.max(initial=0)), fill=np.full(K, 1.0 / K))
         marginals = chain_marginals(
             padded,
             lengths,
             self.rules.pairwise_potential(self.config.C),
             self.rules.initial_potential(self.config.C),
         )
-        return [marginals[i, :length] for i, length in enumerate(lengths)]
+        return trim_padded(marginals, lengths)
 
     @staticmethod
-    def _mix(qa: list[np.ndarray], qb: list[np.ndarray], k: float) -> list[np.ndarray]:
-        return [(1.0 - k) * a + k * b for a, b in zip(qa, qb)]
-
-    @staticmethod
-    def _pad_targets(posteriors: list[np.ndarray], max_time: int, num_classes: int) -> np.ndarray:
-        """Stack ragged per-sentence posteriors into ``(I, T, K)``.
-
-        Padded rows get a uniform distribution; the loss masks them and
-        the chain DP ignores them, so the value is irrelevant — uniform
-        keeps them harmless.
-        """
-        out = np.full((len(posteriors), max_time, num_classes), 1.0 / num_classes)
-        for i, posterior in enumerate(posteriors):
-            out[i, : posterior.shape[0], :] = posterior
-        return out
-
-    def _token_mv(self, crowd) -> list[np.ndarray]:
-        """Token-level majority vote over all sentences in one pass."""
-        votes = crowd.token_vote_counts_flat().astype(np.float64)   # (ΣT_i, K)
+    def _token_mv(crowd) -> np.ndarray:
+        """Token-level majority vote, stacked ``(ΣT_i, K)`` in sentence order."""
+        votes = crowd.token_vote_counts_flat()
         totals = votes.sum(axis=1, keepdims=True)
-        uniform = np.full_like(votes, 1.0 / crowd.num_classes)
-        flat = np.where(totals > 0, votes / np.where(totals > 0, totals, 1.0), uniform)
-        _, offsets = crowd.flat_labels()
-        return [flat[offsets[i] : offsets[i + 1]] for i in range(crowd.num_instances)]
+        uniform = 1.0 / crowd.num_classes
+        return np.where(totals > 0, votes / np.where(totals > 0, totals, 1.0), uniform)
+
+    def _check_fixed_qa(self, lengths: np.ndarray) -> None:
+        """Reject a frozen posterior that does not match the training sentences."""
+        if len(self.fixed_qa) != len(lengths):
+            raise ValueError(f"fixed_qa has {len(self.fixed_qa)} sentences, train {len(lengths)}")
+        for i, (posterior, length) in enumerate(zip(self.fixed_qa, lengths)):
+            shape, expected = np.shape(posterior), (int(length), self.model.num_classes)
+            if shape != expected:
+                raise ValueError(f"fixed_qa[{i}] has shape {shape}, sentence {i} needs {expected}")
 
     # ------------------------------------------------------------------ #
     def fit(
@@ -123,82 +118,55 @@ class LogicLNCLSequenceTagger:
         crowd = train.crowd
         if crowd is None:
             raise ValueError("training dataset carries no crowd labels")
-        K = self.model.num_classes
         tokens, lengths = train.tokens, train.lengths
+        if self.fixed_qa is not None:
+            self._check_fixed_qa(lengths)
         max_time = tokens.shape[1]
+        uniform = np.full(self.model.num_classes, 1.0 / self.model.num_classes)
+        smoothing = self.config.confusion_smoothing
 
         weights = None
         if self.config.weighted_loss:
-            per_sentence = crowd.annotations_per_instance().astype(np.float64)
+            per_sentence = crowd.annotations_per_instance()
             weights = np.repeat(per_sentence[:, None], max_time, axis=1)
 
-        qf = self._token_mv(crowd)
-        qa, qb = qf, qf
-        confusions = sequence_update_confusions(qf, crowd, self.config.confusion_smoothing)
+        mv = self._token_mv(crowd)
+        self.qf_ = split_by_offsets(mv, crowd.flat_labels()[1])
+        self.qa_ = self.qb_ = self.qf_
+        self.confusions_ = sequence_update_confusions(self.qf_, crowd, smoothing)
+        ks: list[float] = []
 
-        optimizer, schedule = build_optimizer([self.model], self.config)
-        # After the cast, so the prior bias is computed at the training precision.
-        if hasattr(self.model, "initialize_output_bias") and qf:
-            priors = np.concatenate(qf, axis=0).sum(axis=0)
-            if priors.sum() > 0:  # empty training set: keep the default bias
-                self.model.initialize_output_bias(priors / priors.sum())
-        stopper = EarlyStopping(self.model, self.config.patience) if dev is not None else None
-        best_extras: dict | None = None
-        history: dict = {"loss": [], "dev_score": [], "k": []}
-
-        for epoch in range(1, self.config.epochs + 1):
-            targets = self._pad_targets(qf, max_time, K)
-            loss = run_sequence_epoch(
+        def train_epoch(optimizer: Optimizer) -> float:
+            targets = pad_ragged(self.qf_, lengths, max_time, fill=uniform)
+            return run_sequence_epoch(
                 self.model, optimizer, tokens, lengths, targets, self.rng, self.config,
                 weights=weights,
             )
-            history["loss"].append(loss)
-            if schedule is not None:
-                schedule.step()
 
-            confusions = sequence_update_confusions(qf, crowd, self.config.confusion_smoothing)
-
+        def pseudo_e_step(epoch: int) -> tuple:
+            confusions = sequence_update_confusions(self.qf_, crowd, smoothing)
             proba = predict_sequence_proba_batched(self.model, tokens, lengths)
-            proba_list = [proba[i, : int(lengths[i])] for i in range(len(lengths))]
             qa = (
                 self.fixed_qa
                 if self.fixed_qa is not None
-                else sequence_posterior_qa(proba_list, crowd, confusions)
+                else sequence_posterior_qa(trim_padded(proba, lengths), crowd, confusions)
             )
             if self.rules is not None:
-                qb = self._distill(qa)
+                qb = self._distill(qa, lengths)
                 k = self.config.imitation(epoch)
             else:
-                qb = qa
-                k = 0.0
-            history["k"].append(k)
-            qf = self._mix(qa, qb, k)
+                qb, k = qa, 0.0
+            ks.append(k)
+            self.confusions_, self.qa_, self.qb_ = confusions, qa, qb
+            self.qf_ = [(1.0 - k) * a + k * b for a, b in zip(qa, qb)]
+            return self.confusions_, self.qa_, self.qb_, self.qf_
 
-            if stopper is not None:
-                predictions = self.model.predict(dev.tokens, dev.lengths)
-                score = span_f1_score(dev.tags, predictions).f1
-                history["dev_score"].append(score)
-                improved = score > stopper.best_score
-                stop = stopper.update(score)
-                if improved:
-                    best_extras = {
-                        "confusions": confusions.copy(),
-                        "qa": [np.array(q, copy=True) for q in qa],
-                        "qb": [np.array(q, copy=True) for q in qb],
-                        "qf": [np.array(q, copy=True) for q in qf],
-                    }
-                if stop:
-                    break
-
-        if stopper is not None:
-            stopper.restore_best()
-            history["best_dev_score"] = stopper.best_score
-            if best_extras is not None:
-                confusions = best_extras["confusions"]
-                qa, qb, qf = best_extras["qa"], best_extras["qb"], best_extras["qf"]
-
-        self.confusions_ = confusions
-        self.qa_, self.qb_, self.qf_ = qa, qb, qf
+        history, state = fit_epochs(
+            [self.model], self.config, train_epoch, dev,
+            output_prior=mv.sum(axis=0), pseudo_e_step=pseudo_e_step,
+        )
+        self.confusions_, self.qa_, self.qb_, self.qf_ = state
+        history["k"] = ks
         self.history_ = history
         return history
 
@@ -219,7 +187,7 @@ class LogicLNCLSequenceTagger:
                 self.rules.pairwise_potential(self.config.C),
                 self.rules.initial_potential(self.config.C),
             )
-        return [proba[i, : int(lengths[i])].argmax(axis=1) for i in range(len(lengths))]
+        return trim_padded(proba.argmax(axis=-1), lengths)
 
     def inference_posterior(self) -> list[np.ndarray]:
         """``qf(t)`` on the training sentences (Inference metric)."""

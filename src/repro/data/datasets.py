@@ -9,7 +9,10 @@ import numpy as np
 from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
 from .vocab import Vocabulary
 
-__all__ = ["TextClassificationDataset", "SequenceTaggingDataset", "pad_sequences"]
+__all__ = [
+    "TextClassificationDataset", "SequenceTaggingDataset", "pad_sequences",
+    "length_mask", "pad_ragged", "trim_padded",
+]
 
 
 def pad_sequences(sequences: list[np.ndarray], pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -23,6 +26,41 @@ def pad_sequences(sequences: list[np.ndarray], pad_id: int = 0) -> tuple[np.ndar
     for i, seq in enumerate(sequences):
         out[i, : len(seq)] = seq
     return out, lengths
+
+
+def length_mask(lengths: np.ndarray, max_time: int) -> np.ndarray:
+    """Boolean ``(I, max_time)`` mask: ``position < lengths[i]``."""
+    return np.arange(max_time)[None, :] < np.asarray(lengths)[:, None]
+
+
+def pad_ragged(
+    rows: np.ndarray | list[np.ndarray],
+    lengths: np.ndarray,
+    max_time: int,
+    fill: float | np.ndarray = 0,
+) -> np.ndarray:
+    """Scatter per-sequence rows into a padded ``(I, max_time, ...)`` array.
+
+    ``rows`` is a list of ``(T_i, ...)`` arrays or their ``(ΣT_i, ...)``
+    stack; they fill the positions of :func:`length_mask`, in the rows'
+    dtype. Every other position holds ``fill``: a scalar, or a row (which
+    also gives an empty list its trailing shape).
+    """
+    fill = np.asarray(fill)
+    if isinstance(rows, list):
+        rows = np.concatenate(rows) if rows else np.empty((0, *fill.shape), dtype=fill.dtype)
+    mask = length_mask(lengths, max_time)
+    out = np.full(mask.shape + rows.shape[1:], fill, dtype=rows.dtype)
+    out[mask] = rows
+    return out
+
+
+def trim_padded(padded: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """Inverse of :func:`pad_ragged`: the ``(T_i, ...)`` rows of each sequence."""
+    lengths = np.asarray(lengths)
+    rows = padded[length_mask(lengths, padded.shape[1])]
+    ends = np.cumsum(lengths).tolist()
+    return [rows[end - length : end] for end, length in zip(ends, lengths.tolist())]
 
 
 @dataclass
@@ -66,7 +104,7 @@ class TextClassificationDataset:
     @property
     def mask(self) -> np.ndarray:
         """Boolean ``(I, T_max)`` validity mask derived from lengths."""
-        return np.arange(self.tokens.shape[1])[None, :] < self.lengths[:, None]
+        return length_mask(self.lengths, self.tokens.shape[1])
 
     def subset(self, indices: np.ndarray) -> "TextClassificationDataset":
         """Select a subset of instances (used by the sample-efficiency bench)."""
@@ -125,7 +163,7 @@ class SequenceTaggingDataset:
     @property
     def mask(self) -> np.ndarray:
         """Boolean ``(I, T_max)`` validity mask derived from lengths."""
-        return np.arange(self.tokens.shape[1])[None, :] < self.lengths[:, None]
+        return length_mask(self.lengths, self.tokens.shape[1])
 
     def padded_tags(self, pad_value: int = 0) -> np.ndarray:
         """Gold tags as a padded ``(I, T_max)`` array (mask out the padding)."""

@@ -1,4 +1,10 @@
-"""Single-source noisy-label learning built on the crowd machinery."""
+"""Single-source noisy-label learning built on the crowd machinery.
+
+A noisy label set is a one-annotator crowd: :class:`NoisyLabelLogicLNCL`
+runs Logic-LNCL on it unchanged, and :func:`forward_correction_baseline`
+passes the forward-corrected likelihood to the shared loops of
+:mod:`repro.baselines.common`, like every trainer.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +12,11 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff import functional as F
-from ..autodiff.dtypes import default_dtype
-from ..baselines.common import (
-    EarlyStopping,
-    TrainerConfig,
-    build_optimizer,
-)
+from ..autodiff.optim import Optimizer
+from ..baselines.common import TrainerConfig, fit_epochs, run_epoch
 from ..core.logic_lncl import LogicLNCLClassifier
 from ..crowd.types import CrowdLabelMatrix
 from ..data.datasets import TextClassificationDataset
-from ..data.loaders import batch_indices
-from ..eval.classification import accuracy
 from ..models.base import TextClassifier
 
 __all__ = [
@@ -107,40 +107,17 @@ def forward_correction_baseline(
     if transition.shape != (K, K):
         raise ValueError(f"transition must be ({K}, {K}), got {transition.shape}")
     noisy_one_hot = np.eye(K, dtype=config.dtype)[crowd.labels[:, 0]]
-
-    optimizer, schedule = build_optimizer([model], config)
-    stopper = EarlyStopping(model, config.patience) if dev is not None else None
-    history: dict = {"loss": [], "dev_score": []}
     T = Tensor(transition, dtype=config.dtype)
-    with default_dtype(config.dtype):
-        for _ in range(config.epochs):
-            model.train()
-            total = 0.0
-            batches = 0
-            for batch in batch_indices(len(train), config.batch_size, rng=rng):
-                optimizer.zero_grad()
-                logits = model.logits(train.tokens[batch], train.lengths[batch])
-                clean_proba = F.softmax(logits, axis=-1)
-                noisy_proba = clean_proba @ T            # p(noisy = n) = Σ_m p_m T_mn
-                log_noisy = (noisy_proba + 1e-12).log()
-                loss = -(Tensor(noisy_one_hot[batch]) * log_noisy).sum() * (
-                    1.0 / len(batch)
-                )
-                loss.backward()
-                optimizer.step()
-                if hasattr(model, "apply_max_norm"):
-                    model.apply_max_norm()
-                total += loss.item()
-                batches += 1
-            history["loss"].append(total / max(batches, 1))
-            if schedule is not None:
-                schedule.step()
-            if stopper is not None:
-                score = accuracy(dev.labels, model.predict(dev.tokens, dev.lengths))
-                history["dev_score"].append(score)
-                if stopper.update(score):
-                    break
-    if stopper is not None:
-        stopper.restore_best()
-        history["best_dev_score"] = stopper.best_score
+
+    def batch_loss(batch: np.ndarray) -> Tensor:
+        logits = model.logits(train.tokens[batch], train.lengths[batch])
+        clean_proba = F.softmax(logits, axis=-1)
+        noisy_proba = clean_proba @ T            # p(noisy = n) = Σ_m p_m T_mn
+        log_noisy = (noisy_proba + 1e-12).log()
+        return -(Tensor(noisy_one_hot[batch]) * log_noisy).sum() * (1.0 / len(batch))
+
+    def train_epoch(optimizer: Optimizer) -> float:
+        return run_epoch(model, optimizer, len(train), batch_loss, rng, config)
+
+    history, _ = fit_epochs([model], config, train_epoch, dev)
     return history

@@ -133,9 +133,18 @@ class TestEmptyTrainingSet:
     def test_fit_classifier_empty_train_with_dev_early_stops(self):
         from repro.baselines.common import fit_classifier
 
+        from repro.data.datasets import TextClassificationDataset
+        from repro.data.vocab import Vocabulary
+
         model = _classifier()
         rng = np.random.default_rng(1)
-        dev = (rng.integers(0, 30, size=(4, 7)), np.full(4, 7), rng.integers(0, 3, size=4))
+        dev = TextClassificationDataset(
+            tokens=rng.integers(0, 30, size=(4, 7)),
+            lengths=np.full(4, 7),
+            labels=rng.integers(0, 3, size=4),
+            vocab=Vocabulary(["a"]),
+            num_classes=3,
+        )
         tokens, lengths, targets = self._empty_classification()
         history = fit_classifier(
             model, TrainerConfig(epochs=20, patience=2), rng,

@@ -136,6 +136,49 @@ class TestEarlyStoppingSequence:
         assert f1 == pytest.approx(history["best_dev_score"], abs=1e-9)
 
 
+class TestFixedQaValidation:
+    """A wrong-shaped frozen posterior is rejected before any training, as
+    the classification variant already does, instead of training on it
+    and failing (or silently returning wrong-shaped posteriors) later."""
+
+    @staticmethod
+    def _uniform(lengths):
+        K = len(CONLL_LABELS)
+        return [np.full((int(n), K), 1.0 / K) for n in lengths]
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda qa: [np.vstack([q, q[:1]]) for q in qa], r"fixed_qa\[0\] has shape"),
+            (lambda qa: qa[:5] + [qa[5][:, :4]] + qa[6:], r"fixed_qa\[5\] has shape"),
+            (lambda qa: qa[:-1], "fixed_qa has"),
+        ],
+        ids=["every-entry-too-long", "one-entry-wrong-classes", "one-sentence-missing"],
+    )
+    def test_rejected_before_the_first_epoch(self, ner_task, corrupt, message):
+        model = _model(ner_task)
+        before = model.state_dict()
+        trainer = LogicLNCLSequenceTagger(
+            model, _config(3), np.random.default_rng(0), rules=_rules(),
+            fixed_qa=corrupt(self._uniform(ner_task.train.lengths)),
+        )
+        with pytest.raises(ValueError, match=message):
+            trainer.fit(ner_task.train)
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+        assert trainer.qf_ is None
+
+    def test_matching_fixed_qa_stays_fixed(self, ner_task):
+        fixed = self._uniform(ner_task.train.lengths)
+        trainer = LogicLNCLSequenceTagger(
+            _model(ner_task), _config(1), np.random.default_rng(0), rules=_rules(),
+            fixed_qa=fixed,
+        )
+        trainer.fit(ner_task.train)
+        assert trainer.qa_ is fixed
+        assert [q.shape for q in trainer.qf_] == [q.shape for q in fixed]
+
+
 class TestEmptyTrainingSet:
     @pytest.mark.parametrize("rules", [None, _rules()], ids=["no-rules", "bio-rules"])
     def test_fit_on_empty_train_is_noop_epochs(self, rules):
