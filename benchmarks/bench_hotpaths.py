@@ -1,7 +1,8 @@
 """Hot-path microbenchmarks with a tracked JSON trajectory.
 
 Times the runtime-dominating kernels of the crowd tracks against their
-frozen seed-commit implementations (``seed_baseline.py``):
+frozen seed-commit implementations, the executable specifications in
+``tests/oracles.py``:
 
 * **gru** — one training step (forward + backward through a squared loss)
   of the fused packed GRU layer vs. the seed per-gate time loop, identical
@@ -125,10 +126,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The repo root makes the test-side oracle module (``tests.oracles``)
+# importable; ``src`` makes ``repro`` importable without installing it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from seed_baseline import (  # noqa: E402
+from tests.oracles import (  # noqa: E402
     MISSING,
     SeedGRUCell,
     SeedTensor,

@@ -318,9 +318,10 @@ def gru_sequence(
 ) -> Tensor:
     """Run a whole GRU layer (projection + time loop) as a *single* tape node.
 
-    The math of the per-gate reference loop (``gru_reference_forward``
-    over a :class:`~repro.autodiff.nn.GRUCell`: same gate equations, same
-    padding-mask carry), but with the entire ``(B, T)`` unroll fused:
+    The math of the per-gate reference loop (``gru_reference_forward`` in
+    ``tests/oracles.py``, over a :class:`~repro.autodiff.nn.GRUCell`: same
+    gate equations, same padding-mask carry), but with the entire
+    ``(B, T)`` unroll fused:
 
     * when ``w_x``/``bias`` are given, the input projection
       ``gx = x @ w_x + bias`` for the *whole sequence* runs inside the op

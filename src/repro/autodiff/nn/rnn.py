@@ -15,12 +15,16 @@ so outputs are invariant to padding length bit-for-bit with the
 reference.
 
 :class:`GRUCell` is the original per-gate single-step cell. It is kept as
-the executable specification: the fused path is validated against it in
-``tests/autodiff/test_fused_gru.py`` (outputs and gradients, with and
-without masks) and benchmarked against it in
-``benchmarks/bench_hotpaths.py``. Given the same RNG, ``GRU`` and
-``GRUCell`` draw identical per-gate weight blocks in the same order, so a
-same-seed pair is parameter-for-parameter comparable.
+the executable specification: the fused path is validated against the
+per-gate time loop over it (``gru_reference_forward`` in
+``tests/oracles.py``) in ``tests/autodiff/test_fused_gru.py`` (outputs
+and gradients, with and without masks) and, in float32, in
+``tests/autodiff/test_dtype_policy.py``. ``benchmarks/bench_hotpaths.py``
+times the fused GRU against the seed per-gate cell on the seed tape
+(``SeedGRUCell``, also in ``tests/oracles.py``) with the fused weights
+sliced per gate. Given the same RNG, ``GRU`` and ``GRUCell`` draw
+identical per-gate weight blocks in the same order, so a same-seed pair
+is parameter-for-parameter comparable.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ..tensor import Tensor
 from . import init
 from .module import Module
 
-__all__ = ["GRUCell", "GRU", "gru_reference_forward"]
+__all__ = ["GRUCell", "GRU"]
 
 
 class GRUCell(Module):
@@ -81,28 +85,6 @@ class GRUCell(Module):
         return (one - z) * n + z * h
 
 
-def gru_reference_forward(cell: GRUCell, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Pre-fusion GRU time loop over a :class:`GRUCell`.
-
-    This is the original (element-at-a-time) implementation, kept verbatim
-    as the semantic reference for equivalence tests and as the "before"
-    side of the GRU microbenchmark.
-    """
-    batch, time, _ = x.shape
-    h = Tensor(np.zeros((batch, cell.hidden_dim), dtype=cell.w_hr.data.dtype))
-    outputs: list[Tensor] = []
-    for t in range(time):
-        x_t = x[:, t, :]
-        h_new = cell(x_t, h)
-        if mask is not None:
-            m = np.asarray(mask[:, t], dtype=h_new.data.dtype)[:, None]
-            h = h_new * Tensor(m) + h * Tensor(1.0 - m)
-        else:
-            h = h_new
-        outputs.append(h)
-    return F.stack(outputs, axis=1)
-
-
 class GRU(Module):
     """Unidirectional fused GRU over ``(B, T, D)`` sequences.
 
@@ -133,20 +115,6 @@ class GRU(Module):
         self.bias = Tensor(
             init.zeros((3 * hidden_dim,), dtype=dtype), requires_grad=True, name="gru.bias"
         )
-
-    def gate_cell(self) -> GRUCell:
-        """Build a :class:`GRUCell` holding copies of this GRU's weights.
-
-        Used by equivalence tests and the benchmark harness to run the
-        per-gate reference computation with identical parameters.
-        """
-        H = self.hidden_dim
-        cell = GRUCell(self.input_dim, H, np.random.default_rng(0))
-        for index, gate in enumerate("rzn"):
-            getattr(cell, f"w_x{gate}").data[...] = self.w_x.data[:, index * H : (index + 1) * H]
-            getattr(cell, f"w_h{gate}").data[...] = self.w_h.data[:, index * H : (index + 1) * H]
-            getattr(cell, f"b_{gate}").data[...] = self.bias.data[index * H : (index + 1) * H]
-        return cell
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Return per-step hidden states ``(B, T, H)``."""

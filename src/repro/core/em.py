@@ -15,18 +15,19 @@ Performance: all four functions run on the shared sparse-crowd kernels of
 log-likelihood gather that DS/IBCC/HMM-Crowd/BSC-seq use. Both crowd
 containers cache their flat COO views (``flat_label_pairs`` plus a sparse
 instance × (annotator, label) incidence), so each update is one
-sparse–dense product (or one ``bincount`` per class without scipy) — no
-Python loop over instances, sentences, or annotators. The original loop
-implementations are kept as ``*_reference`` functions: they are the
-executable specification, used by the equivalence tests and as the
-"before" side of ``benchmarks/bench_hotpaths.py``.
+sparse–dense product — no Python loop over instances, sentences, or
+annotators. The seed per-sentence loops of the two sequence updates are
+the executable specification (``seed_sequence_update_confusions`` /
+``seed_sequence_posterior_qa`` in ``tests/oracles.py``), used by the
+equivalence tests and as the "before" side of
+``benchmarks/bench_hotpaths.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
+from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
 from ..inference.primitives import (
     confusion_counts,
     emission_log_likelihood,
@@ -39,8 +40,6 @@ __all__ = [
     "posterior_qa",
     "sequence_update_confusions",
     "sequence_posterior_qa",
-    "sequence_update_confusions_reference",
-    "sequence_posterior_qa_reference",
 ]
 
 
@@ -103,8 +102,8 @@ def sequence_update_confusions(
     Every labeled ``(token, annotator)`` pair contributes the token's
     posterior row ``qf[t, :]`` to ``counts[j, :, y_tj]`` — the shared
     :func:`repro.inference.primitives.confusion_counts` kernel (one sparse
-    matmul, or one ``bincount`` per true class without scipy). Matches
-    :func:`sequence_update_confusions_reference` exactly.
+    matmul against the token incidence). Matches the seed per-sentence
+    loop (``tests/oracles.py``) at atol 1e-12.
     """
     gamma = _stack_ragged(qf, crowd)                          # (N, K)
     counts = confusion_counts(gamma, crowd) + smoothing
@@ -119,8 +118,8 @@ def sequence_posterior_qa(
     The per-annotator likelihood rows ``log π_j[:, y_tj]`` are gathered and
     summed into each token by the shared
     :func:`repro.inference.primitives.emission_log_likelihood` kernel (one
-    sparse matmul, or one ``bincount`` per class without scipy). Matches
-    :func:`sequence_posterior_qa_reference` exactly.
+    sparse matmul against the token incidence). Matches the seed
+    per-sentence loop (``tests/oracles.py``) at atol 1e-12.
     """
     p = _stack_ragged(proba, crowd)                           # (N, K)
     _, offsets = crowd.flat_labels()
@@ -128,45 +127,3 @@ def sequence_posterior_qa(
     log_posterior += emission_log_likelihood(crowd, np.log(confusions + 1e-300))
     return split_by_offsets(normalize_log_posterior(log_posterior), offsets)
 
-
-def sequence_update_confusions_reference(
-    qf: list[np.ndarray], crowd: SequenceCrowdLabels, smoothing: float = 0.01
-) -> np.ndarray:
-    """Pre-vectorization token-level Eq. 12 (per-sentence/annotator loops).
-
-    Kept as the executable specification for equivalence tests and the
-    benchmark baseline; use :func:`sequence_update_confusions`.
-    """
-    K = crowd.num_classes
-    counts = np.full((crowd.num_annotators, K, K), smoothing)
-    for i in range(crowd.num_instances):
-        gamma = np.asarray(qf[i])
-        if gamma.shape != (crowd.labels[i].shape[0], K):
-            raise ValueError(f"qf[{i}] shape {gamma.shape} mismatches sentence")
-        matrix = crowd.labels[i]
-        for j in crowd.annotators_of(i):
-            np.add.at(counts[j].T, matrix[:, j], gamma)
-    return counts / counts.sum(axis=2, keepdims=True)
-
-
-def sequence_posterior_qa_reference(
-    proba: list[np.ndarray], crowd: SequenceCrowdLabels, confusions: np.ndarray
-) -> list[np.ndarray]:
-    """Pre-vectorization token-level Eq. 13 (per-sentence loop).
-
-    Kept as the executable specification for equivalence tests and the
-    benchmark baseline; use :func:`sequence_posterior_qa`.
-    """
-    log_confusions = np.log(confusions + 1e-300)
-    out: list[np.ndarray] = []
-    for i in range(crowd.num_instances):
-        p = np.asarray(proba[i], dtype=np.float64)
-        matrix = crowd.labels[i]
-        log_posterior = np.log(p + 1e-300)
-        for j in crowd.annotators_of(i):
-            log_posterior = log_posterior + log_confusions[j][:, matrix[:, j]].T
-        log_posterior -= log_posterior.max(axis=1, keepdims=True)
-        posterior = np.exp(log_posterior)
-        posterior /= posterior.sum(axis=1, keepdims=True)
-        out.append(posterior)
-    return out

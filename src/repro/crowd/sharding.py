@@ -116,9 +116,9 @@ def _fast_csr(data, indices, indptr, shape):
             )
             _FAST_CSR_STATE["ok"] = bool(ok)
         except Exception:
-            # Capability probe: any scipy surprise (missing, ABI change,
-            # internals moved) must degrade to the validated-constructor
-            # slow path, never crash the import or the caller.
+            # Capability probe: any scipy surprise (ABI change, internals
+            # moved) must degrade to the validated-constructor slow path,
+            # never crash the import or the caller.
             _FAST_CSR_STATE["ok"] = False
     if _FAST_CSR_STATE["ok"]:
         return bypass(data, indices, indptr, shape)
@@ -197,14 +197,12 @@ class CrowdShard:
         return cached
 
     def label_incidence(self):
-        """Row slice of the parent's sparse incidence (cached; None without
-        scipy)."""
+        """Row slice of the parent's sparse incidence (cached)."""
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
-            parent = self.parent.label_incidence()
-            cached = (None,) if parent is None else (parent[self.start : self.stop],)
+            cached = self.parent.label_incidence()[self.start : self.stop]
             self._incidence_cache = cached
-        return cached[0]
+        return cached
 
     def vote_counts(self) -> np.ndarray:
         """``(n, K)`` per-instance vote counts — a row slice of the parent
@@ -302,14 +300,10 @@ class SequenceCrowdShard:
         """Token-row slice of the parent's sparse incidence (cached)."""
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
-            parent = self.parent.token_label_incidence()
-            if parent is None:
-                cached = (None,)
-            else:
-                lo, hi = self._token_bounds()
-                cached = (parent[lo:hi],)
+            lo, hi = self._token_bounds()
+            cached = self.parent.token_label_incidence()[lo:hi]
             self._incidence_cache = cached
-        return cached[0]
+        return cached
 
     def annotator_mask(self) -> np.ndarray:
         return self.parent.annotator_mask()[self.start : self.stop]
@@ -359,7 +353,8 @@ class SparseLabelShard:
         When False, :meth:`label_incidence` always returns None and the
         kernels take their bincount path — the right choice for throwaway
         shards rebuilt every pass, where a per-pass CSR construction would
-        dominate the kernel time.
+        dominate the kernel time. It is the only way any crowd or shard
+        reports no incidence.
     """
 
     def __init__(
@@ -479,28 +474,25 @@ class SparseLabelShard:
             return None
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:
-                cached = (None,)
+            from scipy.sparse import csr_matrix
+
+            group = self._annotators * self.num_classes + self._labels
+            shape = (self.num_instances, self.num_annotators * self.num_classes)
+            data = np.ones(self._rows.size)
+            if self._rows.size and self._rows_are_sorted():
+                # Row-sorted triples (the common case: shards cut from
+                # a row-major scan) admit a direct CSR build — the
+                # indptr is one searchsorted, no COO→CSR sort, and no
+                # constructor re-validation (see _fast_csr).
+                indptr = np.searchsorted(
+                    self._rows, np.arange(self.num_instances + 1)
+                ).astype(np.int32)
+                indices = group.astype(np.int32)
+                cached = _fast_csr(data, indices, indptr, shape)
             else:
-                group = self._annotators * self.num_classes + self._labels
-                shape = (self.num_instances, self.num_annotators * self.num_classes)
-                data = np.ones(self._rows.size)
-                if self._rows.size and self._rows_are_sorted():
-                    # Row-sorted triples (the common case: shards cut from
-                    # a row-major scan) admit a direct CSR build — the
-                    # indptr is one searchsorted, no COO→CSR sort, and no
-                    # constructor re-validation (see _fast_csr).
-                    indptr = np.searchsorted(
-                        self._rows, np.arange(self.num_instances + 1)
-                    ).astype(np.int32)
-                    indices = group.astype(np.int32)
-                    cached = (_fast_csr(data, indices, indptr, shape),)
-                else:
-                    cached = (csr_matrix((data, (self._rows, group)), shape=shape),)
+                cached = csr_matrix((data, (self._rows, group)), shape=shape)
             self._incidence_cache = cached
-        return cached[0]
+        return cached
 
     def vote_counts(self) -> np.ndarray:
         key = self._rows * self.num_classes + self._labels

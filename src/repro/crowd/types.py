@@ -129,25 +129,23 @@ class CrowdLabelMatrix:
         label ``y`` — the classification twin of
         :meth:`SequenceCrowdLabels.token_label_incidence`. Confusion-count
         accumulation and the per-instance log-likelihood gather are then
-        single sparse–dense products. Returns None when scipy is
-        unavailable (callers fall back to bincount accumulation).
+        single sparse–dense products. Never None: only a
+        :class:`~repro.crowd.sharding.SparseLabelShard` built with
+        ``sparse_incidence=False`` sends the kernels down their bincount
+        path.
         """
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:
-                cached = (None,)
-            else:
-                rows, cols, given = self.flat_label_pairs()
-                group = cols * self.num_classes + given
-                matrix = csr_matrix(
-                    (np.ones(rows.size), (rows, group)),
-                    shape=(self.num_instances, self.num_annotators * self.num_classes),
-                )
-                cached = (matrix,)
+            from scipy.sparse import csr_matrix
+
+            rows, cols, given = self.flat_label_pairs()
+            group = cols * self.num_classes + given
+            cached = csr_matrix(
+                (np.ones(rows.size), (rows, group)),
+                shape=(self.num_instances, self.num_annotators * self.num_classes),
+            )
             self._incidence_cache = cached
-        return cached[0]
+        return cached
 
     def vote_counts(self) -> np.ndarray:
         """Per-instance class vote counts, shape ``(I, K)`` (cached view —
@@ -259,7 +257,7 @@ class CrowdLabelMatrix:
             self._vote_counts_cache = np.concatenate(
                 [votes_cache, counts.reshape(block.shape[0], self.num_classes)], axis=0
             )
-        if incidence_cache is not None and incidence_cache[0] is not None:
+        if incidence_cache is not None:
             from scipy.sparse import csr_matrix, vstack
 
             group = cols * self.num_classes + given
@@ -267,8 +265,8 @@ class CrowdLabelMatrix:
                 (np.ones(rows.size), (rows, group)),
                 shape=(block.shape[0], self.num_annotators * self.num_classes),
             )
-            self._incidence_cache = (
-                vstack([incidence_cache[0], block_incidence], format="csr"),
+            self._incidence_cache = vstack(
+                [incidence_cache, block_incidence], format="csr"
             )
         return self
 
@@ -404,26 +402,21 @@ class SequenceCrowdLabels:
 
         Entry ``(t, j·K + y)`` is 1 when annotator ``j`` gave token ``t``
         label ``y``. Both sequence-EM updates are then single sparse–dense
-        products (see :mod:`repro.core.em`). Returns None when scipy is
-        unavailable (callers fall back to bincount accumulation).
+        products (see :mod:`repro.core.em`).
         """
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:
-                cached = (None,)
-            else:
-                tokens, annotators, given = self.flat_label_pairs()
-                stacked, _ = self.flat_labels()
-                group = annotators * self.num_classes + given
-                matrix = csr_matrix(
-                    (np.ones(tokens.size), (tokens, group)),
-                    shape=(stacked.shape[0], self.num_annotators * self.num_classes),
-                )
-                cached = (matrix,)
+            from scipy.sparse import csr_matrix
+
+            tokens, annotators, given = self.flat_label_pairs()
+            stacked, _ = self.flat_labels()
+            group = annotators * self.num_classes + given
+            cached = csr_matrix(
+                (np.ones(tokens.size), (tokens, group)),
+                shape=(stacked.shape[0], self.num_annotators * self.num_classes),
+            )
             self._incidence_cache = cached
-        return cached[0]
+        return cached
 
     def annotator_mask(self) -> np.ndarray:
         """Boolean ``(I, J)``: which annotators labeled each sentence (cached)."""
@@ -464,15 +457,6 @@ class SequenceCrowdLabels:
         key = tokens * self.num_classes + votes
         counts = np.bincount(key, minlength=stacked.shape[0] * self.num_classes)
         return counts.reshape(stacked.shape[0], self.num_classes)
-
-    def token_vote_counts(self, instance: int) -> np.ndarray:
-        """Per-token class vote counts for one sentence, shape ``(T_i, K)``."""
-        matrix = self.labels[instance]
-        T = matrix.shape[0]
-        counts = np.zeros((T, self.num_classes), dtype=np.int64)
-        for j in self.annotators_of(instance):
-            np.add.at(counts, (np.arange(T), matrix[:, j]), 1)
-        return counts
 
     def subset(self, indices: np.ndarray) -> "SequenceCrowdLabels":
         """Restrict to a subset of sentences."""
@@ -562,7 +546,7 @@ class SequenceCrowdLabels:
                 np.concatenate([pairs_cache[1], annotators]),
                 np.concatenate([pairs_cache[2], given]),
             )
-        if incidence_cache is not None and incidence_cache[0] is not None:
+        if incidence_cache is not None:
             from scipy.sparse import csr_matrix, vstack
 
             group = annotators * self.num_classes + given
@@ -570,8 +554,8 @@ class SequenceCrowdLabels:
                 (np.ones(tokens.size), (tokens, group)),
                 shape=(block.shape[0], self.num_annotators * self.num_classes),
             )
-            self._incidence_cache = (
-                vstack([incidence_cache[0], block_incidence], format="csr"),
+            self._incidence_cache = vstack(
+                [incidence_cache, block_incidence], format="csr"
             )
         if mask_cache is not None:
             new_mask = np.zeros((len(validated), self.num_annotators), dtype=bool)

@@ -17,9 +17,9 @@ Architecture — three layers over one sparse-crowd core:
    a shared convergence/diagnostics contract
    (:class:`~repro.inference.base.ConvergenceMonitor` → ``iterations``,
    ``last_change``, ``converged``, ``log_likelihood_trace`` in
-   ``extras``). Pre-refactor implementations are kept as ``*_reference``
-   functions — executable specifications pinned by equivalence tests at
-   atol 1e-10 and timed as the "before" side in
+   ``extras``). Their seed implementations live test-side, in
+   ``tests/oracles.py``: executable specifications the equivalence tests
+   pin every method to at atol 1e-10, timed as the "before" side in
    ``benchmarks/bench_hotpaths.py``.
 
    The classification methods with a per-instance E-step (MV, DS, IBCC,
@@ -49,7 +49,9 @@ Architecture — three layers over one sparse-crowd core:
    MyMethod)`` (and under ``"sharded"`` when it shards) — it immediately
    becomes available to every suite via ``get_method``/
    ``build_method_table``, and the interface-contract tests in
-   ``tests/inference/test_registry.py`` cover it automatically.
+   ``tests/inference/test_registry.py`` cover it automatically. The
+   equivalence harness refuses the registration until the method has an
+   executable specification in ``tests/oracles.py``.
 """
 
 from .base import (
@@ -58,21 +60,20 @@ from .base import (
     SequenceInferenceResult,
     TruthInferenceMethod,
 )
-from .bsc_seq import BSCSeq, bsc_seq_reference
-from .catd import CATD, catd_reference
-from .dawid_skene import DawidSkene, dawid_skene_reference
-from .glad import GLAD, glad_reference
-from .hmm_crowd import HMMCrowd, forward_backward, hmm_crowd_reference
-from .ibcc import IBCC, ibcc_reference
-from .majority_vote import MajorityVote, majority_vote_posterior, majority_vote_reference
-from .pm import PM, pm_reference
+from .bsc_seq import BSCSeq
+from .catd import CATD
+from .dawid_skene import DawidSkene
+from .glad import GLAD
+from .hmm_crowd import HMMCrowd
+from .ibcc import IBCC
+from .majority_vote import MajorityVote, majority_vote_posterior
+from .pm import PM
 from .primitives import (
     annotator_agreement,
     batched_forward_backward,
     confusion_counts,
     emission_log_likelihood,
     normalize_log_posterior,
-    pad_ragged,
     weighted_vote_scores,
 )
 from .registry import available_methods, build_method_table, get_method, register
@@ -98,29 +99,19 @@ __all__ = [
     "ConvergenceMonitor",
     "MajorityVote",
     "majority_vote_posterior",
-    "majority_vote_reference",
     "DawidSkene",
-    "dawid_skene_reference",
     "GLAD",
-    "glad_reference",
     "PM",
-    "pm_reference",
     "CATD",
-    "catd_reference",
     "IBCC",
-    "ibcc_reference",
     "HMMCrowd",
-    "hmm_crowd_reference",
     "BSCSeq",
-    "bsc_seq_reference",
-    "forward_backward",
     "batched_forward_backward",
     "confusion_counts",
     "emission_log_likelihood",
     "normalize_log_posterior",
     "annotator_agreement",
     "weighted_vote_scores",
-    "pad_ragged",
     "register",
     "get_method",
     "available_methods",

@@ -121,10 +121,3 @@ class TruthInferenceMethod:
 
     def infer(self, crowd: CrowdLabelMatrix) -> InferenceResult:
         raise NotImplementedError
-
-    @staticmethod
-    def _check_nonempty(crowd: CrowdLabelMatrix) -> None:
-        counts = crowd.annotations_per_instance()
-        if (counts == 0).any():
-            empty = int((counts == 0).sum())
-            raise ValueError(f"{empty} instances have no annotations at all")

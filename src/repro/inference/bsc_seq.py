@@ -13,23 +13,19 @@ annotators, and that mechanism is preserved.
 Performance: shares HMM-Crowd's vectorized E-step — batched
 forward–backward over padded ``(I, T_max, K)`` expected-log emissions —
 and the sparse confusion-count kernel from
-:mod:`repro.inference.primitives`. The pre-refactor loop is kept as
-:func:`bsc_seq_reference`; equivalence at atol 1e-10 is enforced by
-``tests/inference/test_method_equivalence.py``.
+:mod:`repro.inference.primitives`. The seed loop is kept as the
+executable specification (``seed_bsc_seq`` in ``tests/oracles.py``);
+equivalence at atol 1e-10 is enforced by
+``tests/inference/equivalence_harness.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from scipy.special import digamma
-except ImportError:  # keep the package importable; BSC-seq itself needs scipy
-    digamma = None
+from scipy.special import digamma
 
 from ..crowd.types import SequenceCrowdLabels
 from .base import ConvergenceMonitor, SequenceInferenceResult
-from .hmm_crowd import forward_backward
 from .primitives import (
     batched_forward_backward,
     confusion_counts,
@@ -40,7 +36,7 @@ from .primitives import (
     token_majority_vote_flat,
 )
 
-__all__ = ["BSCSeq", "bsc_seq_reference"]
+__all__ = ["BSCSeq"]
 
 
 class BSCSeq:
@@ -56,8 +52,6 @@ class BSCSeq:
         prior_off_diagonal: float = 1.0,
         prior_transition: float = 1.0,
     ) -> None:
-        if digamma is None:
-            raise ImportError("BSC-seq needs scipy (scipy.special.digamma)")
         if prior_diagonal <= 0 or prior_off_diagonal <= 0 or prior_transition <= 0:
             raise ValueError("Dirichlet priors must be positive")
         self.max_iterations = max_iterations
@@ -130,88 +124,3 @@ class BSCSeq:
         return SequenceInferenceResult(
             posteriors=posteriors, confusions=confusions, extras=extras
         )
-
-
-def bsc_seq_reference(
-    crowd: SequenceCrowdLabels,
-    max_iterations: int = 30,
-    tolerance: float = 1e-4,
-    prior_diagonal: float = 2.0,
-    prior_off_diagonal: float = 1.0,
-    prior_transition: float = 1.0,
-) -> SequenceInferenceResult:
-    """Pre-refactor BSC-seq VB loop (per-sentence/per-annotator loops).
-
-    Kept as the executable specification for the equivalence tests and the
-    benchmark baseline; use :class:`BSCSeq`. Note the known stale
-    diagnostics of the original loop (``last_change`` reports the change
-    from the sweep *before* the one that converged); the live class
-    reports the triggering change itself.
-    """
-    K = crowd.num_classes
-    J = crowd.num_annotators
-    prior_confusion = np.full((K, K), prior_off_diagonal)
-    np.fill_diagonal(prior_confusion, prior_diagonal)
-
-    posteriors: list[np.ndarray] = []
-    for i in range(crowd.num_instances):
-        votes = crowd.token_vote_counts(i).astype(np.float64) + 1e-3
-        posteriors.append(votes / votes.sum(axis=1, keepdims=True))
-    transition_counts = np.full((K, K), prior_transition)
-    initial_counts = np.full(K, prior_transition)
-
-    confusions = np.zeros((J, K, K))
-    previous_change = np.inf
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        confusion_count_arr = np.tile(prior_confusion, (J, 1, 1))
-        new_initial_counts = np.full(K, prior_transition)
-        for i in range(crowd.num_instances):
-            gamma = posteriors[i]
-            matrix = crowd.labels[i]
-            new_initial_counts += gamma[0]
-            for j in crowd.annotators_of(i):
-                np.add.at(confusion_count_arr[j].T, matrix[:, j], gamma)
-
-        # Variational expectations of log parameters.
-        expected_log_confusion = digamma(confusion_count_arr) - digamma(
-            confusion_count_arr.sum(axis=2, keepdims=True)
-        )
-        expected_log_transition = digamma(transition_counts) - digamma(
-            transition_counts.sum(axis=1, keepdims=True)
-        )
-        expected_log_initial = digamma(new_initial_counts) - digamma(new_initial_counts.sum())
-
-        new_transition_counts = np.full((K, K), prior_transition)
-        max_change = 0.0
-        new_posteriors: list[np.ndarray] = []
-        for i in range(crowd.num_instances):
-            matrix = crowd.labels[i]
-            log_em = np.zeros((matrix.shape[0], K))
-            for j in crowd.annotators_of(i):
-                log_em += expected_log_confusion[j][:, matrix[:, j]].T
-            gamma, xi_sum, _ = forward_backward(
-                log_em, expected_log_transition, expected_log_initial
-            )
-            new_transition_counts += xi_sum
-            max_change = max(max_change, float(np.abs(gamma - posteriors[i]).max()))
-            new_posteriors.append(gamma)
-        posteriors = new_posteriors
-        transition_counts = new_transition_counts
-        initial_counts = new_initial_counts
-        confusions = confusion_count_arr / confusion_count_arr.sum(axis=2, keepdims=True)
-
-        if max_change < tolerance:
-            iterations_used = iteration + 1
-            break
-        previous_change = max_change
-
-    return SequenceInferenceResult(
-        posteriors=posteriors,
-        confusions=confusions,
-        extras={
-            "transition": transition_counts / transition_counts.sum(axis=1, keepdims=True),
-            "iterations": iterations_used,
-            "last_change": previous_change,
-        },
-    )

@@ -20,26 +20,21 @@ Performance: the error sum is one
 the weighted vote one
 :func:`~repro.inference.primitives.weighted_vote_scores` spMM/bincount over
 the shard's cached COO views — the dense ``(I, J, K)`` one-hot einsums
-survive only in :func:`catd_reference`, the executable specification the
-equivalence harness pins at atol 1e-10.
+survive only in ``seed_catd`` (``tests/oracles.py``), the executable
+specification the equivalence harness pins at atol 1e-10.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
-try:
-    from scipy import stats
-except ImportError:  # keep the package importable; CATD itself needs scipy
-    stats = None
-
-from ..crowd.types import CrowdLabelMatrix
-from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
+from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
 from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["CATD", "catd_reference"]
+__all__ = ["CATD"]
 
 
 class CATD(ShardedTruthInference):
@@ -65,8 +60,6 @@ class CATD(ShardedTruthInference):
     def __init__(
         self, max_iterations: int = 50, tolerance: float = 1e-6, alpha: float = 0.05
     ) -> None:
-        if stats is None:
-            raise ImportError("CATD needs scipy (scipy.stats)")
         if max_iterations < 1:
             raise ValueError("need at least one iteration")
         if not 0.0 < alpha < 1.0:
@@ -114,50 +107,3 @@ class CATD(ShardedTruthInference):
         extras = monitor.extras()
         extras.update(weights=weights, shards=num_shards, observations=observations)
         return InferenceResult(posterior=self._concat(blocks, K), extras=extras)
-
-
-def catd_reference(
-    crowd: CrowdLabelMatrix,
-    max_iterations: int = 50,
-    tolerance: float = 1e-6,
-    alpha: float = 0.05,
-) -> InferenceResult:
-    """Pre-refactor CATD (dense one-hot einsums over ``(I, J, K)``).
-
-    Kept as the executable specification for the equivalence harness and
-    the benchmark baseline; use :class:`CATD`.
-    """
-    if stats is None:
-        raise ImportError("CATD needs scipy (scipy.stats)")
-    TruthInferenceMethod._check_nonempty(crowd)
-    one_hot = crowd.one_hot()
-    observed = crowd.observed_mask
-    counts = observed.sum(axis=0)
-    posterior = majority_vote_posterior(crowd)
-    # χ²(α/2; n_j): annotators with more labels can earn larger weights.
-    chi_upper = stats.chi2.ppf(1.0 - alpha / 2.0, df=np.maximum(counts, 1))
-    weights = np.ones(crowd.num_annotators)
-
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        agreement = np.einsum("ijk,ik->ij", one_hot, posterior)
-        error_sum = np.where(observed, 1.0 - agreement, 0.0).sum(axis=0)
-        weights = chi_upper / np.maximum(error_sum, 1e-6)
-        weights = weights / weights.max()  # scale-invariant voting
-
-        scores = np.einsum("j,ijk->ik", weights, one_hot)
-        totals = scores.sum(axis=1, keepdims=True)
-        new_posterior = np.where(
-            totals > 0, scores / np.where(totals > 0, totals, 1.0),
-            np.full_like(scores, 1.0 / crowd.num_classes),
-        )
-        delta = float(np.abs(new_posterior - posterior).max())
-        posterior = new_posterior
-        if delta < tolerance:
-            iterations_used = iteration + 1
-            break
-
-    return InferenceResult(
-        posterior=posterior,
-        extras={"weights": weights, "iterations": iterations_used},
-    )

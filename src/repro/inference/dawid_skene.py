@@ -13,23 +13,22 @@ Performance: both EM steps run on the shard's cached flat COO views via
 :mod:`repro.inference.primitives` — the confusion-count scatter and the
 per-instance log-likelihood gather are each one sparse–dense product over
 the observed ``(instance, annotator)`` pairs, instead of dense einsums
-over the mostly-zero ``(I, J, K)`` one-hot expansion. The pre-refactor
-implementation is kept as :func:`dawid_skene_reference` (the executable
-specification); equivalence at atol 1e-10 is enforced by
-``tests/inference/test_method_equivalence.py``.
+over the mostly-zero ``(I, J, K)`` one-hot expansion. The seed
+implementation is kept as the executable specification
+(``seed_dawid_skene`` in ``tests/oracles.py``); equivalence at atol 1e-10
+is enforced by ``tests/inference/equivalence_harness.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.types import CrowdLabelMatrix
-from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
+from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
 from .primitives import confusion_counts, emission_log_likelihood
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["DawidSkene", "dawid_skene_reference"]
+__all__ = ["DawidSkene"]
 
 
 class DawidSkene(ShardedTruthInference):
@@ -119,48 +118,3 @@ class DawidSkene(ShardedTruthInference):
         return InferenceResult(
             posterior=self._concat(blocks, K), confusions=confusions, extras=extras
         )
-
-
-def dawid_skene_reference(
-    crowd: CrowdLabelMatrix,
-    max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    smoothing: float = 0.01,
-) -> InferenceResult:
-    """Pre-refactor DS EM (dense one-hot einsums over ``(I, J, K)``).
-
-    Kept as the executable specification for the equivalence tests and the
-    benchmark baseline; use :class:`DawidSkene`.
-    """
-    TruthInferenceMethod._check_nonempty(crowd)
-    J = crowd.num_annotators
-    K = crowd.num_classes
-    one_hot = crowd.one_hot()                       # (I, J, K)
-    posterior = majority_vote_posterior(crowd)
-
-    confusions = np.zeros((J, K, K))
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        counts = np.einsum("im,ijn->jmn", posterior, one_hot) + smoothing
-        confusions = counts / counts.sum(axis=2, keepdims=True)
-        prior = posterior.sum(axis=0) + smoothing
-        prior /= prior.sum()
-
-        log_confusions = np.log(confusions)
-        log_likelihood = np.einsum("ijn,jmn->im", one_hot, log_confusions)
-        log_posterior = np.log(prior)[None, :] + log_likelihood
-        log_posterior -= log_posterior.max(axis=1, keepdims=True)
-        new_posterior = np.exp(log_posterior)
-        new_posterior /= new_posterior.sum(axis=1, keepdims=True)
-
-        delta = float(np.abs(new_posterior - posterior).max())
-        posterior = new_posterior
-        if delta < tolerance:
-            iterations_used = iteration + 1
-            break
-
-    return InferenceResult(
-        posterior=posterior,
-        confusions=confusions,
-        extras={"iterations": iterations_used},
-    )

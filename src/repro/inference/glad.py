@@ -16,22 +16,21 @@ the M-step residuals) lives on the shard's cached flat COO triples
 (:meth:`~repro.crowd.types.CrowdLabelMatrix.flat_label_pairs`), so each
 E-step and each gradient-ascent step is a handful of O(n_obs) gathers plus
 one ``bincount`` scatter per aggregated quantity — never a dense ``(I, J)``
-scan of the mostly-missing label matrix. The pre-refactor dense
-implementation is kept as :func:`glad_reference` (the executable
-specification); equivalence at atol 1e-10 is enforced by
-``tests/inference/equivalence_harness.py`` and timed as the "before" side
-in ``benchmarks/bench_hotpaths.py``.
+scan of the mostly-missing label matrix. The seed dense implementation
+is kept as the executable specification (``seed_glad`` in
+``tests/oracles.py``); equivalence at atol 1e-10 is enforced by
+``tests/inference/equivalence_harness.py`` and it is timed as the
+"before" side in ``benchmarks/bench_hotpaths.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.types import CrowdLabelMatrix
-from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
+from .base import ConvergenceMonitor, InferenceResult
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["GLAD", "glad_reference"]
+__all__ = ["GLAD"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -49,7 +48,7 @@ class GLAD(ShardedTruthInference):
     (merged, then normalized by the merged per-annotator label counts —
     the mean gradient over all of an annotator's labels) while the
     ``log β`` ascent applies shard-locally under the not-yet-updated
-    global ``α``, as :func:`glad_reference` orders the two updates.
+    global ``α``, as the seed GLAD orders the two updates.
 
     Parameters
     ----------
@@ -62,7 +61,7 @@ class GLAD(ShardedTruthInference):
     tolerance:
         Early-stop threshold on the posterior's max absolute change per EM
         sweep. The default 0.0 never stops early (the paper's fixed-budget
-        behaviour, and what :func:`glad_reference` always does); it exists
+        behaviour, and what the seed GLAD always does); it exists
         so the shared diagnostics contract (``iterations``/``last_change``/
         ``converged``) is meaningful.
     """
@@ -205,70 +204,3 @@ class GLAD(ShardedTruthInference):
             observations=observations,
         )
         return InferenceResult(posterior=posterior, extras=extras)
-
-
-def glad_reference(
-    crowd: CrowdLabelMatrix,
-    em_iterations: int = 30,
-    gradient_steps: int = 20,
-    learning_rate: float = 0.05,
-    prior_correct: float = 0.5,
-) -> InferenceResult:
-    """Pre-refactor GLAD (dense ``(I, J)`` masked scans every step).
-
-    Kept as the executable specification for the equivalence harness and
-    the benchmark baseline; use :class:`GLAD`.
-    """
-    if crowd.num_classes != 2:
-        raise ValueError("GLAD supports binary labels only (as in the paper)")
-    TruthInferenceMethod._check_nonempty(crowd)
-    I, J = crowd.num_instances, crowd.num_annotators
-    observed = crowd.observed_mask
-    # match[i, j] = +1 where the label equals class 1, else -1 (0 if missing).
-    sign = np.where(observed, np.where(crowd.labels == 1, 1.0, -1.0), 0.0)
-
-    alpha = np.ones(J)
-    log_beta = np.zeros(I)
-    posterior_one = np.full(I, prior_correct)
-
-    for _ in range(em_iterations):
-        # E-step: p(t_i = 1 | labels) with σ(αβ) correctness likelihood.
-        strength = np.exp(log_beta)[:, None] * alpha[None, :]
-        log_sig = np.log(_sigmoid(strength) + 1e-12)
-        log_one_minus = np.log(1.0 - _sigmoid(strength) + 1e-12)
-        # If t=1: labels equal to 1 are correct; if t=0 they are wrong.
-        log_like_one = np.where(observed, np.where(sign > 0, log_sig, log_one_minus), 0.0).sum(axis=1)
-        log_like_zero = np.where(observed, np.where(sign < 0, log_sig, log_one_minus), 0.0).sum(axis=1)
-        logit = (
-            np.log(prior_correct) - np.log(1 - prior_correct)
-            + log_like_one - log_like_zero
-        )
-        posterior_one = _sigmoid(logit)
-
-        # M-step: ascend expected complete log-likelihood in (α, log β).
-        for _ in range(gradient_steps):
-            strength = np.exp(log_beta)[:, None] * alpha[None, :]
-            sig = _sigmoid(strength)
-            # P(label j correct on i) under the posterior.
-            prob_correct = np.where(
-                sign > 0, posterior_one[:, None], 1.0 - posterior_one[:, None]
-            )
-            residual = np.where(observed, prob_correct - sig, 0.0)
-            # Mean (not summed) gradients keep step sizes independent of
-            # how many labels an annotator/instance has.
-            labels_per_annotator = np.maximum(observed.sum(axis=0), 1)
-            labels_per_instance = np.maximum(observed.sum(axis=1), 1)
-            grad_alpha = (residual * np.exp(log_beta)[:, None]).sum(axis=0) / labels_per_annotator
-            grad_log_beta = (
-                (residual * alpha[None, :]).sum(axis=1) * np.exp(log_beta)
-            ) / labels_per_instance
-            alpha += learning_rate * grad_alpha
-            log_beta += learning_rate * grad_log_beta
-            log_beta = np.clip(log_beta, -4.0, 4.0)
-            alpha = np.clip(alpha, -8.0, 8.0)
-
-    posterior = np.stack([1.0 - posterior_one, posterior_one], axis=1)
-    return InferenceResult(
-        posterior=posterior,
-        extras={"alpha": alpha, "beta": np.exp(log_beta), "iterations": em_iterations},
-    )

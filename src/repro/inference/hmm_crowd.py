@@ -16,11 +16,11 @@ Performance: the E-step runs :func:`repro.inference.primitives.\
 batched_forward_backward` over padded ``(I, T_max, K)`` emissions — every
 timestep is one matmul across all sentences — and both the emission
 build-up and the confusion-count M-step are sparse products over the
-crowd's cached flat token views. The per-chain :func:`forward_backward`
-and the pre-refactor EM loop (:func:`hmm_crowd_reference`) are kept as
-executable specifications; equivalence at atol 1e-10 is enforced by
-``tests/inference/test_primitives.py`` and
-``tests/inference/test_method_equivalence.py``.
+crowd's cached flat token views. The seed per-chain forward–backward and
+EM loop are kept as executable specifications (``seed_forward_backward``
+and ``seed_hmm_crowd`` in ``tests/oracles.py``); equivalence at atol
+1e-10 is enforced by ``tests/inference/test_primitives.py`` and
+``tests/inference/equivalence_harness.py``.
 """
 
 from __future__ import annotations
@@ -39,68 +39,7 @@ from .primitives import (
     token_majority_vote_flat,
 )
 
-__all__ = ["HMMCrowd", "forward_backward", "hmm_crowd_reference"]
-
-
-def forward_backward(
-    log_emissions: np.ndarray, log_transition: np.ndarray, log_initial: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scaled forward–backward on one chain.
-
-    The single-chain executable specification for
-    :func:`repro.inference.primitives.batched_forward_backward`.
-
-    Parameters
-    ----------
-    log_emissions:
-        ``(T, K)`` log emission likelihoods.
-    log_transition:
-        ``(K, K)`` log transition matrix (rows: from-state).
-    log_initial:
-        ``(K,)`` log initial distribution.
-
-    Returns
-    -------
-    ``(gamma, xi_sum, log_likelihood)`` — per-token marginals ``(T, K)``,
-    summed pairwise marginals ``(K, K)``, and the chain's log evidence.
-    """
-    T, K = log_emissions.shape
-    emissions = np.exp(log_emissions - log_emissions.max(axis=1, keepdims=True))
-    transition = np.exp(log_transition)
-    initial = np.exp(log_initial - log_initial.max())
-    initial /= initial.sum()
-
-    alpha = np.zeros((T, K))
-    scales = np.zeros(T)
-    alpha[0] = initial * emissions[0]
-    scales[0] = alpha[0].sum()
-    alpha[0] /= scales[0]
-    for t in range(1, T):
-        alpha[t] = emissions[t] * (alpha[t - 1] @ transition)
-        scales[t] = alpha[t].sum()
-        if scales[t] <= 0:
-            raise ValueError(f"chain has no support at position {t}")
-        alpha[t] /= scales[t]
-
-    beta = np.ones((T, K))
-    for t in range(T - 2, -1, -1):
-        beta[t] = transition @ (emissions[t + 1] * beta[t + 1])
-        beta[t] /= max(beta[t].sum(), 1e-300)
-
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-
-    xi_sum = np.zeros((K, K))
-    for t in range(T - 1):
-        xi = (alpha[t][:, None] * transition) * (emissions[t + 1] * beta[t + 1])[None, :]
-        total = xi.sum()
-        if total > 0:
-            xi_sum += xi / total
-
-    # The dropped per-row emission max constants cancel in gamma/xi but not
-    # in the evidence; add them back.
-    log_likelihood = float(np.log(scales).sum() + log_emissions.max(axis=1).sum())
-    return gamma, xi_sum, log_likelihood
+__all__ = ["HMMCrowd"]
 
 
 class HMMCrowd:
@@ -176,82 +115,3 @@ class HMMCrowd:
         return SequenceInferenceResult(
             posteriors=posteriors, confusions=confusions, extras=extras
         )
-
-
-def hmm_crowd_reference(
-    crowd: SequenceCrowdLabels,
-    max_iterations: int = 30,
-    tolerance: float = 1e-4,
-    smoothing: float = 0.1,
-) -> SequenceInferenceResult:
-    """Pre-refactor HMM-Crowd EM (per-sentence/per-annotator loops).
-
-    Kept as the executable specification for the equivalence tests and the
-    benchmark baseline; use :class:`HMMCrowd`.
-    """
-    K = crowd.num_classes
-    J = crowd.num_annotators
-
-    def log_emissions_of(instance: int, log_confusions: np.ndarray) -> np.ndarray:
-        matrix = crowd.labels[instance]
-        out = np.zeros((matrix.shape[0], K))
-        for j in crowd.annotators_of(instance):
-            out += log_confusions[j][:, matrix[:, j]].T  # (T, K) via fancy index
-        return out
-
-    # Init from token-level majority voting.
-    posteriors: list[np.ndarray] = []
-    for i in range(crowd.num_instances):
-        votes = crowd.token_vote_counts(i).astype(np.float64) + 1e-3
-        posteriors.append(votes / votes.sum(axis=1, keepdims=True))
-
-    transition = np.full((K, K), 1.0 / K)
-    initial = np.full(K, 1.0 / K)
-    confusions = np.zeros((J, K, K))
-    previous_log_likelihood = -np.inf
-
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        # M-step from current posteriors.
-        confusion_count_arr = np.full((J, K, K), smoothing)
-        transition_counts = np.full((K, K), smoothing)
-        initial_counts = np.full(K, smoothing)
-        for i in range(crowd.num_instances):
-            gamma = posteriors[i]
-            matrix = crowd.labels[i]
-            initial_counts += gamma[0]
-            for j in crowd.annotators_of(i):
-                np.add.at(confusion_count_arr[j].T, matrix[:, j], gamma)
-        confusions = confusion_count_arr / confusion_count_arr.sum(axis=2, keepdims=True)
-
-        # E-step with fresh transition statistics.
-        log_confusions = np.log(confusions)
-        log_transition = np.log(transition)
-        log_initial = np.log(initial)
-        total_log_likelihood = 0.0
-        new_posteriors: list[np.ndarray] = []
-        for i in range(crowd.num_instances):
-            log_em = log_emissions_of(i, log_confusions)
-            gamma, xi_sum, log_like = forward_backward(log_em, log_transition, log_initial)
-            new_posteriors.append(gamma)
-            transition_counts += xi_sum
-            total_log_likelihood += log_like
-        posteriors = new_posteriors
-        transition = transition_counts / transition_counts.sum(axis=1, keepdims=True)
-        initial = initial_counts / initial_counts.sum()
-
-        if abs(total_log_likelihood - previous_log_likelihood) < tolerance:
-            iterations_used = iteration + 1
-            break
-        previous_log_likelihood = total_log_likelihood
-
-    return SequenceInferenceResult(
-        posteriors=posteriors,
-        confusions=confusions,
-        extras={
-            "transition": transition,
-            "initial": initial,
-            "iterations": iterations_used,
-            "log_likelihood": previous_log_likelihood,
-        },
-    )

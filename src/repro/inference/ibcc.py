@@ -17,27 +17,23 @@ as its own single shard, ``infer_sharded`` on any shard source.
 
 Performance: the Dirichlet-count scatter and the expected-log-likelihood
 gather share DS's sparse kernels (:mod:`repro.inference.primitives`) over
-the shard's cached COO views. The pre-refactor implementation is kept as
-:func:`ibcc_reference`; equivalence at atol 1e-10 is enforced by
-``tests/inference/test_method_equivalence.py``.
+the shard's cached COO views. The seed implementation is kept as the
+executable specification (``seed_ibcc`` in ``tests/oracles.py``);
+equivalence at atol 1e-10 is enforced by
+``tests/inference/equivalence_harness.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import digamma
 
-try:
-    from scipy.special import digamma
-except ImportError:  # keep the package importable; IBCC itself needs scipy
-    digamma = None
-
-from ..crowd.types import CrowdLabelMatrix
-from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
+from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
 from .primitives import confusion_counts, emission_log_likelihood, normalize_log_posterior
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["IBCC", "ibcc_reference"]
+__all__ = ["IBCC"]
 
 
 class IBCC(ShardedTruthInference):
@@ -72,8 +68,6 @@ class IBCC(ShardedTruthInference):
         prior_off_diagonal: float = 1.0,
         prior_class: float = 1.0,
     ) -> None:
-        if digamma is None:
-            raise ImportError("IBCC needs scipy (scipy.special.digamma)")
         if max_iterations < 1:
             raise ValueError("need at least one iteration")
         if prior_diagonal <= 0 or prior_off_diagonal <= 0 or prior_class <= 0:
@@ -135,55 +129,3 @@ class IBCC(ShardedTruthInference):
         return InferenceResult(
             posterior=self._concat(blocks, K), confusions=confusions, extras=extras
         )
-
-
-def ibcc_reference(
-    crowd: CrowdLabelMatrix,
-    max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    prior_diagonal: float = 2.0,
-    prior_off_diagonal: float = 1.0,
-    prior_class: float = 1.0,
-) -> InferenceResult:
-    """Pre-refactor VB-IBCC (dense one-hot einsums over ``(I, J, K)``).
-
-    Kept as the executable specification for the equivalence tests; use
-    :class:`IBCC`.
-    """
-    TruthInferenceMethod._check_nonempty(crowd)
-    K = crowd.num_classes
-    one_hot = crowd.one_hot()
-    posterior = majority_vote_posterior(crowd)
-    prior_matrix = np.full((K, K), prior_off_diagonal)
-    np.fill_diagonal(prior_matrix, prior_diagonal)
-
-    confusions = np.zeros((crowd.num_annotators, K, K))
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        confusion_counts = np.einsum("im,ijn->jmn", posterior, one_hot) + prior_matrix
-        class_counts = posterior.sum(axis=0) + prior_class
-
-        expected_log_confusion = digamma(confusion_counts) - digamma(
-            confusion_counts.sum(axis=2, keepdims=True)
-        )
-        expected_log_class = digamma(class_counts) - digamma(class_counts.sum())
-
-        log_posterior = expected_log_class[None, :] + np.einsum(
-            "ijn,jmn->im", one_hot, expected_log_confusion
-        )
-        log_posterior -= log_posterior.max(axis=1, keepdims=True)
-        new_posterior = np.exp(log_posterior)
-        new_posterior /= new_posterior.sum(axis=1, keepdims=True)
-
-        delta = float(np.abs(new_posterior - posterior).max())
-        posterior = new_posterior
-        confusions = confusion_counts / confusion_counts.sum(axis=2, keepdims=True)
-        if delta < tolerance:
-            iterations_used = iteration + 1
-            break
-
-    return InferenceResult(
-        posterior=posterior,
-        confusions=confusions,
-        extras={"iterations": iterations_used},
-    )

@@ -4,21 +4,19 @@ The *soft* posterior is the per-instance vote fraction, which is also how
 Algorithm 1 of the paper initializes ``qf(t)`` ("Initialize qf(t) with
 Majority Voting"). :class:`MajorityVote` is one map pass over crowd shards
 (:mod:`repro.inference.sharding`); ``infer(crowd)`` is the one-shard run.
+Its executable specification is ``seed_majority_vote_posterior`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.types import MISSING, CrowdLabelMatrix
+from ..crowd.types import CrowdLabelMatrix
 from .base import InferenceResult
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = [
-    "MajorityVote",
-    "majority_vote_posterior",
-    "majority_vote_reference",
-]
+__all__ = ["MajorityVote", "majority_vote_posterior"]
 
 
 def majority_vote_posterior(crowd: CrowdLabelMatrix) -> np.ndarray:
@@ -58,24 +56,3 @@ class MajorityVote(ShardedTruthInference):
                 "vote_totals": stats.vote_totals,
             },
         )
-
-
-def majority_vote_reference(crowd: CrowdLabelMatrix) -> InferenceResult:
-    """Per-instance/per-annotator loop form of soft majority voting.
-
-    The executable specification the equivalence harness compares the
-    bincount-vectorized :class:`MajorityVote` against — every registered
-    method has a reference, including the trivial baseline.
-    """
-    I, J, K = crowd.num_instances, crowd.num_annotators, crowd.num_classes
-    posterior = np.full((I, K), 1.0 / K)
-    for i in range(I):
-        counts = np.zeros(K)
-        for j in range(J):
-            label = crowd.labels[i, j]
-            if label != MISSING:
-                counts[label] += 1.0
-        total = counts.sum()
-        if total > 0:
-            posterior[i] = counts / total
-    return InferenceResult(posterior=posterior)

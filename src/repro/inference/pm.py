@@ -16,21 +16,21 @@ kernels (:mod:`repro.inference.primitives`) — the agreement term is one
 the weighted vote one
 :func:`~repro.inference.primitives.weighted_vote_scores` spMM/bincount —
 instead of dense einsums over the ``(I, J, K)`` one-hot expansion. The
-pre-refactor implementation is kept as :func:`pm_reference`; equivalence
-at atol 1e-10 is enforced by ``tests/inference/equivalence_harness.py``.
+seed implementation is kept as the executable specification
+(``seed_pm`` in ``tests/oracles.py``); equivalence at atol 1e-10 is
+enforced by ``tests/inference/equivalence_harness.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.types import CrowdLabelMatrix
-from .base import ConvergenceMonitor, InferenceResult, TruthInferenceMethod
+from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
 from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
-__all__ = ["PM", "pm_reference"]
+__all__ = ["PM"]
 
 
 class PM(ShardedTruthInference):
@@ -100,49 +100,3 @@ class PM(ShardedTruthInference):
         extras = monitor.extras()
         extras.update(weights=weights, shards=num_shards, observations=observations)
         return InferenceResult(posterior=self._concat(blocks, K), extras=extras)
-
-
-def pm_reference(
-    crowd: CrowdLabelMatrix,
-    max_iterations: int = 50,
-    tolerance: float = 1e-6,
-    floor: float = 1e-3,
-) -> InferenceResult:
-    """Pre-refactor PM (dense one-hot einsums over ``(I, J, K)``).
-
-    Kept as the executable specification for the equivalence harness and
-    the benchmark baseline; use :class:`PM`.
-    """
-    TruthInferenceMethod._check_nonempty(crowd)
-    one_hot = crowd.one_hot()                 # (I, J, K)
-    observed = crowd.observed_mask
-    counts = observed.sum(axis=0)             # labels per annotator
-    posterior = majority_vote_posterior(crowd)
-    weights = np.ones(crowd.num_annotators)
-
-    iterations_used = max_iterations
-    for iteration in range(max_iterations):
-        # Annotator error: expected disagreement with the soft estimate.
-        agreement = np.einsum("ijk,ik->ij", one_hot, posterior)
-        per_annotator_agreement = np.where(observed, agreement, 0.0).sum(axis=0)
-        error = 1.0 - per_annotator_agreement / np.maximum(counts, 1)
-        error = np.clip(error, floor, 1.0 - floor)
-        weights = -np.log(error)
-
-        scores = np.einsum("j,ijk->ik", weights, one_hot)
-        scores = np.maximum(scores, 0.0)
-        totals = scores.sum(axis=1, keepdims=True)
-        new_posterior = np.where(
-            totals > 0, scores / np.where(totals > 0, totals, 1.0),
-            np.full_like(scores, 1.0 / crowd.num_classes),
-        )
-        delta = float(np.abs(new_posterior - posterior).max())
-        posterior = new_posterior
-        if delta < tolerance:
-            iterations_used = iteration + 1
-            break
-
-    return InferenceResult(
-        posterior=posterior,
-        extras={"weights": weights, "iterations": iterations_used},
-    )

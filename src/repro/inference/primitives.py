@@ -15,14 +15,15 @@ operations over a sparse crowd:
 
 Both containers in :mod:`repro.crowd.types` expose the cached flat COO
 views these kernels run on (``flat_label_pairs`` plus a sparse
-instance × (annotator, label) incidence); with scipy present each kernel
-is one sparse–dense matmul, otherwise one ``bincount`` per class.
+instance × (annotator, label) incidence); with the incidence each kernel
+is one sparse–dense matmul, and on a shard built with
+``sparse_incidence=False`` (no incidence) one ``bincount`` per class.
 
 The module also hosts :func:`batched_forward_backward`: a length-masked
 forward–backward over padded ``(I, T_max, K)`` emissions that vectorizes
 across all chains at every timestep, replacing per-chain Python loops in
-HMM-Crowd/BSC-seq. The per-chain
-:func:`repro.inference.hmm_crowd.forward_backward` is kept as the
+HMM-Crowd/BSC-seq. The seed per-chain forward–backward
+(``seed_forward_backward`` in ``tests/oracles.py``) is kept as the
 executable specification; equivalence (gamma, xi, log-likelihood) is
 enforced at atol 1e-10 by ``tests/inference/test_primitives.py``.
 """
@@ -47,7 +48,6 @@ __all__ = [
     "token_majority_vote_flat",
     "scatter_to_padded",
     "split_by_offsets",
-    "pad_ragged",
     "batched_forward_backward",
 ]
 
@@ -59,8 +59,8 @@ def crowd_views(crowd) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, object]
     ``rows`` indexes instances (:class:`CrowdLabelMatrix` and the
     instance-level shards) or stacked tokens (:class:`SequenceCrowdLabels`
     / :class:`~repro.crowd.sharding.SequenceCrowdShard`), and ``incidence``
-    is the cached sparse ``(num_rows, J·K)`` matrix or None (no scipy, or
-    a shard that opts out of building one).
+    is the cached sparse ``(num_rows, J·K)`` matrix, or None for a shard
+    built with ``sparse_incidence=False``.
 
     Dispatch is structural beyond the built-in containers: any object
     exposing the kernel-facing surface (``flat_labels`` +
@@ -89,7 +89,8 @@ def confusion_counts(posterior: np.ndarray, crowd) -> np.ndarray:
 
     ``posterior`` is ``(N, K)`` over instances (classification) or stacked
     tokens (sequences). Callers add their own prior/smoothing pseudo-counts
-    and normalize. One spMM with scipy, else one ``bincount`` per class.
+    and normalize. One spMM against the incidence, else (no incidence) one
+    ``bincount`` per class.
     """
     K = crowd.num_classes
     J = crowd.num_annotators
@@ -145,7 +146,7 @@ def annotator_agreement(posterior: np.ndarray, crowd) -> np.ndarray:
     The agreement term of the truth-discovery weight updates (PM's expected
     non-error, CATD's complement of the error sum): gather each observed
     label's soft-truth mass, then one scatter-add per annotator. Runs
-    directly on the cached COO triples — no scipy needed, O(n_obs) instead
+    directly on the cached COO triples — no incidence needed, O(n_obs) instead
     of the dense ``(I, J, K)`` agreement einsum.
     """
     posterior = np.asarray(posterior, dtype=np.float64)
@@ -162,9 +163,9 @@ def annotator_agreement(posterior: np.ndarray, crowd) -> np.ndarray:
 def weighted_vote_scores(weights: np.ndarray, crowd) -> np.ndarray:
     """``S[r, k] = Σ_{j : y_rj = k} w_j`` — annotator-weighted votes, ``(N, K)``.
 
-    The voting step of PM/CATD: with scipy it is one spMM of the cached
-    incidence against a ``(J·K, K)`` weight scatter, otherwise one
-    ``bincount`` over the COO triples. Rows with no labels come back zero
+    The voting step of PM/CATD: one spMM of the cached incidence against a
+    ``(J·K, K)`` weight scatter, or (no incidence) one ``bincount`` over
+    the COO triples. Rows with no labels come back zero
     (callers decide the tie/empty policy).
     """
     K = crowd.num_classes
@@ -260,19 +261,6 @@ def token_majority_vote_flat(crowd: SequenceCrowdLabels, prior: float = 1e-3) ->
     return votes / votes.sum(axis=1, keepdims=True)
 
 
-def pad_ragged(flat: np.ndarray, offsets: np.ndarray, fill: float = 0.0):
-    """Pad a stacked ``(ΣT_i, K)`` array into ``(I, T_max, K)``.
-
-    Returns ``(padded, lengths, chain_index, time_index)`` where the two
-    index arrays scatter/gather between the flat and padded layouts:
-    ``padded[chain_index, time_index] == flat``.
-    """
-    lengths, chain_index, time_index, T_max = chain_indices(offsets)
-    padded = np.full((lengths.size, T_max, flat.shape[1]), fill)
-    padded[chain_index, time_index] = flat
-    return padded, lengths, chain_index, time_index
-
-
 def batched_forward_backward(
     log_emissions: np.ndarray,
     log_transition: np.ndarray,
@@ -287,7 +275,7 @@ def batched_forward_backward(
         ``(I, T_max, K)`` padded log emission likelihoods; ``-inf`` (log 0)
         marks a label a token cannot take. Entries at or beyond each
         chain's length are ignored but must be finite (pad with zeros, as
-        :func:`pad_ragged` does).
+        :func:`scatter_to_padded` does).
     log_transition:
         ``(K, K)`` log transition matrix shared by all chains.
     log_initial:
@@ -301,7 +289,7 @@ def batched_forward_backward(
     ``(gamma, xi_sum, log_likelihood)`` — per-token marginals
     ``(I, T_max, K)`` (zero past each chain's length), per-chain summed
     pairwise marginals ``(I, K, K)``, and per-chain log evidence ``(I,)``.
-    Matches the per-chain :func:`repro.inference.hmm_crowd.forward_backward`
+    Matches the seed per-chain forward–backward (``tests/oracles.py``)
     on every chain; each timestep is one ``(I, K) @ (K, K)`` matmul across
     all chains instead of ``I`` separate vector–matrix products.
 

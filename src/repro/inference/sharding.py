@@ -84,8 +84,9 @@ floating-point summation *grouping* (per-shard partial sums versus one
 scatter over the whole crowd). The randomized harness in
 ``tests/inference/equivalence_harness.py`` pins this across seeded
 crowds, layouts, and executors; the independent anchor is each method's
-``*_reference`` executable specification, which ``infer(crowd)`` matches
-at the same tolerance.
+seed executable specification in ``tests/oracles.py`` (plain arrays in,
+no shared kernel or container code), which ``infer(crowd)`` matches at
+the same tolerance.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class ShardStats:
     instances / observations / unannotated:
         Shard size, observed-label count, and how many of the shard's
         instances carry no label at all (the iterative methods refuse
-        those, as the ``*_reference`` specifications do).
+        those).
     confusion:
         ``(J, K, K)`` soft confusion counts of the shard's posterior block
         (DS/IBCC M-step numerator).
@@ -616,7 +617,8 @@ class ShardedTruthInference(TruthInferenceMethod):
 
     @staticmethod
     def _require_annotated(stats: ShardStats) -> None:
-        """Refuse label-free instances, as :meth:`_check_nonempty` does."""
+        """Refuse label-free instances: the iterative methods need at
+        least one label per instance."""
         if stats.unannotated:
             raise ValueError(
                 f"{stats.unannotated} instances have no annotations at all"

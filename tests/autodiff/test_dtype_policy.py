@@ -23,10 +23,12 @@ from repro.autodiff.dtypes import (
     set_default_dtype,
 )
 from repro.autodiff.nn import Embedding, init
-from repro.autodiff.nn.rnn import GRU, GRUCell, gru_reference_forward
+from repro.autodiff.nn.rnn import GRU, GRUCell
 from repro.autodiff.optim import Adam
 from repro.baselines.common import TrainerConfig, run_classification_epoch, build_optimizer
 from repro.models import MLPClassifier
+
+from ..oracles import gru_reference_forward
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)

@@ -10,13 +10,14 @@ annotator).
 import numpy as np
 import pytest
 
-from repro.core.em import (
-    sequence_posterior_qa,
-    sequence_posterior_qa_reference,
-    sequence_update_confusions,
-    sequence_update_confusions_reference,
-)
+from repro.core.em import sequence_posterior_qa, sequence_update_confusions
 from repro.crowd.types import MISSING, SequenceCrowdLabels
+
+from ..oracles import (
+    seed_sequence_posterior_qa,
+    seed_sequence_update_confusions,
+    seed_token_vote_counts,
+)
 
 
 def random_crowd(seed, instances=40, annotators=11, classes=5, t_max=12):
@@ -40,7 +41,9 @@ def random_crowd(seed, instances=40, annotators=11, classes=5, t_max=12):
 def test_update_confusions_matches_reference(seed):
     crowd, qf, _ = random_crowd(seed)
     vectorized = sequence_update_confusions(qf, crowd)
-    reference = sequence_update_confusions_reference(qf, crowd)
+    reference = seed_sequence_update_confusions(
+        qf, crowd.labels, crowd.num_annotators, crowd.num_classes
+    )
     np.testing.assert_allclose(vectorized, reference, atol=1e-12, rtol=0)
     # Rows are proper distributions.
     np.testing.assert_allclose(vectorized.sum(axis=2), 1.0, atol=1e-12)
@@ -51,14 +54,20 @@ def test_posterior_qa_matches_reference(seed):
     crowd, qf, proba = random_crowd(seed)
     confusions = sequence_update_confusions(qf, crowd)
     vectorized = sequence_posterior_qa(proba, crowd, confusions)
-    reference = sequence_posterior_qa_reference(proba, crowd, confusions)
+    reference = seed_sequence_posterior_qa(proba, crowd.labels, confusions)
     assert len(vectorized) == len(reference)
     for new, old in zip(vectorized, reference):
         np.testing.assert_allclose(new, old, atol=1e-12, rtol=0)
 
 
 def test_bincount_fallback_matches_sparse(monkeypatch):
-    """Force the scipy-less path and check it agrees with the sparse one."""
+    """Force the bincount path and check it agrees with the sparse one.
+
+    Without an incidence the kernels scatter with ``bincount``; in the
+    library only a ``SparseLabelShard`` built with
+    ``sparse_incidence=False`` takes that path, so the test patches the
+    incidence away on a whole crowd.
+    """
     crowd, qf, proba = random_crowd(3)
     confusions = sequence_update_confusions(qf, crowd)
     sparse_post = sequence_posterior_qa(proba, crowd, confusions)
@@ -88,7 +97,8 @@ def test_flat_caches_consistent_with_loops():
     votes_flat = crowd.token_vote_counts_flat()
     for i in range(crowd.num_instances):
         np.testing.assert_array_equal(
-            votes_flat[offsets[i] : offsets[i + 1]], crowd.token_vote_counts(i)
+            votes_flat[offsets[i] : offsets[i + 1]],
+            seed_token_vote_counts(crowd.labels[i], crowd.num_classes),
         )
         expected = np.nonzero((crowd.labels[i] != MISSING).all(axis=0))[0]
         np.testing.assert_array_equal(crowd.annotators_of(i), expected)

@@ -108,7 +108,8 @@ class TestSequenceCrowdLabels:
 
     def test_token_vote_counts(self):
         crowd = self._tiny()
-        votes = crowd.token_vote_counts(1)
+        _, offsets = crowd.flat_labels()
+        votes = crowd.token_vote_counts_flat()[offsets[1] : offsets[2]]
         np.testing.assert_array_equal(votes, [[2, 0, 0], [0, 1, 1], [0, 0, 2]])
 
     def test_subset(self):

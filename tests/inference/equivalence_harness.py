@@ -2,11 +2,16 @@
 
 The vectorization discipline that made PRs 1-3 safe, packaged: every
 method registered in :mod:`repro.inference.registry` must have an entry in
-:data:`REFERENCE_IMPLEMENTATIONS` (its pre-refactor executable
-specification), and :func:`assert_matches_reference` pins the vectorized
-implementation to that spec at atol 1e-10 on seeded random crowds —
-posterior(s), confusion matrices, and the iteration count, so convergence
-behaviour is pinned too.
+:data:`REFERENCE_IMPLEMENTATIONS` (its seed executable specification from
+``tests/oracles.py``), and :func:`assert_matches_reference` pins the
+vectorized implementation to that spec at atol 1e-10 on seeded random
+crowds — posterior(s), confusion matrices, the annotator-model extras
+(PM/CATD weights, GLAD α/β, the HMM-Crowd/BSC-seq transition matrix and
+HMM-Crowd's initial distribution), and the iteration count, so
+convergence behaviour is pinned too. The oracles take plain label arrays
+and share no kernel or container code with ``repro``;
+:func:`reference_result` is the one place a crowd container becomes
+those arrays.
 
 Crowd generation covers the axes that historically break vectorized
 rewrites: crowd size (I/J/K), sparsity (dense redundancy down to one label
@@ -17,10 +22,14 @@ zero-length sentences) are marked ``reference_comparable=False`` and go
 through :func:`assert_degenerate_ok` instead: the *new* code must handle
 them gracefully even though the old code never did.
 
-To vectorize another method in a future PR:
+To vectorize another method:
 
-1. keep the old implementation as ``<method>_reference``;
-2. point ``REFERENCE_IMPLEMENTATIONS[(kind, name)]`` at it;
+1. move the old implementation into ``tests/oracles.py`` in array form
+   (a label matrix, or a list of sentence matrices, in; numpy/scipy and
+   the result containers only — ``tests/tooling/test_oracles.py`` refuses
+   any other ``repro`` import);
+2. point ``REFERENCE_IMPLEMENTATIONS[(kind, name)]`` at it, through a
+   small adapter when it returns a tuple rather than a result container;
 3. done — ``test_equivalence_harness.py`` parametrizes over
    ``available_methods()`` × :func:`crowd_cases`, so the new method is
    pinned on every case without hand-rolling fixtures. A meta-test fails
@@ -53,6 +62,7 @@ process pools. The meta-test covers this kind too.
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import shutil
 import tempfile
@@ -66,20 +76,10 @@ from repro.autodiff.dtypes import equivalence_atol
 from repro.crowd.sharding import save_shard_handles
 from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
 from repro.experiments.streaming_suite import stream_crowd_in_batches
-from repro.inference import (
-    SequenceInferenceResult,
-    bsc_seq_reference,
-    catd_reference,
-    dawid_skene_reference,
-    get_method,
-    glad_reference,
-    hmm_crowd_reference,
-    ibcc_reference,
-    majority_vote_reference,
-    pm_reference,
-)
-from repro.inference.sequence_utils import flatten_sequence_crowd
+from repro.inference import InferenceResult, SequenceInferenceResult, get_method
 from repro.inference.sharding import run_sharded
+
+from .. import oracles
 
 __all__ = [
     "CrowdCase",
@@ -91,6 +91,7 @@ __all__ = [
     "METHOD_OVERRIDES",
     "SHARD_LAYOUTS",
     "method_supports",
+    "reference_result",
     "assert_matches_reference",
     "assert_degenerate_ok",
     "assert_streaming_replay_matches",
@@ -174,8 +175,8 @@ class CrowdCase:
     name: str
     kind: str  # "classification" | "sequence"
     build: Callable[[], object]
-    # False → the pre-refactor reference cannot run this (e.g. empty
-    # crowds); the new implementation is checked behaviourally instead.
+    # False → the seed oracle cannot run this (e.g. empty crowds); the
+    # new implementation is checked behaviourally instead.
     reference_comparable: bool = True
 
 
@@ -245,15 +246,54 @@ def crowd_cases(kind: str | None = None) -> list[CrowdCase]:
 # --------------------------------------------------------------------- #
 # Reference registry
 # --------------------------------------------------------------------- #
-def _token_level_reference(classification_reference: Callable) -> Callable:
-    """Reference twin of ``TokenLevelInference``: flatten, run the
-    classification reference per token, unflatten."""
+# Batch oracles share one signature: ``(labels, num_classes, **params) ->
+# InferenceResult`` for classification, ``(labels, num_annotators,
+# num_classes, **params) -> SequenceInferenceResult`` for sequences. The
+# seed bodies return tuples; these adapters only repackage them, and
+# ``functools.wraps`` records the oracle each one wraps.
+@functools.wraps(oracles.seed_majority_vote_posterior)
+def _majority_vote(labels, num_classes):
+    return InferenceResult(oracles.seed_majority_vote_posterior(labels, num_classes))
 
-    def run(crowd: SequenceCrowdLabels, **params) -> SequenceInferenceResult:
-        flat, slices = flatten_sequence_crowd(crowd)
-        result = classification_reference(flat, **params)
+
+@functools.wraps(oracles.seed_dawid_skene)
+def _dawid_skene(labels, num_classes, **params):
+    posterior, confusions, iterations = oracles.seed_dawid_skene(labels, num_classes, **params)
+    return InferenceResult(posterior, confusions, extras={"iterations": iterations})
+
+
+@functools.wraps(oracles.seed_glad)
+def _glad(labels, num_classes, *, em_iterations, **params):
+    # The seed GLAD has no tolerance: it always runs its whole EM budget.
+    posterior, alpha, beta = oracles.seed_glad(labels, em_iterations=em_iterations, **params)
+    return InferenceResult(
+        posterior, extras={"alpha": alpha, "beta": beta, "iterations": em_iterations}
+    )
+
+
+def _weighted_vote(oracle: Callable) -> Callable:
+    """Adapter for the PM/CATD oracles' ``(posterior, weights, iterations)``."""
+
+    @functools.wraps(oracle)
+    def run(labels, num_classes, **params):
+        posterior, weights, iterations = oracle(labels, num_classes, **params)
+        return InferenceResult(
+            posterior, extras={"weights": weights, "iterations": iterations}
+        )
+
+    return run
+
+
+def _token_level(classification_oracle: Callable) -> Callable:
+    """Sequence twin of a classification oracle, as ``TokenLevelInference``
+    runs it: stack the sentences into one token matrix, run, unstack."""
+
+    @functools.wraps(classification_oracle)
+    def run(labels, num_annotators, num_classes, **params):
+        offsets = np.cumsum([0] + [matrix.shape[0] for matrix in labels])
+        result = classification_oracle(np.concatenate(labels), num_classes, **params)
         return SequenceInferenceResult(
-            posteriors=[result.posterior[s] for s in slices],
+            posteriors=[result.posterior[a:b] for a, b in zip(offsets[:-1], offsets[1:])],
             confusions=result.confusions,
             extras=dict(result.extras),
         )
@@ -271,22 +311,23 @@ def _batch_at_convergence(name: str) -> Callable:
     return run
 
 
-# (kind, registered name) → executable specification: the pre-refactor
-# implementation for batch methods, the batch twin at convergence for
-# streaming methods. Every name in available_methods() must appear here;
-# the meta-test in test_equivalence_harness.py enforces it.
+# (kind, registered name) → executable specification: the seed oracle for
+# batch methods (called through :func:`reference_result`), the batch twin
+# at convergence for streaming and sharded methods (called on the crowd).
+# Every name in available_methods() must appear here; the meta-test in
+# test_equivalence_harness.py enforces it.
 REFERENCE_IMPLEMENTATIONS: dict[tuple[str, str], Callable] = {
-    ("classification", "MV"): majority_vote_reference,
-    ("classification", "DS"): dawid_skene_reference,
-    ("classification", "GLAD"): glad_reference,
-    ("classification", "PM"): pm_reference,
-    ("classification", "CATD"): catd_reference,
-    ("classification", "IBCC"): ibcc_reference,
-    ("sequence", "MV"): _token_level_reference(majority_vote_reference),
-    ("sequence", "DS"): _token_level_reference(dawid_skene_reference),
-    ("sequence", "IBCC"): _token_level_reference(ibcc_reference),
-    ("sequence", "BSC-seq"): bsc_seq_reference,
-    ("sequence", "HMM-Crowd"): hmm_crowd_reference,
+    ("classification", "MV"): _majority_vote,
+    ("classification", "DS"): _dawid_skene,
+    ("classification", "GLAD"): _glad,
+    ("classification", "PM"): _weighted_vote(oracles.seed_pm),
+    ("classification", "CATD"): _weighted_vote(oracles.seed_catd),
+    ("classification", "IBCC"): oracles.seed_ibcc,
+    ("sequence", "MV"): _token_level(_majority_vote),
+    ("sequence", "DS"): _token_level(_dawid_skene),
+    ("sequence", "IBCC"): _token_level(oracles.seed_ibcc),
+    ("sequence", "BSC-seq"): oracles.seed_bsc_seq,
+    ("sequence", "HMM-Crowd"): oracles.seed_hmm_crowd,
     ("streaming", "MV"): _batch_at_convergence("MV"),
     ("streaming", "DS"): _batch_at_convergence("DS"),
     ("streaming", "GLAD"): _batch_at_convergence("GLAD"),
@@ -342,19 +383,38 @@ def _assert_posteriors_close(result, expected, kind: str, atol: float, context: 
             )
 
 
+def reference_result(name: str, kind: str, crowd, **params):
+    """Run the ``(kind, name)`` batch oracle on ``crowd``.
+
+    The one place a container becomes the plain arrays the oracles take:
+    the ``(I, J)`` label matrix, or the list of ``(T_i, J)`` sentence
+    matrices plus the annotator count.
+    """
+    oracle = REFERENCE_IMPLEMENTATIONS[(kind, name)]
+    if kind == "sequence":
+        return oracle(crowd.labels, crowd.num_annotators, crowd.num_classes, **params)
+    return oracle(crowd.labels, crowd.num_classes, **params)
+
+
+# Annotator-model extras pinned to the oracle wherever both sides report
+# them. ``log_likelihood`` and ``last_change`` are not: the seed loops
+# report them one sweep stale at convergence.
+REFERENCE_EXTRAS = ("weights", "alpha", "beta", "transition", "initial")
+
+
 def assert_matches_reference(
     name: str, kind: str, crowd, atol: float = equivalence_atol("float64")
 ) -> None:
     """Pin the registered method to its reference on one crowd.
 
     Compares posterior(s), confusion matrices when both sides model them,
-    and the reported iteration count (convergence behaviour is part of the
-    contract, not an implementation detail).
+    the :data:`REFERENCE_EXTRAS` both sides report, and the reported
+    iteration count (convergence behaviour is part of the contract, not an
+    implementation detail).
     """
     params = METHOD_OVERRIDES.get((kind, name), {})
-    reference = REFERENCE_IMPLEMENTATIONS[(kind, name)]
     result = get_method(name, kind=kind, **params).infer(crowd)
-    expected = reference(crowd, **params)
+    expected = reference_result(name, kind, crowd, **params)
     context = f"method={name} kind={kind}"
     _assert_posteriors_close(result, expected, kind, atol, context)
     if result.confusions is not None and expected.confusions is not None:
@@ -362,6 +422,12 @@ def assert_matches_reference(
             result.confusions, expected.confusions, atol=atol, rtol=0,
             err_msg=f"confusions diverged from reference ({context})",
         )
+    for key in REFERENCE_EXTRAS:
+        if key in expected.extras and key in result.extras:
+            np.testing.assert_allclose(
+                result.extras[key], expected.extras[key], atol=atol, rtol=0,
+                err_msg=f"extras[{key!r}] diverged from reference ({context})",
+            )
     if "iterations" in expected.extras:
         assert result.extras.get("iterations") == expected.extras["iterations"], (
             f"iteration count diverged ({context}): "

@@ -1,4 +1,4 @@
-"""Vectorized truth-inference methods vs. their ``*_reference`` specs.
+"""Vectorized truth-inference methods vs. their seed oracles.
 
 Each reworked method (DS, IBCC, HMM-Crowd, BSC-seq) must reproduce the
 pre-refactor implementation's posteriors and confusion matrices at atol
@@ -19,16 +19,9 @@ from repro.crowd import (
     simulate_ner_crowd,
 )
 from repro.data import NERCorpusConfig, make_ner_task
-from repro.inference import (
-    BSCSeq,
-    DawidSkene,
-    HMMCrowd,
-    IBCC,
-    bsc_seq_reference,
-    dawid_skene_reference,
-    hmm_crowd_reference,
-    ibcc_reference,
-)
+from repro.inference import BSCSeq, DawidSkene, HMMCrowd, IBCC
+
+from .equivalence_harness import reference_result
 
 
 def classification_crowd(seed, instances=300, annotators=15, classes=3, mean=4.0):
@@ -61,7 +54,7 @@ def assert_sequence_results_close(result, reference, atol=equivalence_atol("floa
 def test_dawid_skene_matches_reference(seed):
     crowd = classification_crowd(seed)
     result = DawidSkene().infer(crowd)
-    reference = dawid_skene_reference(crowd)
+    reference = reference_result("DS", "classification", crowd)
     atol = equivalence_atol("float64")
     np.testing.assert_allclose(result.posterior, reference.posterior, atol=atol, rtol=0)
     np.testing.assert_allclose(result.confusions, reference.confusions, atol=atol, rtol=0)
@@ -72,7 +65,7 @@ def test_dawid_skene_matches_reference(seed):
 def test_ibcc_matches_reference(seed):
     crowd = classification_crowd(seed, annotators=25, mean=3.0)
     result = IBCC().infer(crowd)
-    reference = ibcc_reference(crowd)
+    reference = reference_result("IBCC", "classification", crowd)
     atol = equivalence_atol("float64")
     np.testing.assert_allclose(result.posterior, reference.posterior, atol=atol, rtol=0)
     np.testing.assert_allclose(result.confusions, reference.confusions, atol=atol, rtol=0)
@@ -83,7 +76,7 @@ def test_ibcc_matches_reference(seed):
 def test_hmm_crowd_matches_reference(seed):
     crowd = ner_crowd(seed)
     result = HMMCrowd().infer(crowd)
-    reference = hmm_crowd_reference(crowd)
+    reference = reference_result("HMM-Crowd", "sequence", crowd)
     assert_sequence_results_close(result, reference)
     assert "initial" in result.extras and "log_likelihood" in result.extras
 
@@ -92,7 +85,7 @@ def test_hmm_crowd_matches_reference(seed):
 def test_bsc_seq_matches_reference(seed):
     crowd = ner_crowd(seed, sentences=40)
     result = BSCSeq().infer(crowd)
-    reference = bsc_seq_reference(crowd)
+    reference = reference_result("BSC-seq", "sequence", crowd)
     assert_sequence_results_close(result, reference)
 
 
@@ -167,6 +160,6 @@ class TestBSCSeqDiagnosticsRegression:
         # Documents the bug the reference still carries: converged runs
         # report a last_change at or above tolerance (the prior sweep's).
         crowd = ner_crowd(4, sentences=30)
-        reference = bsc_seq_reference(crowd)
+        reference = reference_result("BSC-seq", "sequence", crowd)
         if reference.extras["iterations"] < BSCSeq().max_iterations:
             assert reference.extras["last_change"] >= BSCSeq().tolerance

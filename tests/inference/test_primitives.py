@@ -12,7 +12,6 @@ import pytest
 
 from repro.autodiff.dtypes import equivalence_atol
 from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
-from repro.inference import forward_backward
 from repro.inference.primitives import (
     annotator_agreement,
     batched_forward_backward,
@@ -21,9 +20,10 @@ from repro.inference.primitives import (
     emission_log_likelihood,
     normalize_log_posterior,
     normalize_vote_scores,
-    pad_ragged,
     weighted_vote_scores,
 )
+
+from ..oracles import seed_forward_backward
 
 
 def ragged_chains(seed, instances=30, classes=6, t_max=18):
@@ -71,7 +71,7 @@ class TestBatchedForwardBackward:
             padded, log_A, log_pi, lengths
         )
         for i, chain in enumerate(chains):
-            ref_gamma, ref_xi, ref_ll = forward_backward(chain, log_A, log_pi)
+            ref_gamma, ref_xi, ref_ll = seed_forward_backward(chain, log_A, log_pi)
             np.testing.assert_allclose(
                 gamma[i, : lengths[i]], ref_gamma, atol=1e-10, rtol=0
             )
@@ -126,7 +126,7 @@ class TestBatchedForwardBackward:
             assert log_likelihood[i] == 0.0
         # Non-empty chains still match the per-chain reference.
         for i in (0, 1, 3):
-            ref_gamma, ref_xi, ref_ll = forward_backward(
+            ref_gamma, ref_xi, ref_ll = seed_forward_backward(
                 chains[i][: lengths[i]], log_A, log_pi
             )
             np.testing.assert_allclose(gamma[i, : lengths[i]], ref_gamma, atol=1e-10, rtol=0)
@@ -172,22 +172,6 @@ class TestBatchedForwardBackward:
         with np.errstate(invalid="raise"):
             with pytest.raises(ValueError, match="chain 0 has no support at position 1"):
                 batched_forward_backward(log_em, np.zeros((2, 2)), np.zeros(2), [2])
-
-
-class TestPadRagged:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(5)
-        lengths = np.array([3, 1, 4])
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        flat = rng.random((offsets[-1], 2))
-        padded, out_lengths, chain_index, time_index = pad_ragged(flat, offsets)
-        np.testing.assert_array_equal(out_lengths, lengths)
-        np.testing.assert_allclose(
-            padded[chain_index, time_index], flat, atol=equivalence_atol("float64")
-        )
-        assert padded.shape == (3, 4, 2)
-        # Padding stays at the fill value.
-        assert padded[1, 1:].sum() == 0.0
 
 
 class TestSharedKernels:

@@ -1,36 +1,47 @@
-"""Frozen seed-commit implementations of the benchmarked hot paths.
+"""Executable specifications: one oracle per algorithm the live code is
+pinned to.
 
-``bench_hotpaths.py`` reports before/after timings. "Before" must not
-silently improve as the live engine gets faster, so this module pins the
-relevant seed code (commit ``cf64a19``) verbatim, trimmed to the ops the
-GRU training path uses:
+Each spec is the seed-commit (``cf64a19``) loop form of its algorithm,
+defined here once. The equivalence harness
+(``tests/inference/equivalence_harness.py``) and the unit tests pin the
+vectorized, sharded and fused code in ``src/`` to these functions at
+atol 1e-10, and ``benchmarks/bench_hotpaths.py`` times them as its
+"before" column, so "before" cannot silently improve as the live engine
+gets faster.
 
-* ``SeedTensor`` — the seed autodiff engine: closure-per-op tape, no
-  no-grad fast path, ``np.where``-based sigmoid, full-array ``np.add.at``
-  scatter for slice gradients, zeros+add gradient accumulation.
-* ``SeedGRUCell`` / ``seed_gru_forward`` — the per-gate cell and the
-  element-at-a-time time loop (~12 tape nodes per step).
+Inputs are plain arrays: a classification crowd is an ``(I, J)`` label
+matrix with :data:`MISSING` for absent labels, a sequence crowd a list of
+``(T_i, J)`` matrices. The specs use numpy/scipy only; from ``repro``
+they import nothing but the result containers and the live autodiff
+tape that :func:`gru_reference_forward` runs on, so they share no kernel
+or container code with what they pin (``tests/tooling/test_oracles.py``
+enforces both rules).
+
+* ``SeedTensor`` / ``SeedGRUCell`` / ``seed_gru_forward`` — the seed
+  autodiff tape (closure per op, no no-grad fast path, float64 only) and
+  the per-gate GRU time loop on it (~12 tape nodes per step).
+* :func:`gru_reference_forward` — the same time loop over the live
+  :class:`~repro.autodiff.nn.GRUCell` on the live tape, in either
+  precision.
 * ``seed_sequence_update_confusions`` / ``seed_sequence_posterior_qa`` —
-  the per-sentence / per-annotator EM loops, including the seed's
-  per-call ``annotators_of`` scan.
-* ``seed_dawid_skene`` — the seed DS EM: dense ``(I, J, K)`` one-hot
-  einsums every sweep (PR 2 replaced them with sparse COO kernels).
-* ``seed_forward_backward`` — the seed per-chain scaled forward–backward
-  with its per-timestep Python loops (PR 2 batches all chains per step).
-* ``seed_glad`` / ``seed_pm`` / ``seed_catd`` — the pre-PR-3 dense
-  implementations: GLAD's ``(I, J)`` masked scans every E-step and
-  gradient step, PM/CATD's ``(I, J, K)`` one-hot einsums per sweep
-  (PR 3 moved all three onto the sparse COO kernels).
-* ``seed_conv1d_train_step`` — the pre-PR-3 im2col convolution: forward
-  and backward both materialize the ``(B, T_out, width·D)`` window buffer
-  (PR 3's width-loop variant accumulates shifted matmuls instead).
-* ``seed_streaming_full_recompute`` — the naive label-stream loop: per
-  arriving batch, re-run the dense DS EM from scratch on everything seen
-  so far (PR 4's streaming subsystem replaces this with O(batch)
-  stepwise updates over decayed sufficient statistics).
+  Logic-LNCL's token-level Eq. 12 / Eq. 13 as per-sentence /
+  per-annotator loops.
+* ``seed_majority_vote_posterior``, ``seed_dawid_skene``, ``seed_ibcc``,
+  ``seed_glad``, ``seed_pm``, ``seed_catd`` — the classification methods
+  on the dense ``(I, J, K)`` one-hot expansion (``seed_one_hot``) or
+  GLAD's ``(I, J)`` masked scans.
+* ``seed_forward_backward``, ``seed_hmm_crowd``, ``seed_bsc_seq`` — the
+  per-chain scaled forward–backward and the sequence EM / VB loops
+  around it. Both loops keep the seed's stale diagnostics: at
+  convergence HMM-Crowd reports the previous sweep's ``log_likelihood``
+  and BSC-seq the previous sweep's ``last_change``.
+* ``seed_conv1d_train_step`` — the im2col convolution, which
+  materializes the ``(B, T_out, width·D)`` window buffer.
+* ``seed_streaming_full_recompute`` — per arriving label batch, re-run
+  the dense DS EM from scratch on everything seen so far.
 
-Do not "fix" or optimize anything here: it is a measurement baseline, not
-production code.
+Do not "fix" or optimize anything here: these are the specification and
+the measurement baseline, not production code.
 """
 
 from __future__ import annotations
@@ -38,6 +49,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import digamma
+
+from repro.autodiff import Tensor, functional as F
+from repro.inference.base import InferenceResult, SequenceInferenceResult
 
 MISSING = -1
 
@@ -265,6 +280,29 @@ def seed_gru_forward(cell: SeedGRUCell, x: SeedTensor, mask: np.ndarray | None) 
     return seed_stack(outputs, axis=1)
 
 
+def gru_reference_forward(cell, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Pre-fusion GRU time loop over a live per-gate
+    :class:`~repro.autodiff.nn.GRUCell`.
+
+    The element-at-a-time loop of ``seed_gru_forward``, but on the live
+    tape and in the cell's dtype, so it also serves as the float32
+    equivalence twin (the seed tape is float64-only).
+    """
+    batch, time, _ = x.shape
+    h = Tensor(np.zeros((batch, cell.hidden_dim), dtype=cell.w_hr.data.dtype))
+    outputs: list[Tensor] = []
+    for t in range(time):
+        x_t = x[:, t, :]
+        h_new = cell(x_t, h)
+        if mask is not None:
+            m = np.asarray(mask[:, t], dtype=h_new.data.dtype)[:, None]
+            h = h_new * Tensor(m) + h * Tensor(1.0 - m)
+        else:
+            h = h_new
+        outputs.append(h)
+    return F.stack(outputs, axis=1)
+
+
 def _seed_annotators_of(matrix: np.ndarray) -> np.ndarray:
     return np.nonzero((matrix != MISSING).all(axis=0))[0]
 
@@ -387,6 +425,7 @@ def seed_sequence_posterior_qa(proba, labels, confusions):
         posterior /= posterior.sum(axis=1, keepdims=True)
         out.append(posterior)
     return out
+
 
 def _seed_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(
@@ -519,6 +558,216 @@ def seed_catd(
             iterations_used = iteration + 1
             break
     return posterior, weights, iterations_used
+
+
+def seed_ibcc(
+    labels: np.ndarray,
+    num_classes: int,
+    max_iterations: int = 100,
+    tolerance: float = 1e-6,
+    prior_diagonal: float = 2.0,
+    prior_off_diagonal: float = 1.0,
+    prior_class: float = 1.0,
+) -> InferenceResult:
+    """Seed VB-IBCC: dense one-hot einsums over ``(I, J, K)`` per sweep."""
+    K = num_classes
+    one_hot = seed_one_hot(labels, num_classes)
+    posterior = seed_majority_vote_posterior(labels, num_classes)
+    prior_matrix = np.full((K, K), prior_off_diagonal)
+    np.fill_diagonal(prior_matrix, prior_diagonal)
+
+    confusions = np.zeros((labels.shape[1], K, K))
+    iterations_used = max_iterations
+    for iteration in range(max_iterations):
+        confusion_counts = np.einsum("im,ijn->jmn", posterior, one_hot) + prior_matrix
+        class_counts = posterior.sum(axis=0) + prior_class
+
+        expected_log_confusion = digamma(confusion_counts) - digamma(
+            confusion_counts.sum(axis=2, keepdims=True)
+        )
+        expected_log_class = digamma(class_counts) - digamma(class_counts.sum())
+
+        log_posterior = expected_log_class[None, :] + np.einsum(
+            "ijn,jmn->im", one_hot, expected_log_confusion
+        )
+        log_posterior -= log_posterior.max(axis=1, keepdims=True)
+        new_posterior = np.exp(log_posterior)
+        new_posterior /= new_posterior.sum(axis=1, keepdims=True)
+
+        delta = float(np.abs(new_posterior - posterior).max())
+        posterior = new_posterior
+        confusions = confusion_counts / confusion_counts.sum(axis=2, keepdims=True)
+        if delta < tolerance:
+            iterations_used = iteration + 1
+            break
+
+    return InferenceResult(
+        posterior=posterior,
+        confusions=confusions,
+        extras={"iterations": iterations_used},
+    )
+
+
+def seed_token_vote_counts(matrix: np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-token class vote counts for one sentence, shape ``(T, K)``."""
+    T = matrix.shape[0]
+    counts = np.zeros((T, num_classes), dtype=np.int64)
+    for j in _seed_annotators_of(matrix):
+        np.add.at(counts, (np.arange(T), matrix[:, j]), 1)
+    return counts
+
+
+def seed_hmm_crowd(
+    labels: list[np.ndarray],
+    num_annotators: int,
+    num_classes: int,
+    max_iterations: int = 30,
+    tolerance: float = 1e-4,
+    smoothing: float = 0.1,
+) -> SequenceInferenceResult:
+    """Seed HMM-Crowd EM: per-sentence / per-annotator loops, one
+    ``seed_forward_backward`` per chain."""
+    K = num_classes
+    J = num_annotators
+
+    def log_emissions_of(matrix: np.ndarray, log_confusions: np.ndarray) -> np.ndarray:
+        out = np.zeros((matrix.shape[0], K))
+        for j in _seed_annotators_of(matrix):
+            out += log_confusions[j][:, matrix[:, j]].T  # (T, K) via fancy index
+        return out
+
+    # Init from token-level majority voting.
+    posteriors: list[np.ndarray] = []
+    for matrix in labels:
+        votes = seed_token_vote_counts(matrix, K).astype(np.float64) + 1e-3
+        posteriors.append(votes / votes.sum(axis=1, keepdims=True))
+
+    transition = np.full((K, K), 1.0 / K)
+    initial = np.full(K, 1.0 / K)
+    confusions = np.zeros((J, K, K))
+    previous_log_likelihood = -np.inf
+
+    iterations_used = max_iterations
+    for iteration in range(max_iterations):
+        # M-step from current posteriors.
+        confusion_count_arr = np.full((J, K, K), smoothing)
+        transition_counts = np.full((K, K), smoothing)
+        initial_counts = np.full(K, smoothing)
+        for gamma, matrix in zip(posteriors, labels):
+            initial_counts += gamma[0]
+            for j in _seed_annotators_of(matrix):
+                np.add.at(confusion_count_arr[j].T, matrix[:, j], gamma)
+        confusions = confusion_count_arr / confusion_count_arr.sum(axis=2, keepdims=True)
+
+        # E-step with fresh transition statistics.
+        log_confusions = np.log(confusions)
+        log_transition = np.log(transition)
+        log_initial = np.log(initial)
+        total_log_likelihood = 0.0
+        new_posteriors: list[np.ndarray] = []
+        for matrix in labels:
+            log_em = log_emissions_of(matrix, log_confusions)
+            gamma, xi_sum, log_like = seed_forward_backward(log_em, log_transition, log_initial)
+            new_posteriors.append(gamma)
+            transition_counts += xi_sum
+            total_log_likelihood += log_like
+        posteriors = new_posteriors
+        transition = transition_counts / transition_counts.sum(axis=1, keepdims=True)
+        initial = initial_counts / initial_counts.sum()
+
+        if abs(total_log_likelihood - previous_log_likelihood) < tolerance:
+            iterations_used = iteration + 1
+            break
+        previous_log_likelihood = total_log_likelihood
+
+    return SequenceInferenceResult(
+        posteriors=posteriors,
+        confusions=confusions,
+        extras={
+            "transition": transition,
+            "initial": initial,
+            "iterations": iterations_used,
+            "log_likelihood": previous_log_likelihood,
+        },
+    )
+
+
+def seed_bsc_seq(
+    labels: list[np.ndarray],
+    num_annotators: int,
+    num_classes: int,
+    max_iterations: int = 30,
+    tolerance: float = 1e-4,
+    prior_diagonal: float = 2.0,
+    prior_off_diagonal: float = 1.0,
+    prior_transition: float = 1.0,
+) -> SequenceInferenceResult:
+    """Seed BSC-seq VB loop: per-sentence / per-annotator loops, one
+    ``seed_forward_backward`` per chain on expected-log parameters."""
+    K = num_classes
+    J = num_annotators
+    prior_confusion = np.full((K, K), prior_off_diagonal)
+    np.fill_diagonal(prior_confusion, prior_diagonal)
+
+    posteriors: list[np.ndarray] = []
+    for matrix in labels:
+        votes = seed_token_vote_counts(matrix, K).astype(np.float64) + 1e-3
+        posteriors.append(votes / votes.sum(axis=1, keepdims=True))
+    transition_counts = np.full((K, K), prior_transition)
+    initial_counts = np.full(K, prior_transition)
+
+    confusions = np.zeros((J, K, K))
+    previous_change = np.inf
+    iterations_used = max_iterations
+    for iteration in range(max_iterations):
+        confusion_count_arr = np.tile(prior_confusion, (J, 1, 1))
+        new_initial_counts = np.full(K, prior_transition)
+        for gamma, matrix in zip(posteriors, labels):
+            new_initial_counts += gamma[0]
+            for j in _seed_annotators_of(matrix):
+                np.add.at(confusion_count_arr[j].T, matrix[:, j], gamma)
+
+        # Variational expectations of log parameters.
+        expected_log_confusion = digamma(confusion_count_arr) - digamma(
+            confusion_count_arr.sum(axis=2, keepdims=True)
+        )
+        expected_log_transition = digamma(transition_counts) - digamma(
+            transition_counts.sum(axis=1, keepdims=True)
+        )
+        expected_log_initial = digamma(new_initial_counts) - digamma(new_initial_counts.sum())
+
+        new_transition_counts = np.full((K, K), prior_transition)
+        max_change = 0.0
+        new_posteriors: list[np.ndarray] = []
+        for old_gamma, matrix in zip(posteriors, labels):
+            log_em = np.zeros((matrix.shape[0], K))
+            for j in _seed_annotators_of(matrix):
+                log_em += expected_log_confusion[j][:, matrix[:, j]].T
+            gamma, xi_sum, _ = seed_forward_backward(
+                log_em, expected_log_transition, expected_log_initial
+            )
+            new_transition_counts += xi_sum
+            max_change = max(max_change, float(np.abs(gamma - old_gamma).max()))
+            new_posteriors.append(gamma)
+        posteriors = new_posteriors
+        transition_counts = new_transition_counts
+        initial_counts = new_initial_counts
+        confusions = confusion_count_arr / confusion_count_arr.sum(axis=2, keepdims=True)
+
+        if max_change < tolerance:
+            iterations_used = iteration + 1
+            break
+        previous_change = max_change
+
+    return SequenceInferenceResult(
+        posteriors=posteriors,
+        confusions=confusions,
+        extras={
+            "transition": transition_counts / transition_counts.sum(axis=1, keepdims=True),
+            "iterations": iterations_used,
+            "last_change": previous_change,
+        },
+    )
 
 
 def seed_conv1d_train_step(
