@@ -40,6 +40,7 @@ Shards hold references into their parent's caches; do not ``extend`` /
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -527,23 +528,8 @@ class SparseLabelShard:
         return CrowdLabelMatrix(labels, self.num_classes)
 
     # -- on-disk format ---------------------------------------------------- #
-    def save(self, path) -> str:
-        """Persist as a standalone shard file; returns the path written.
-
-        Two layouts, chosen by extension:
-
-        * default (``.npy`` or anything else): the header+COO stream —
-          two consecutive arrays in one file written with
-          :func:`numpy.lib.format.write_array`, an int64 header
-          ``[magic, version, I, J, K, sparse_incidence, row_sorted,
-          n_obs]`` followed by the ``(3, n_obs)`` int64 COO block (rows,
-          annotators, labels as contiguous rows). ``load(mmap=True)``
-          reads the tiny header and memmaps the block in place.
-        * ``.npz``: :func:`numpy.savez` with named members — the interop
-          form; loads without mmap (numpy cannot map zip members).
-        """
-        path = str(path)
-        header_fields = np.array(
+    def _header_fields(self) -> np.ndarray:
+        return np.array(
             [
                 _SHARD_FILE_MAGIC,
                 _SHARD_FORMAT_VERSION,
@@ -556,22 +542,55 @@ class SparseLabelShard:
             ],
             dtype=np.int64,
         )
+
+    def file_chunks(self) -> list:
+        """The header+COO shard file, as buffers to write back to back.
+
+        The one serializer of the layout :meth:`save` writes by default:
+        the int64 header array and the ``(3, n_obs)`` COO block, each in
+        :mod:`numpy.lib.format`. The first buffer holds both npy headers
+        and the header array; the other three are the rows, annotators
+        and labels, whose consecutive bytes are the C-order COO block, so
+        the triples are written without being copied into one array.
+        """
+        head = io.BytesIO()
+        np.lib.format.write_array(head, self._header_fields(), version=(1, 0))
+        np.lib.format.write_array_header_1_0(
+            head, {"descr": "<i8", "fortran_order": False, "shape": (3, self._rows.size)}
+        )
+        return [head.getvalue()] + [
+            np.ascontiguousarray(values, dtype="<i8")
+            for values in (self._rows, self._annotators, self._labels)
+        ]
+
+    def save(self, path) -> str:
+        """Persist as a standalone shard file; returns the path written.
+
+        Two layouts, chosen by extension:
+
+        * default (``.npy`` or anything else): the header+COO stream of
+          :meth:`file_chunks` — two consecutive :mod:`numpy.lib.format`
+          arrays in one file, an int64 header ``[magic, version, I, J, K,
+          sparse_incidence, row_sorted, n_obs]`` followed by the
+          ``(3, n_obs)`` int64 COO block (rows, annotators, labels as
+          contiguous rows). ``load(mmap=True)`` reads the tiny header and
+          memmaps the block in place.
+        * ``.npz``: :func:`numpy.savez` with named members — the interop
+          form; loads without mmap (numpy cannot map zip members).
+        """
+        path = str(path)
         if path.endswith(".npz"):
             np.savez(
                 path,
-                meta=header_fields,
+                meta=self._header_fields(),
                 rows=np.asarray(self._rows, dtype=np.int64),
                 annotators=np.asarray(self._annotators, dtype=np.int64),
                 labels=np.asarray(self._labels, dtype=np.int64),
             )
             return path
-        coo = np.empty((3, self._rows.size), dtype=np.int64)
-        coo[0] = self._rows
-        coo[1] = self._annotators
-        coo[2] = self._labels
         with open(path, "wb") as stream:
-            np.lib.format.write_array(stream, header_fields, version=(1, 0))
-            np.lib.format.write_array(stream, coo, version=(1, 0))
+            for chunk in self.file_chunks():
+                stream.write(chunk)
         return path
 
     @classmethod

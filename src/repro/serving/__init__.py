@@ -2,10 +2,11 @@
 
 * :mod:`repro.serving.service` — :class:`CrowdService`: per-dataset
   streaming state ownership, snapshot-consistent queries, one-commit
-  checkpoints with a replay cursor, LRU eviction of cold datasets to disk.
-* :mod:`repro.serving.state` — the checkpoint codec (flat one-read state
-  files + :class:`~repro.crowd.sharding.SparseLabelShard` crowd files,
-  each replaced durably).
+  checkpoints with a replay cursor (two slot pairs per dataset, the older
+  overwritten in place), LRU eviction of cold datasets to disk.
+* :mod:`repro.serving.state` — the checkpoint codec (checksummed
+  one-read state records + :class:`~repro.crowd.sharding.SparseLabelShard`
+  crowd files, each overwritten in place and fsynced).
 * :mod:`repro.serving.workload` — bursty many-dataset schedules built
   from the streaming suite's generators, for benches and examples.
 """

@@ -22,17 +22,21 @@ method); the service adds exactly four behaviors:
 * **Checkpoints + replay cursor** — :meth:`CrowdService.checkpoint`
   serializes the estimator's sufficient statistics
   (:meth:`~repro.inference.streaming.StreamingTruthInference.get_state`)
-  to ``state.ckpt`` plus the retained crowd to ``crowd-<cursor>.shard``
-  (a :class:`~repro.crowd.sharding.SparseLabelShard` file) via
-  :mod:`repro.serving.state`. The state's ``updates`` counter is the
-  replay cursor: :meth:`CrowdService.cursor` tells a label source how
-  many batches were durably applied, and replaying the tail after a
-  restore reproduces the uninterrupted stream exactly (the recovery
-  contract — pinned by ``tests/serving/test_recovery.py`` and gated in
-  the serving bench). A checkpoint commits all-or-nothing: the crowd
-  file is written first under a new name, and the durable rename of
-  ``state.ckpt`` is the one commit point, so a crash at any write step
-  restarts the dataset at either the old or the new cursor, never a mix.
+  and the retained crowd (a :class:`~repro.crowd.sharding.
+  SparseLabelShard` file) via :mod:`repro.serving.state`. The state's
+  ``updates`` counter is the replay cursor: :meth:`CrowdService.cursor`
+  tells a label source how many batches were durably applied, and
+  replaying the tail after a restore reproduces the uninterrupted stream
+  exactly (the recovery contract — pinned by
+  ``tests/serving/test_recovery.py`` and gated in the serving bench). A
+  checkpoint commits all-or-nothing without renaming or deleting a file:
+  each dataset has two fixed slot pairs, ``state.{0,1}.ckpt`` and
+  ``crowd.{0,1}.shard``, and a checkpoint overwrites in place the pair
+  that does not hold the newest commit, crowd first. The state record is
+  checksummed, and a restart takes the newest slot whose state record
+  decodes, so a crash at any write step restarts the dataset at either
+  the old or the new cursor, never a mix (LMDB's two meta pages, one
+  level up).
 * **Eviction** — with ``max_resident`` set, cold datasets (LRU by
   last-touch) are checkpointed and dropped from memory; the next touch
   rehydrates them transparently from disk. Disk is the source of truth
@@ -40,8 +44,10 @@ method); the service adds exactly four behaviors:
   an evicted dataset loses nothing on a crash.
 
 Dataset ids are path-safe names (``[A-Za-z0-9][A-Za-z0-9._-]*``); each
-dataset checkpoints under ``root/<dataset_id>/``, which after a completed
-checkpoint holds ``state.ckpt`` and at most one crowd file.
+dataset checkpoints under ``root/<dataset_id>/``, which holds at most the
+two slot pairs. A root written in the older rename-based layout (a
+``state.ckpt`` beside ``crowd-<cursor>.shard`` files) is refused at
+construction rather than read as empty.
 """
 
 from __future__ import annotations
@@ -53,29 +59,57 @@ from pathlib import Path
 
 from ..inference import get_method
 from ..inference.base import InferenceResult
-from .state import _fsync, load_crowd, load_stream_state, save_crowd, save_stream_state
+from .state import (
+    _fsync_directory,
+    load_crowd,
+    load_stream_state,
+    save_crowd,
+    save_stream_state,
+)
 
 __all__ = ["CrowdService"]
 
 _DATASET_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_STATE_FILE = "state.ckpt"
+_SLOTS = (0, 1)
+_OLD_LAYOUT_STATE_FILE = "state.ckpt"  # the rename-based layout this build refuses
 _METHOD_KEY = "service_method"
 _OVERRIDE_PREFIX = "override__"
 
 
-def _crowd_file(cursor: int) -> str:
-    """Name of the retained-crowd file that goes with replay cursor ``cursor``."""
-    return f"crowd-{cursor}.shard"
+def _state_file(slot: int) -> str:
+    return f"state.{slot}.ckpt"
 
 
-def _remove_stale_files(directory: Path, keep: str | None) -> None:
-    """Drop superseded crowd files and the temp files of interrupted writes."""
-    for child in directory.iterdir():
-        name = child.name
-        if name.endswith(".tmp") or (
-            name.startswith("crowd-") and name.endswith(".shard") and name != keep
-        ):
-            child.unlink(missing_ok=True)
+def _crowd_file(slot: int) -> str:
+    return f"crowd.{slot}.shard"
+
+
+def _newest_commit(directory: Path) -> tuple[int, int] | None:
+    """``(slot, cursor)`` of the newest slot whose state record decodes.
+
+    None when no record decodes and at most one state slot file exists:
+    the dataset's first checkpoint was torn, so nothing was committed.
+    Two state slot files of which neither decodes cannot be left by a
+    crash (a checkpoint writes into one slot only), so that raises.
+    """
+    cursors = {}
+    present = 0
+    for slot in _SLOTS:
+        path = directory / _state_file(slot)
+        if not path.is_file():
+            continue
+        present += 1
+        try:
+            cursors[slot] = int(load_stream_state(path)["updates"])
+        except ValueError:
+            continue  # torn by a crash mid-checkpoint: the other slot is the commit
+    if cursors:
+        return max(cursors.items(), key=lambda item: item[1])
+    if present == len(_SLOTS):
+        raise ValueError(
+            f"dataset {directory.name!r}: neither state slot in {directory} decodes"
+        )
+    return None
 
 
 class _DatasetEntry:
@@ -83,7 +117,7 @@ class _DatasetEntry:
 
     __slots__ = (
         "dataset_id", "method", "overrides", "lock", "stream",
-        "snapshot", "version", "last_touch", "dirty",
+        "snapshot", "version", "last_touch", "dirty", "slot",
     )
 
     def __init__(self, dataset_id: str, method: str | None, overrides: dict) -> None:
@@ -96,6 +130,7 @@ class _DatasetEntry:
         self.version = 0                  # completed updates (replay cursor)
         self.last_touch = 0
         self.dirty = False                # updates newer than the checkpoint
+        self.slot: int | None = None      # slot pair of the newest commit (None: none)
 
 
 class CrowdService:
@@ -106,6 +141,8 @@ class CrowdService:
     root:
         Checkpoint directory. Datasets already checkpointed under it are
         discovered at construction and resume from disk on first touch.
+        A dataset directory whose two state slots both fail to decode,
+        or that holds an old-layout ``state.ckpt``, raises ``ValueError``.
     method:
         ``"streaming"`` registry name used for new datasets (default DS).
     max_resident:
@@ -137,9 +174,25 @@ class CrowdService:
         self._entries: dict[str, _DatasetEntry] = {}  # guarded-by: _lock
         self._clock = itertools.count(1)              # guarded-by: _lock
         self.stats = {"evictions": 0, "rehydrations": 0, "checkpoints": 0}  # guarded-by: _lock
-        for child in sorted(self.root.iterdir()):
-            if (child / _STATE_FILE).is_file() and _DATASET_ID.match(child.name):
-                self._entries[child.name] = _DatasetEntry(child.name, None, {})
+        children = [
+            child for child in sorted(self.root.iterdir())
+            if child.is_dir() and _DATASET_ID.match(child.name)
+        ]
+        old_layout = [
+            child.name for child in children if (child / _OLD_LAYOUT_STATE_FILE).exists()
+        ]
+        if old_layout:
+            raise ValueError(
+                f"{self.root}: dataset(s) {', '.join(old_layout)} hold a "
+                f"{_OLD_LAYOUT_STATE_FILE} checkpoint from the rename-based layout; "
+                "this build reads only the state.{0,1}.ckpt + crowd.{0,1}.shard slot pairs"
+            )
+        for child in children:
+            commit = _newest_commit(child)
+            if commit is not None:
+                entry = _DatasetEntry(child.name, None, {})
+                entry.slot, entry.version = commit
+                self._entries[child.name] = entry
 
     # -- registry ------------------------------------------------------- #
     def _entry(self, dataset_id: str, create: bool) -> _DatasetEntry:
@@ -179,9 +232,9 @@ class CrowdService:
         """Rehydrate (or freshly create) the estimator; entry.lock held."""
         if entry.stream is not None:
             return
-        state_path = self._dataset_dir(entry.dataset_id) / _STATE_FILE
-        if state_path.is_file():
-            state = load_stream_state(state_path)
+        if entry.slot is not None:
+            directory = self._dataset_dir(entry.dataset_id)
+            state = load_stream_state(directory / _state_file(entry.slot))
             method = state.pop(_METHOD_KEY, entry.method or self.method)
             overrides = {
                 key[len(_OVERRIDE_PREFIX):]: value
@@ -191,8 +244,10 @@ class CrowdService:
             for key in list(state):
                 if key.startswith(_OVERRIDE_PREFIX):
                     del state[key]
-            crowd_path = state_path.with_name(_crowd_file(state["updates"]))
-            crowd = load_crowd(crowd_path) if crowd_path.is_file() else None
+            # A stream holds a retained crowd once it has ingested a batch,
+            # and the checkpoint that wrote this state wrote that crowd
+            # into the same slot pair.
+            crowd = load_crowd(directory / _crowd_file(entry.slot)) if state["updates"] else None
             stream = get_method(method, kind="streaming", **overrides)
             stream.set_state(state, crowd)
             entry.stream = stream
@@ -284,22 +339,19 @@ class CrowdService:
     def cursor(self, dataset_id: str) -> int:
         """Replay cursor: completed updates applied for this dataset.
 
-        For a cold dataset this reads the checkpoint header instead of
-        rehydrating. A label source resuming after a restart feeds
-        batches ``cursor(id)`` onward — the recovery contract guarantees
-        the result matches the uninterrupted stream.
+        A cold dataset's cursor is that of its newest commit: the newest
+        slot whose state record decoded when the service discovered the
+        dataset, or the checkpoint that evicted it. So this reads no
+        file and rehydrates nothing. A label source resuming after a
+        restart feeds batches ``cursor(id)`` onward — the recovery
+        contract guarantees the result matches the uninterrupted stream.
         """
         with self._lock:
             entry = self._entries.get(dataset_id)
         if entry is None:
             raise KeyError(f"unknown dataset {dataset_id!r}")
         with entry.lock:
-            if entry.stream is not None:
-                return entry.version
-            state_path = self._dataset_dir(dataset_id) / _STATE_FILE
-            if state_path.is_file():
-                return int(load_stream_state(state_path)["updates"])
-            return 0
+            return entry.version
 
     # -- durability ------------------------------------------------------ #
     def checkpoint(self, dataset_id: str | None = None) -> dict:
@@ -307,14 +359,17 @@ class CrowdService:
 
         Returns ``{dataset_id: cursor}``. Already-clean datasets (cold,
         or resident with no updates since the last checkpoint) are not
-        rewritten. Each dataset's checkpoint is one commit: the crowd
-        goes to ``crowd-<cursor>.shard`` (tmp file, fsync, rename,
-        directory fsync), then the state to ``state.ckpt`` the same way.
-        That last rename is the commit point; a restart reads the state
-        and only the crowd file its cursor names. Once it has happened,
-        older crowd files and temp files left by interrupted checkpoints
-        are deleted. When this returns, the cursors it reports survive a
-        crash.
+        rewritten. Each dataset's checkpoint is one commit into the slot
+        pair that does not hold its newest commit (slot 0 for the first):
+        the crowd goes to ``crowd.<slot>.shard``, then the state to
+        ``state.<slot>.ckpt``, each overwritten from offset 0, cut to its
+        record's length and fsynced. The state record, whose CRC holds
+        only once all of it is written, is the commit. Creating a slot
+        file also fsyncs the dataset directory, and a dataset's first
+        checkpoint fsyncs the root after creating that directory. No
+        file is renamed or deleted, so from a dataset's third checkpoint
+        on a checkpoint makes two fsyncs and frees no disk blocks. When
+        this returns, the cursors it reports survive a crash.
         """
         targets = self.datasets() if dataset_id is None else (dataset_id,)
         cursors = {}
@@ -329,34 +384,32 @@ class CrowdService:
 
     def _checkpoint_locked(self, entry: _DatasetEntry) -> int:
         """Write the checkpoint if needed; returns the durable cursor."""
-        directory = self._dataset_dir(entry.dataset_id)
-        state_path = directory / _STATE_FILE
         if entry.stream is None:
-            # Cold datasets: the on-disk checkpoint already IS the state.
-            if state_path.is_file():
-                return int(load_stream_state(state_path)["updates"])
+            if entry.slot is not None:
+                # Cold datasets: the newest commit on disk already IS the state.
+                return entry.version
             self._ensure_resident(entry)  # registered but never fed
-        elif not entry.dirty and state_path.is_file():
+        elif not entry.dirty and entry.slot is not None:
             return entry.version
         state = entry.stream.get_state()
         state[_METHOD_KEY] = entry.method
         for key, value in entry.overrides.items():
             state[_OVERRIDE_PREFIX + key] = value
-        if not state_path.is_file():
+        directory = self._dataset_dir(entry.dataset_id)
+        if entry.slot is None:
             # First commit into this directory: its own entry in the root
             # must be durable too, or a crash could lose the whole dataset.
             directory.mkdir(parents=True, exist_ok=True)
-            _fsync(self.root)
-        # The crowd file is named by its cursor and written first, so the
-        # state file's rename is the checkpoint's single commit point: a
-        # crash before it leaves the previous state, whose own crowd file
-        # is still there.
-        crowd_name = None
+            _fsync_directory(self.root)
+        # Overwrite the slot pair that does not hold the newest commit,
+        # crowd first: the state record is the commit, so until it is
+        # whole (its CRC holds) a restart takes the other slot, and once
+        # it is, the crowd it goes with is already durable.
+        slot = 0 if entry.slot is None else 1 - entry.slot
         if entry.stream.crowd is not None:
-            crowd_name = _crowd_file(state["updates"])
-            save_crowd(directory / crowd_name, entry.stream.crowd)
-        save_stream_state(state_path, state)
-        _remove_stale_files(directory, keep=crowd_name)
+            save_crowd(directory / _crowd_file(slot), entry.stream.crowd)
+        save_stream_state(directory / _state_file(slot), state)
+        entry.slot = slot
         entry.dirty = False
         with self._lock:
             self.stats["checkpoints"] += 1

@@ -5,37 +5,45 @@ has two parts with very different shapes, so they get two files:
 
 * the **learned state** — the flat dict :meth:`~repro.inference.streaming.
   StreamingTruthInference.get_state` returns (scalars, None, and float64
-  arrays). :func:`save_stream_state` writes it as one flat file, and
+  arrays). :func:`save_stream_state` writes it as one flat record, and
   :func:`load_stream_state` takes it back with a single read:
 
-  - an 8-byte magic whose last byte is the format version, then the
-    header length as a little-endian u64;
+  - a 24-byte prefix: an 8-byte magic whose last byte is the format
+    version, then the header length and the data length as
+    little-endian u64s;
   - a JSON header. ``None``, bools, ints, floats and strings sit in it
     inline; each array has an entry giving its dtype, shape and byte
     offset into the data section;
-  - the data section: each array's raw C-order bytes.
+  - the data section: each array's raw C-order bytes;
+  - the CRC-32 of everything before it, as a little-endian u32.
 
-  Loading parses the header with :func:`json.loads` and views each array
-  with :func:`numpy.frombuffer` over the one writable read buffer — no
-  zip archive, no pickle, no per-array header. Everything round-trips
-  bit-exactly, which is what makes restored streams replay-identical to
-  uninterrupted ones: array bytes are copied verbatim, and JSON writes
-  floats with ``repr`` (exact for inf, -0.0 and subnormals). JSON has
-  only one ``NaN``, so a NaN scalar is stored by its bit pattern.
+  Loading checks the record's length and CRC before it parses the
+  header, so a record torn at any byte, or with any byte changed, raises
+  instead of decoding. It then parses the header with :func:`json.loads`
+  and views each array with :func:`numpy.frombuffer` over the one
+  writable read buffer — no zip archive, no pickle, no per-array header.
+  Everything round-trips bit-exactly, which is what makes restored
+  streams replay-identical to uninterrupted ones: array bytes are copied
+  verbatim, and JSON writes floats with ``repr`` (exact for inf, -0.0
+  and subnormals). JSON has only one ``NaN``, so a NaN scalar is stored
+  by its bit pattern.
 * the **retained crowd** — dominated by label triples, so it reuses the
   durable shard format: :func:`save_crowd` writes any crowd container as
   a :class:`~repro.crowd.sharding.SparseLabelShard` header+COO file and
   :func:`load_crowd` densifies it back via
   :meth:`~repro.crowd.sharding.SparseLabelShard.to_matrix`.
 
-Both writers replace their file durably: the bytes go to
-``<path>.tmp``, which is fsynced, renamed over ``path``, and then the
-directory is fsynced, so when a writer returns the new file survives a
-crash, and before that a crash leaves the old file intact. That makes
-each file atomic on its own, not a *pair* of files:
-:class:`~repro.serving.service.CrowdService` gets one commit point per
-checkpoint by naming each crowd file after its cursor and writing the
-state file last.
+Both writers overwrite their file in place: the bytes go through
+``os.pwrite`` from offset 0, the file is cut to the record's length and
+fsynced, and a file the write created also has its directory fsynced.
+No temp file is written, renamed or deleted, so a checkpoint frees no
+disk blocks — on a filesystem that discards freed blocks online, freeing
+them costs far more than the writes. When a writer returns, the new
+record survives a crash; before that the file may hold any mix of the
+old and the new bytes. :class:`~repro.serving.service.CrowdService`
+therefore keeps two slot pairs per dataset and writes only into the one
+that does not hold the newest commit, whose state record's CRC tells a
+finished write from a torn one.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import json
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -58,21 +67,21 @@ __all__ = [
 ]
 
 _MAGIC = b"LNCLSTA"
-_VERSION = 1
-_PREFIX = struct.Struct("<7sBQ")  # magic, format version, header length
+_VERSION = 2
+_PREFIX = struct.Struct("<7sBQQ")  # magic, format version, header length, data length
+_CRC = struct.Struct("<I")  # CRC-32 of the prefix, header and data
 _ALIGN = 64  # the data section and every array in it start 64-byte aligned
 _ARRAY_KINDS = "biufc"  # bool, int, uint, float, complex: raw bytes say it all
 
 
 def save_stream_state(path, state: dict) -> str:
-    """Write a ``get_state()`` dict as one flat checkpoint file (durably).
+    """Overwrite ``path`` in place with a ``get_state()`` dict (durably).
 
     Values may be None, bools, ints, floats, strings, numpy scalars
     (stored as the matching Python scalar) or numeric/bool numpy arrays.
     Any other value, an object array among them, raises ``TypeError``
     before anything is written.
     """
-    path = str(path)
     entries: dict = {}
     arrays = []
     end = 0
@@ -100,26 +109,25 @@ def save_stream_state(path, state: dict) -> str:
             raise TypeError(
                 f"state key {key!r}: cannot checkpoint a {type(value).__name__} value"
             )
-    header = json.dumps({"nbytes": end, "state": entries}, separators=(",", ":")).encode()
+    header = json.dumps(entries, separators=(",", ":")).encode()
     header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as stream:
-        stream.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
-        stream.write(header)
-        written = 0
-        for offset, array in arrays:
-            stream.write(bytes(offset - written))
-            stream.write(array)
-            written = offset + array.nbytes
-    _replace_durably(tmp, path)
-    return path
+    chunks = [_PREFIX.pack(_MAGIC, _VERSION, len(header), end) + header]
+    written = 0
+    for offset, array in arrays:
+        chunks += [bytes(offset - written), array]  # alignment gap, then the raw bytes
+        written = offset + array.nbytes
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return _write_in_place(path, [*chunks, _CRC.pack(crc)])
 
 
 def load_stream_state(path) -> dict:
     """Read a :func:`save_stream_state` file back into a state dict.
 
     A file that is not a stream-state file, has another format version,
-    or is truncated raises ``ValueError`` naming the file.
+    is cut short or runs on past its record, or fails its CRC raises
+    ``ValueError`` naming the file.
     """
     path = str(path)
     with open(path, "rb") as stream:
@@ -134,22 +142,22 @@ def load_stream_state(path) -> dict:
 def _decode(data: bytearray) -> dict:
     if len(data) < _PREFIX.size:
         raise ValueError(f"truncated stream-state file ({len(data)} bytes)")
-    magic, version, header_size = _PREFIX.unpack_from(data)
+    magic, version, header_size, data_size = _PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not a stream-state file (bad magic)")
     if version != _VERSION:
         raise ValueError(f"stream-state format version {version} (this build reads {_VERSION})")
     start = _PREFIX.size + header_size
-    if start > len(data):
-        raise ValueError("truncated stream-state file (header cut short)")
-    header = json.loads(data[_PREFIX.size : start])
-    if start + header["nbytes"] != len(data):
+    end = start + data_size
+    if len(data) != end + _CRC.size:
         raise ValueError(
-            f"truncated stream-state file ({len(data) - start} of "
-            f"{header['nbytes']} data bytes)"
+            f"stream-state file holds {len(data)} bytes but its record "
+            f"{end + _CRC.size} (torn or truncated)"
         )
+    if zlib.crc32(memoryview(data)[:end]) != _CRC.unpack_from(data, end)[0]:
+        raise ValueError("stream-state record fails its CRC (torn or damaged)")
     state = {}
-    for key, value in header["state"].items():
+    for key, value in json.loads(data[_PREFIX.size : start]).items():
         if isinstance(value, dict):
             if "nan" in value:
                 value = struct.unpack("<d", bytes.fromhex(value["nan"]))[0]
@@ -164,21 +172,17 @@ def _decode(data: bytearray) -> dict:
 
 
 def save_crowd(path, crowd) -> str:
-    """Write any crowd container as a shard file (durably).
+    """Write any crowd container over ``path`` as a shard file (durably).
 
     Accepts whatever :func:`~repro.crowd.sharding.as_sparse_shard` does —
     in the serving layer that is the stream's retained
     :class:`~repro.crowd.types.CrowdLabelMatrix`.
     """
-    path = str(path)
-    if path.endswith(".npz"):
-        # The shard writer switches to an eager zip layout on .npz, and
-        # the temp-file suffix below would silently flip it back.
+    if str(path).endswith(".npz"):
+        # The shard loader reads a .npz file as a zip archive, not as the
+        # header+COO layout written here.
         raise ValueError("crowd checkpoints use the header+COO layout; drop the .npz suffix")
-    tmp = path + ".tmp"
-    as_sparse_shard(crowd).save(tmp)
-    _replace_durably(tmp, path)
-    return path
+    return _write_in_place(path, as_sparse_shard(crowd).file_chunks())
 
 
 def load_crowd(path) -> CrowdLabelMatrix:
@@ -186,19 +190,38 @@ def load_crowd(path) -> CrowdLabelMatrix:
     return SparseLabelShard.load(str(path), mmap=False).to_matrix()
 
 
-def _replace_durably(tmp: str, path: str) -> None:
-    """Rename a fully written ``tmp`` over ``path`` so both survive a crash.
+def _write_in_place(path, chunks) -> str:
+    """Write ``chunks`` over ``path`` from offset 0, cut it there, and fsync it.
 
-    The data is fsynced before the rename, so the new name never points
-    at unflushed bytes; the directory is fsynced after it, so the rename
-    itself is on disk when this returns.
+    The file is opened without ``O_TRUNC`` and never renamed or deleted,
+    so an existing file keeps its blocks. A file this call created also
+    has its directory fsynced, so its name is as durable as its bytes.
     """
-    _fsync(tmp)
-    os.replace(tmp, path)
-    _fsync(os.path.dirname(os.path.abspath(path)))
+    path = str(path)
+    created = not os.path.exists(path)
+    # 0o666 is open()'s default mode; the umask applies.
+    descriptor = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        offset = 0
+        for chunk in chunks:
+            view = memoryview(chunk)
+            if not view.nbytes:
+                continue  # an empty array: nothing to write, and no byte view of it
+            view = view.cast("B")
+            while view:
+                written = os.pwrite(descriptor, view, offset)
+                offset += written
+                view = view[written:]
+        os.ftruncate(descriptor, offset)
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+    if created:
+        _fsync_directory(os.path.dirname(os.path.abspath(path)))
+    return path
 
 
-def _fsync(path: str) -> None:
+def _fsync_directory(path) -> None:
     descriptor = os.open(path, os.O_RDONLY)  # a directory needs a read-only fd
     try:
         os.fsync(descriptor)

@@ -1,7 +1,7 @@
 """The recovery contract, pinned at the codec and the service level.
 
 A checkpoint taken mid-stream, written through the on-disk codec (the
-same ``state.ckpt`` + crowd shard files a crashed service would read
+same state record + crowd shard files a crashed service would read
 back), restored into a freshly constructed estimator, and replayed over
 the tail of the label stream must reproduce the uninterrupted stream:
 MV/DS sufficient statistics bit-exactly, everything end-to-end at
@@ -9,11 +9,15 @@ atol 1e-10. The sweep runs every streaming method over the harness's
 randomized crowd cases; the service-level test adds eviction churn and a
 simulated crash (updates after the last checkpoint are lost and
 re-played from the durable cursor). The crash-consistency sweeps crash
-a checkpoint at each of its write steps, as a process crash and as a
-power loss that keeps only fsynced data, and require the restart to land
-on one committed cursor, never a mix of two. The codec tests hold the
-state file format to a bit-exact round trip and to typed rejections of
-damaged, foreign and unsupported input.
+each of a dataset's first three checkpoints at every write step (each
+pwrite, ftruncate and fsync, and part-way through each write), as a
+process crash and as a power loss that keeps fsynced data plus some
+pages of what was written over it since, and require the restart to
+land on the last returned cursor, or on the in-flight one exactly when
+its whole state record survived, never a mix of two. The third
+checkpoint is the first to overwrite a slot pair in place. The codec
+tests hold the state record to a bit-exact round trip and to typed
+rejections of torn, damaged, foreign and unsupported input.
 """
 
 import math
@@ -29,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.crowd.sharding import as_sparse_shard
 from repro.experiments.streaming_suite import (
     StreamScenarioConfig,
     stream_crowd_in_batches,
@@ -205,12 +210,19 @@ class _PowerLoss:
 
     Linux semantics: each directory keeps the entries it had at its last
     fsync, and each file the bytes it had at its last fsync (a file never
-    fsynced comes back empty). Everything present when the model starts
-    counts as durable.
+    fsynced has none). Bytes written over a file since its last fsync may
+    have reached the disk as well, a page at a time from the start of the
+    file: the first ``new_pages`` 4 KiB pages of what the file holds now,
+    followed by its fsynced bytes past them, or all of it when
+    ``new_pages`` is None. Everything present when the model starts counts
+    as durable.
     """
 
-    def __init__(self, root) -> None:
+    PAGE = 4096
+
+    def __init__(self, root, new_pages: int | None) -> None:
         self.root = root
+        self.new_pages = new_pages
         self.listings: dict[int, dict[str, int]] = {}  # directory inode -> {name: inode}
         self.contents: dict[int, bytes] = {}           # file inode -> durable bytes
         for directory in (root, *(child for child in root.iterdir() if child.is_dir())):
@@ -234,6 +246,12 @@ class _PowerLoss:
         else:
             self.contents[info.st_ino] = os.pread(descriptor, info.st_size, 0)
 
+    def _survivor(self, durable: bytes, current: bytes) -> bytes:
+        if self.new_pages is None:
+            return current
+        cut = self.new_pages * self.PAGE
+        return current[:cut] + durable[cut:] if cut < len(current) else current
+
     def strike(self) -> None:
         """Rewrite the tree to what survives."""
         kept = self.listings[self.root.stat().st_ino]
@@ -242,7 +260,11 @@ class _PowerLoss:
                 shutil.rmtree(directory)
                 continue
             entries = self.listings.get(directory.stat().st_ino, {})
-            survivors = {name: self.contents.get(inode, b"") for name, inode in entries.items()}
+            survivors = {
+                # Nothing is renamed, so a durable name still holds its inode.
+                name: self._survivor(self.contents.get(inode, b""), (directory / name).read_bytes())
+                for name, inode in entries.items()
+            }
             for path in directory.iterdir():
                 path.unlink()
             for name, data in survivors.items():
@@ -250,107 +272,184 @@ class _PowerLoss:
 
 
 class _CrashInjector:
-    """Fault injection at a checkpoint's write steps: ``os.fsync`` and ``os.replace``.
+    """Fault injection at a checkpoint's write steps.
 
-    Steps are numbered from 0 in call order. Step ``crash_at`` raises
-    :class:`_Crash` instead of running, and the caller then drops the
-    service: every step before it took effect and none after it did.
-    ``crash_at=None`` only counts. ``renamed`` lists the target names of
-    the renames that went through; each fsync that goes through is
-    reported to ``power_loss`` when one is given.
+    Each ``os.write``/``os.pwrite``, ``os.ftruncate`` and ``os.fsync`` is
+    a step, numbered from 0 in call order, and ``kinds`` logs the call
+    name of each. Step ``crash_at`` raises :class:`_Crash` instead of
+    running, and the caller then drops the service: every step before it
+    took effect and none after it did. With ``torn``, a write step at
+    ``crash_at`` first writes the first half of its bytes. ``crash_at=None``
+    only counts. Each fsync that goes through is reported to
+    ``power_loss`` when one is given. Used as a context manager, it
+    restores the patched functions on exit.
     """
 
+    WRITES = ("write", "pwrite")
+
     def __init__(
-        self, monkeypatch, crash_at: int | None = None, power_loss: _PowerLoss | None = None
+        self,
+        crash_at: int | None = None,
+        torn: bool = False,
+        power_loss: _PowerLoss | None = None,
     ) -> None:
         self.crash_at = crash_at
-        self.steps = 0
-        self.renamed: list[str] = []
-        real_fsync, real_replace = os.fsync, os.replace
+        self.torn = torn
+        self.power_loss = power_loss
+        self.kinds: list[str] = []
+        self.real = {name: getattr(os, name) for name in (*self.WRITES, "ftruncate", "fsync")}
 
-        def fsync(descriptor):
-            self._step()
-            real_fsync(descriptor)
-            if power_loss is not None:
-                power_loss.synced(descriptor)
+    def __enter__(self) -> "_CrashInjector":
+        for name, real in self.real.items():
+            setattr(os, name, self._wrap(name, real))
+        return self
 
-        def replace(source, target):
-            self._step()
-            real_replace(source, target)
-            self.renamed.append(os.path.basename(target))
+    def __exit__(self, *exc_info) -> None:
+        for name, real in self.real.items():
+            setattr(os, name, real)
 
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
+    @property
+    def steps(self) -> int:
+        return len(self.kinds)
 
-    def _step(self) -> None:
-        if self.steps == self.crash_at:
-            raise _Crash(f"crash at write step {self.steps}")
-        self.steps += 1
+    def _wrap(self, name, real):
+        def step(descriptor, *args):
+            if self.steps == self.crash_at:
+                if self.torn and name in self.WRITES:
+                    data = memoryview(args[0]).cast("B")
+                    real(descriptor, data[: len(data) // 2], *args[1:])
+                raise _Crash(f"crash at write step {self.steps} ({name})")
+            self.kinds.append(name)
+            result = real(descriptor, *args)
+            if name == "fsync" and self.power_loss is not None:
+                self.power_loss.synced(descriptor)
+            return result
+
+        return step
 
 
-# A checkpoint's write steps: fsync, rename and directory fsync for the
-# crowd file, then the same for the state file, whose rename is the commit
-# point. A dataset's first checkpoint also makes its new directory durable.
-LATER_CHECKPOINT_STEPS = 6
-FIRST_CHECKPOINT_STEPS = 1 + LATER_CHECKPOINT_STEPS
-CRASH_POINTS = [(1, step) for step in range(FIRST_CHECKPOINT_STEPS)] + [
-    (2, step) for step in range(LATER_CHECKPOINT_STEPS)
+SLOT_FILES = {"state.0.ckpt", "state.1.ckpt", "crowd.0.shard", "crowd.1.shard"}
+STEP_LETTERS = {"write": "W", "pwrite": "W", "ftruncate": "T", "fsync": "F"}
+# The write steps of checkpoints 1, 2 and 3, one letter per step: W a
+# pwrite, T the ftruncate that cuts a file to its record, F an fsync. The
+# crowd (four pwrites: the npy headers, rows, annotators, labels) comes
+# before the state record (one pwrite for the prefix and header, one per
+# array and alignment gap, one for the CRC). Checkpoints 1 and 2 create
+# their slot pair, and creating a file adds a directory fsync; checkpoint
+# 1 first fsyncs the root for the new dataset directory. Checkpoint 3 is
+# the first to overwrite a slot pair in place.
+CHECKPOINT_STEPS = {
+    "MV": ("F WWWWTFF WWWWWTFF", "WWWWTFF WWWWWTFF", "WWWWTF WWWWWTF"),
+    "DS": ("F WWWWTFF WWWWWWWWWTFF", "WWWWTFF WWWWWWWWWTFF", "WWWWTF WWWWWWWWWTF"),
+    "GLAD": ("F WWWWTFF WWWWWWWTFF", "WWWWTFF WWWWWWWTFF", "WWWWTF WWWWWWWTF"),
+}
+
+
+def _steps(name: str, checkpoint: int) -> str:
+    return CHECKPOINT_STEPS[name][checkpoint - 1].replace(" ", "")
+
+
+# A process crash before each step, and part-way through each write.
+CRASH_POINTS = [
+    (name, checkpoint, step, torn)
+    for name in STREAMING_METHODS
+    for checkpoint in (1, 2, 3)
+    for step, letter in enumerate(_steps(name, checkpoint))
+    for torn in ((False, True) if letter == "W" else (False,))
 ]
-# Power-loss points add "after checkpoint() returned" (step None).
-POWER_LOSS_POINTS = CRASH_POINTS + [(1, None), (2, None)]
+# A power loss before each step, and after checkpoint() returned (None).
+POWER_LOSS_POINTS = [
+    (name, checkpoint, step)
+    for name in STREAMING_METHODS
+    for checkpoint in (1, 2, 3)
+    for step in (*range(len(_steps(name, checkpoint))), None)
+]
 
 
-def _point_ids(points):
-    return [f"ckpt{checkpoint}-" + ("returned" if step is None else f"step{step}")
-            for checkpoint, step in points]
+def _point_id(name, checkpoint, step, torn=False):
+    where = "returned" if step is None else f"step{step}" + ("-torn" if torn else "")
+    return f"{name}-ckpt{checkpoint}-{where}"
 
 
 class TestCrashConsistency:
     """A crash at any write step of a checkpoint restarts at a committed cursor.
 
-    Checkpoint ``n`` follows the ``n``-th batch. Checkpoint 1 crashing
-    must restart at cursor 1 or at nothing committed (cursor 0);
-    checkpoint 2 crashing, with checkpoint 1 committed, at cursor 2 or 1.
-    A process crash keeps every write the OS has seen, so the commit is
-    the rename of ``state.ckpt``. A power loss keeps only what was
-    fsynced, so the commit is ``checkpoint()`` returning.
+    Checkpoint ``n`` follows the ``n``-th batch and writes slot pair
+    ``(n - 1) % 2``: checkpoints 1 and 2 create the two pairs, checkpoint
+    3 overwrites the first in place. The restart must land on the last
+    cursor ``checkpoint()`` returned, or on the in-flight one exactly when
+    the whole in-flight state record survived, and never anywhere else. A
+    process crash keeps every write the OS has seen, including half of a
+    torn write. A power loss keeps what was fsynced plus, for a file
+    overwritten since, the pages of new bytes the model lets through.
+
+    fsync is modelled, not made: the power-loss model decides what each
+    call made durable, and a real one would only cost disk time (as would
+    freeing the blocks of fsynced files, so each test deletes its tree).
     """
 
-    BATCH = 30
+    BATCH = 150
 
     @pytest.fixture
     def batches(self):
         crowd = random_classification_crowd(
-            53, instances=3 * self.BATCH, annotators=8, classes=2, mean_labels=4.0
+            53, instances=4 * self.BATCH, annotators=8, classes=2, mean_labels=4.0
         )
-        return stream_crowd_in_batches(crowd, [self.BATCH] * 3)
+        return stream_crowd_in_batches(crowd, [self.BATCH] * 4)
+
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fsync", lambda descriptor: None)
+        root = tmp_path / "service"
+        yield root
+        shutil.rmtree(root, ignore_errors=True)
 
     @staticmethod
     def _service(root, name):
         return CrowdService(root, method=name, **METHOD_OVERRIDES.get(("streaming", name), {}))
 
-    def _crash(self, root, name, batches, checkpoint, step, monkeypatch, power_loss=False):
+    def _in_flight_record(self, root, name, batches, checkpoint) -> bytes:
+        """The state record checkpoint ``checkpoint`` writes when nothing crashes."""
+        reference = root.with_name("reference")
+        service = self._service(reference, name)
+        for batch in batches[:checkpoint]:
+            service.partial_fit("ds", batch)
+            service.checkpoint()
+        record = (reference / "ds" / f"state.{(checkpoint - 1) % 2}.ckpt").read_bytes()
+        shutil.rmtree(reference)
+        return record
+
+    def _crash(self, root, name, batches, checkpoint, step, torn=False, new_pages=False):
         """Feed ``checkpoint`` batches, committing a checkpoint after each but
-        the last, then crash checkpoint ``checkpoint`` at write step ``step``."""
+        the last, then crash checkpoint ``checkpoint`` at write step ``step``
+        (a power loss unless ``new_pages`` is False). Returns the cursor the
+        restart must land on."""
         service = self._service(root, name)
         for batch in batches[: checkpoint - 1]:
             service.partial_fit("ds", batch)
             service.checkpoint()
         service.partial_fit("ds", batches[checkpoint - 1])
-        model = _PowerLoss(root) if power_loss else None
-        injector = _CrashInjector(monkeypatch, crash_at=step, power_loss=model)
-        if step is None:
-            service.checkpoint()
-        else:
-            with pytest.raises(_Crash):
-                service.checkpoint()
-        monkeypatch.undo()
+        model = None if new_pages is False else _PowerLoss(root, new_pages)
+        with _CrashInjector(crash_at=step, torn=torn, power_loss=model):
+            if step is None:
+                assert service.checkpoint() == {"ds": checkpoint}
+            else:
+                with pytest.raises(_Crash):
+                    service.checkpoint()
         if model is not None:
             model.strike()
-        return injector
+        if step is None:
+            return checkpoint
+        in_flight = root / "ds" / f"state.{(checkpoint - 1) % 2}.ckpt"
+        whole = in_flight.is_file() and in_flight.read_bytes() == self._in_flight_record(
+            root, name, batches, checkpoint
+        )
+        return checkpoint if whole else checkpoint - 1
 
     def _check_restart(self, root, name, batches, expected_cursor):
         """Restart on ``root``, replay the tail from ``cursor()``, checkpoint."""
+        if (root / "ds").is_dir():
+            assert set(os.listdir(root / "ds")) <= SLOT_FILES
         revived = self._service(root, name)
         cursor = revived.cursor("ds") if "ds" in revived.datasets() else 0
         assert cursor == expected_cursor
@@ -366,37 +465,38 @@ class TestCrashConsistency:
             revived.query("ds").posterior, reference.result().posterior, atol=1e-10, rtol=0
         )
 
-        assert revived.checkpoint() == {"ds": 3}
-        assert sorted(os.listdir(root / "ds")) == ["crowd-3.shard", "state.ckpt"]
+        assert revived.checkpoint() == {"ds": len(batches)}
+        assert set(os.listdir(root / "ds")) <= SLOT_FILES
 
-    def test_every_write_step_is_swept(self, tmp_path, batches, monkeypatch):
-        service = self._service(tmp_path, "DS")
-        for cursor, steps in ((1, FIRST_CHECKPOINT_STEPS), (2, LATER_CHECKPOINT_STEPS)):
-            service.partial_fit("ds", batches[cursor - 1])
-            injector = _CrashInjector(monkeypatch)
-            service.checkpoint()
-            monkeypatch.undo()
-            assert injector.steps == steps
-            assert injector.renamed == [f"crowd-{cursor}.shard", "state.ckpt"]
-
-    @pytest.mark.parametrize("checkpoint, step", CRASH_POINTS, ids=_point_ids(CRASH_POINTS))
     @pytest.mark.parametrize("name", STREAMING_METHODS)
-    def test_restart_lands_on_a_committed_cursor(
-        self, name, checkpoint, step, tmp_path, batches, monkeypatch
-    ):
-        injector = self._crash(tmp_path, name, batches, checkpoint, step, monkeypatch)
-        committed = "state.ckpt" in injector.renamed
-        self._check_restart(tmp_path, name, batches, checkpoint if committed else checkpoint - 1)
+    def test_every_write_step_is_swept(self, name, root, batches):
+        service = self._service(root, name)
+        for checkpoint in (1, 2, 3):
+            service.partial_fit("ds", batches[checkpoint - 1])
+            with _CrashInjector() as injector:
+                service.checkpoint()
+            steps = "".join(STEP_LETTERS[kind] for kind in injector.kinds)
+            assert steps == _steps(name, checkpoint), f"checkpoint {checkpoint}"
+        assert set(os.listdir(root / "ds")) == SLOT_FILES
 
     @pytest.mark.parametrize(
-        "checkpoint, step", POWER_LOSS_POINTS, ids=_point_ids(POWER_LOSS_POINTS)
+        "name, checkpoint, step, torn", CRASH_POINTS,
+        ids=[_point_id(*point) for point in CRASH_POINTS],
     )
-    @pytest.mark.parametrize("name", STREAMING_METHODS)
-    def test_power_loss_keeps_exactly_the_returned_checkpoints(
-        self, name, checkpoint, step, tmp_path, batches, monkeypatch
+    def test_restart_lands_on_a_committed_cursor(self, name, checkpoint, step, torn, root, batches):
+        expected = self._crash(root, name, batches, checkpoint, step, torn=torn)
+        self._check_restart(root, name, batches, expected)
+
+    @pytest.mark.parametrize("new_pages", [0, 1, None], ids=["old", "page", "new"])
+    @pytest.mark.parametrize(
+        "name, checkpoint, step", POWER_LOSS_POINTS,
+        ids=[_point_id(*point) for point in POWER_LOSS_POINTS],
+    )
+    def test_power_loss_keeps_the_returned_checkpoints(
+        self, name, checkpoint, step, new_pages, root, batches
     ):
-        self._crash(tmp_path, name, batches, checkpoint, step, monkeypatch, power_loss=True)
-        self._check_restart(tmp_path, name, batches, checkpoint if step is None else checkpoint - 1)
+        expected = self._crash(root, name, batches, checkpoint, step, new_pages=new_pages)
+        self._check_restart(root, name, batches, expected)
 
 
 _FLOAT_EDGES = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310])
@@ -458,38 +558,65 @@ class TestStateCodec:
         path = save_stream_state(tmp_path / "state.ckpt", state)
         _assert_bit_equal(load_stream_state(path), state)
 
-    def test_save_is_atomic_overwrite(self, tmp_path):
+    def test_shorter_record_overwrites_in_place(self, tmp_path):
         path = tmp_path / "state.ckpt"
-        save_stream_state(path, {"updates": 1})
+        save_stream_state(path, {"updates": 1, "blob": np.arange(5000.0)})
+        inode = path.stat().st_ino
         save_stream_state(path, {"updates": 2})
-        assert load_stream_state(path)["updates"] == 2
-        assert not path.with_name("state.ckpt.tmp").exists()
+        assert load_stream_state(path) == {"updates": 2}
+        # The same file, cut to exactly the new record, and nothing beside it.
+        assert path.stat().st_ino == inode
+        save_stream_state(tmp_path / "fresh.ckpt", {"updates": 2})
+        assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.ckpt", "state.ckpt"]
 
-    def test_damaged_and_foreign_files_rejected(self, tmp_path):
+    @staticmethod
+    def _ds_record(tmp_path):
         stream = _make_stream("DS")
         crowd = random_classification_crowd(59, instances=40, annotators=6, classes=3)
         for batch in stream_crowd_in_batches(crowd, [25, 15]):
             stream.partial_fit(batch)
         save_stream_state(tmp_path / "state.ckpt", stream.get_state())
-        data = (tmp_path / "state.ckpt").read_bytes()
+        return (tmp_path / "state.ckpt").read_bytes()
+
+    @staticmethod
+    def _assert_rejected(path, data, match=""):
+        """Write ``data`` to a new file at ``path``; loading it must raise.
+
+        Each damaged copy is a new file, deleted at once: rewriting one
+        file over and over (``write_bytes`` truncates it) makes ext4
+        allocate and then free its blocks each time, which costs tens of
+        milliseconds per call on a disk mounted with online discard.
+        """
+        path.write_bytes(data)
+        try:
+            with pytest.raises(ValueError, match=re.escape(str(path)) + match):
+                load_stream_state(path)
+        finally:
+            path.unlink()
+
+    def test_damaged_and_foreign_files_rejected(self, tmp_path):
+        data = self._ds_record(tmp_path)
         damaged = tmp_path / "damaged.ckpt"
-        names_file = re.escape(str(damaged))
         for size in range(len(data)):
-            damaged.write_bytes(data[:size])
-            with pytest.raises(ValueError, match=names_file):
-                load_stream_state(damaged)
-        damaged.write_bytes(b"NOTSTAT" + data[7:])
-        with pytest.raises(ValueError, match=names_file + ".*not a stream-state file"):
-            load_stream_state(damaged)
-        damaged.write_bytes(data[:7] + bytes([data[7] + 1]) + data[8:])
-        with pytest.raises(ValueError, match=names_file + ".*format version"):
-            load_stream_state(damaged)
+            self._assert_rejected(damaged, data[:size])
+        self._assert_rejected(damaged, b"NOTSTAT" + data[7:], ".*not a stream-state file")
+        self._assert_rejected(
+            damaged, data[:7] + bytes([data[7] + 1]) + data[8:], ".*format version"
+        )
+
+    def test_any_flipped_byte_is_rejected(self, tmp_path):
+        data = self._ds_record(tmp_path)
+        for index in range(len(data)):
+            flipped = bytearray(data)
+            flipped[index] ^= 0x20
+            self._assert_rejected(tmp_path / "damaged.ckpt", flipped)
 
     def test_object_arrays_refused(self, tmp_path):
         path = tmp_path / "state.ckpt"
         with pytest.raises(TypeError, match="object arrays"):
             save_stream_state(path, {"updates": 1, "blob": np.array([{"a": 1}], dtype=object)})
-        assert not path.exists() and not path.with_name("state.ckpt.tmp").exists()
+        assert os.listdir(tmp_path) == []
 
     def test_foreign_npz_rejected(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -505,6 +632,18 @@ class TestStateCodec:
         restored = load_crowd(tmp_path / "crowd.shard")
         np.testing.assert_array_equal(restored.labels, crowd.labels)
         assert restored.num_classes == crowd.num_classes
+
+    def test_crowd_overwrites_a_longer_file(self, tmp_path):
+        path = tmp_path / "crowd.shard"
+        save_crowd(path, random_classification_crowd(41, instances=400, annotators=9, classes=3))
+        crowd = random_classification_crowd(43, instances=50, annotators=7, classes=2)
+        save_crowd(path, crowd)
+        restored = load_crowd(path)
+        np.testing.assert_array_equal(restored.labels, crowd.labels)
+        assert restored.num_classes == crowd.num_classes
+        assert path.stat().st_size == sum(
+            memoryview(chunk).nbytes for chunk in as_sparse_shard(crowd).file_chunks()
+        )
 
     def test_crowd_rejects_npz_suffix(self, tmp_path):
         crowd = random_classification_crowd(

@@ -4,12 +4,15 @@ The recovery *contract* lives in ``test_recovery.py``; this module pins
 the serving semantics around it — queries see the last completed update
 (cached snapshots, no torn reads under a concurrent writer), LRU
 eviction respects the resident budget and rehydrates transparently, a
-restarted service discovers checkpointed datasets and resumes each under
-the configuration it was trained with, and bad inputs (path-unsafe ids,
-unknown datasets, incompatible batches) are rejected without touching
-state.
+restarted service discovers checkpointed datasets (from the newest slot
+whose state record decodes, refusing the older rename-based layout) and
+resumes each under the configuration it was trained with, checkpoints
+free no disk blocks (counted filesystem calls), and bad inputs
+(path-unsafe ids, unknown datasets, incompatible batches) are rejected
+without touching state.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from repro.crowd.types import MISSING, CrowdLabelMatrix
 from repro.experiments.streaming_suite import stream_crowd_in_batches
 from repro.inference import get_method
-from repro.serving import CrowdService
+from repro.serving import CrowdService, save_crowd, save_stream_state
 
 from ..inference.equivalence_harness import random_classification_crowd
 
@@ -110,8 +113,8 @@ class TestEviction:
         service.partial_fit("gamma", batches[2])
         # alpha was touched first -> evicted to disk when gamma arrived.
         assert service.resident_datasets() == ("beta", "gamma")
-        assert (tmp_path / "alpha" / "state.ckpt").is_file()
-        assert (tmp_path / "alpha" / "crowd-1.shard").is_file()
+        assert (tmp_path / "alpha" / "state.0.ckpt").is_file()
+        assert (tmp_path / "alpha" / "crowd.0.shard").is_file()
         assert service.stats["evictions"] == 1
         assert service.cursor("alpha") == 1  # readable while cold
 
@@ -148,11 +151,9 @@ class TestRestart:
             service.partial_fit("ds-a", batches[0])
             service.partial_fit("ds-a", batches[1])
             service.partial_fit("ds-b", batches[2])
-        # close() checkpointed the dirty residents.
-        assert (tmp_path / "ds-a" / "state.ckpt").is_file()
-        assert (tmp_path / "ds-a" / "crowd-2.shard").is_file()
-        assert (tmp_path / "ds-b" / "state.ckpt").is_file()
-        assert (tmp_path / "ds-b" / "crowd-1.shard").is_file()
+        # close() checkpointed the dirty residents, each into its first slot pair.
+        for dataset_id in ("ds-a", "ds-b"):
+            assert sorted(os.listdir(tmp_path / dataset_id)) == ["crowd.0.shard", "state.0.ckpt"]
 
         # The revived service has *different* defaults; each dataset must
         # resume under the configuration stored in its checkpoint.
@@ -197,6 +198,100 @@ class TestRestart:
         service.partial_fit("ds", batches[1])
         assert service.checkpoint() == {"ds": 2}
         assert service.stats["checkpoints"] == 2
+
+    def test_old_layout_root_is_refused(self, tmp_path, batches):
+        # A root written by the rename-based layout: state.ckpt beside
+        # crowd files named by cursor. Read as slot pairs it would show no
+        # datasets, and new updates would start a fresh stream beside it.
+        old = tmp_path / "legacy-ds"
+        old.mkdir()
+        save_stream_state(old / "state.ckpt", _twin(batches[:1], inner_sweeps=1).get_state())
+        save_crowd(old / "crowd-1.shard", batches[0])
+        with pytest.raises(ValueError, match="legacy-ds.*state.ckpt"):
+            CrowdService(tmp_path)
+
+    def test_two_undecodable_state_slots_raise(self, tmp_path, batches):
+        with CrowdService(tmp_path, method="DS", inner_sweeps=1) as service:
+            for batch in batches[:2]:
+                service.partial_fit("ds", batch)
+                service.checkpoint()
+        for slot in (0, 1):
+            path = tmp_path / "ds" / f"state.{slot}.ckpt"
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 0xFF
+            path.write_bytes(data)
+        with pytest.raises(ValueError, match="dataset 'ds'"):
+            CrowdService(tmp_path)
+
+    def test_restart_takes_the_newest_decodable_slot(self, tmp_path, batches):
+        with CrowdService(tmp_path, method="DS", inner_sweeps=1) as service:
+            for batch in batches:
+                service.partial_fit("ds", batch)
+                service.checkpoint()
+        # Slot 0 holds cursor 3, slot 1 cursor 2.
+        assert CrowdService(tmp_path).cursor("ds") == 3
+        newest = tmp_path / "ds" / "state.0.ckpt"
+        newest.write_bytes(newest.read_bytes()[:-1])  # torn: slot 1 is the commit
+        revived = CrowdService(tmp_path)
+        assert revived.cursor("ds") == 2
+        np.testing.assert_array_equal(
+            revived.query("ds").posterior, _twin(batches[:2], inner_sweeps=1).result().posterior
+        )
+
+
+class TestCheckpointCost:
+    """A checkpoint frees no disk blocks, whatever the filesystem.
+
+    Counted from a dataset's third checkpoint on, when both slot pairs
+    exist: two fsyncs (crowd, then state), no rename or delete, and no
+    file cut shorter.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("fsync", "replace", "rename", "unlink", "remove"):
+            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        real_ftruncate = os.ftruncate
+
+        def ftruncate(descriptor, length):
+            if length < os.fstat(descriptor).st_size:
+                calls.append("shorten")
+            return real_ftruncate(descriptor, length)
+
+        monkeypatch.setattr(os, "ftruncate", ftruncate)
+        return calls
+
+    def test_later_checkpoints_make_two_fsyncs_and_free_nothing(self, tmp_path, calls):
+        crowd = random_classification_crowd(
+            37, instances=240, annotators=8, classes=2, mean_labels=4.0
+        )
+        batches = stream_crowd_in_batches(crowd, [30] * 8)
+        service = CrowdService(tmp_path, method="DS", inner_sweeps=1)
+        for number, batch in enumerate(batches[:5], start=1):
+            service.partial_fit("ds", batch)
+            calls.clear()
+            service.checkpoint()
+            if number >= 3:
+                assert calls == ["fsync", "fsync"], f"checkpoint {number}"
+
+        # Eviction checkpoints by the same rule, and rehydration writes nothing.
+        for batch in batches[5:]:
+            calls.clear()
+            service.query("ds")
+            service.partial_fit("ds", batch)
+            assert calls == []
+            assert service.evict("ds")
+            assert calls == ["fsync", "fsync"]
+        assert service.stats == {"evictions": 3, "rehydrations": 2, "checkpoints": 8}
 
 
 class TestValidation:
