@@ -1,9 +1,10 @@
 """S6 — ``view-mutation``: never mutate a borrowed zero-copy view in place.
 
-The PR 5/6 bit-identity contract: `CrowdShard` views alias the parent
-matrix's cached COO triples (``flat_label_pairs``/``label_incidence``
-return the caches themselves, "read-only, like the other cached views"),
-and ``SparseLabelShard.load(..., mmap=True)`` maps the shard *file* —
+The bit-identity contract: the ``SparseLabelShard`` views that
+``shards()``/``iter_shards()`` return alias the parent matrix's cached
+COO triples (``flat_label_pairs``/``label_incidence`` return the caches
+themselves, "read-only, like the other cached views"), and
+``SparseLabelShard.load(..., mmap=True)`` maps the shard *file* —
 so an in-place write through any of them corrupts shared state that
 every other consumer (and the tree-reduce determinism guarantee) relies
 on. The sanctioned idiom is to launder first: ``.copy()`` /

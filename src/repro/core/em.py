@@ -49,19 +49,26 @@ def update_confusions(
     """Eq. 12: ``π_jmn = Σ_i qf(t_i=m)·1[y_ij=n] / Σ_i qf(t_i=m)·1[y_ij≠∅]``.
 
     Laplace ``smoothing`` keeps rows proper for annotators with few (or no)
-    labels for some true class.
+    labels for some true class; at zero smoothing such a row is uniform.
     """
     qf = np.asarray(qf, dtype=np.float64)
     if qf.shape != (crowd.num_instances, crowd.num_classes):
         raise ValueError(
             f"qf shape {qf.shape} != ({crowd.num_instances}, {crowd.num_classes})"
         )
-    numerator = confusion_counts(qf, crowd) + smoothing
-    row_sums = numerator.sum(axis=2, keepdims=True)
-    # Rows with no mass (annotator never labeled anything attributed to
-    # class m, and smoothing == 0) fall back to uniform.
-    K = crowd.num_classes
-    return np.where(row_sums > 0, numerator / np.where(row_sums > 0, row_sums, 1.0), 1.0 / K)
+    return _normalize_confusion_rows(confusion_counts(qf, crowd) + smoothing)
+
+
+def _normalize_confusion_rows(counts: np.ndarray) -> np.ndarray:
+    """Row-normalize smoothed Eq. 12 counts ``(J, K, K)`` over the label axis.
+
+    Rows with no mass (annotator j never labeled anything attributed to
+    class m, and smoothing == 0) fall back to uniform.
+    """
+    row_sums = counts.sum(axis=2, keepdims=True)
+    return np.where(
+        row_sums > 0, counts / np.where(row_sums > 0, row_sums, 1.0), 1.0 / counts.shape[2]
+    )
 
 
 def posterior_qa(
@@ -102,12 +109,12 @@ def sequence_update_confusions(
     Every labeled ``(token, annotator)`` pair contributes the token's
     posterior row ``qf[t, :]`` to ``counts[j, :, y_tj]`` — the shared
     :func:`repro.inference.primitives.confusion_counts` kernel (one sparse
-    matmul against the token incidence). Matches the seed per-sentence
-    loop (``tests/oracles.py``) at atol 1e-12.
+    matmul against the token incidence), normalized like
+    :func:`update_confusions`. Matches the seed per-sentence loop
+    (``tests/oracles.py``) at atol 1e-12.
     """
     gamma = _stack_ragged(qf, crowd)                          # (N, K)
-    counts = confusion_counts(gamma, crowd) + smoothing
-    return counts / counts.sum(axis=2, keepdims=True)
+    return _normalize_confusion_rows(confusion_counts(gamma, crowd) + smoothing)
 
 
 def sequence_posterior_qa(

@@ -19,8 +19,6 @@ from .simulation import (
     simulate_classification_crowd,
 )
 from .sharding import (
-    CrowdShard,
-    SequenceCrowdShard,
     ShardHandle,
     SparseLabelShard,
     as_sparse_shard,
@@ -32,8 +30,6 @@ __all__ = [
     "MISSING",
     "CrowdLabelMatrix",
     "SequenceCrowdLabels",
-    "CrowdShard",
-    "SequenceCrowdShard",
     "SparseLabelShard",
     "ShardHandle",
     "as_sparse_shard",

@@ -129,10 +129,8 @@ class CrowdLabelMatrix:
         label ``y`` — the classification twin of
         :meth:`SequenceCrowdLabels.token_label_incidence`. Confusion-count
         accumulation and the per-instance log-likelihood gather are then
-        single sparse–dense products. Never None: only a
-        :class:`~repro.crowd.sharding.SparseLabelShard` built with
-        ``sparse_incidence=False`` sends the kernels down their bincount
-        path.
+        single sparse–dense products; every crowd and shard has one, so
+        each kernel has that one path.
         """
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
@@ -171,38 +169,41 @@ class CrowdLabelMatrix:
         return CrowdLabelMatrix(self.labels[np.asarray(indices)], self.num_classes)
 
     def shards(self, num_shards: int) -> list:
-        """Split into ``num_shards`` contiguous zero-copy shard views.
+        """Split into ``num_shards`` contiguous shards.
 
-        Sizing follows ``np.array_split``: near-equal shards, the first
-        ``I % num_shards`` one instance larger; when ``num_shards > I``
-        the surplus shards are empty (legal — the map-reduce layer treats
-        them as contributing nothing). Shard caches are slices of this
-        container's caches; see :mod:`repro.crowd.sharding`.
+        Each is a :class:`~repro.crowd.sharding.SparseLabelShard` view over
+        this container's cached COO triples: instance indices local to the
+        shard, annotator and label columns sliced from the cache (see
+        :mod:`repro.crowd.sharding`). Sizing follows ``np.array_split``:
+        near-equal shards, the first ``I % num_shards`` one instance
+        larger; when ``num_shards > I`` the surplus shards are empty
+        (legal — the map-reduce layer treats them as contributing nothing).
         """
-        from .sharding import CrowdShard, partition_bounds
+        from .sharding import _row_range, partition_bounds
 
         return [
-            CrowdShard(self, start, stop)
+            _row_range(self, start, stop)
             for start, stop in partition_bounds(self.num_instances, num_shards)
         ]
 
     def iter_shards(self, max_observations: int):
-        """Lazily yield contiguous shard views of bounded observation count.
+        """Lazily yield contiguous shards of bounded observation count.
 
-        Each shard carries at most ``max_observations`` observed labels —
-        except that every shard holds at least one instance, so a single
-        instance with more labels than the budget still ships alone. An
-        empty crowd yields one empty shard. The generator is one-shot;
+        The same :class:`~repro.crowd.sharding.SparseLabelShard` views as
+        :meth:`shards`. Each carries at most ``max_observations`` observed
+        labels — except that every shard holds at least one instance, so a
+        single instance with more labels than the budget still ships alone.
+        An empty crowd yields one empty shard. The generator is one-shot;
         multi-pass consumers (every iterative sharded method) should wrap
         it in a callable: ``lambda: crowd.iter_shards(n)``.
         """
-        from .sharding import CrowdShard
+        from .sharding import _row_range
 
         if max_observations < 1:
             raise ValueError(f"need a positive observation budget, got {max_observations}")
         I = self.num_instances
         if I == 0:
-            yield CrowdShard(self, 0, 0)
+            yield _row_range(self, 0, 0)
             return
         per_instance = self.annotations_per_instance()
         start = 0
@@ -212,7 +213,7 @@ class CrowdLabelMatrix:
             while stop < I and int(per_instance[stop]) <= budget:
                 budget -= int(per_instance[stop])
                 stop += 1
-            yield CrowdShard(self, start, stop)
+            yield _row_range(self, start, stop)
             start = stop
 
     def extend(self, new_labels: np.ndarray) -> "CrowdLabelMatrix":
@@ -358,10 +359,7 @@ class SequenceCrowdLabels:
 
         Sentence ``i`` occupies rows ``offsets[i]:offsets[i+1]``. The result
         is cached — the label matrices are treated as immutable (every
-        mutating operation, e.g. :meth:`subset`, builds a new container),
-        with one sanctioned exception: :meth:`append_labels`, the streaming
-        ingest path, which *replaces* the cached views with incrementally
-        grown ones. Don't hold a returned view across an append.
+        mutating operation, e.g. :meth:`subset`, builds a new container).
         This flat view is what the vectorized EM updates in
         :mod:`repro.core.em` and the token-level inference adapters operate
         on instead of per-sentence Python loops.
@@ -462,108 +460,6 @@ class SequenceCrowdLabels:
         """Restrict to a subset of sentences."""
         picked = [self.labels[int(i)] for i in np.asarray(indices)]
         return SequenceCrowdLabels(picked, self.num_classes, self.num_annotators)
-
-    def shards(self, num_shards: int) -> list:
-        """Split into ``num_shards`` contiguous zero-copy sentence-range
-        views (``np.array_split`` sizing, like
-        :meth:`CrowdLabelMatrix.shards`)."""
-        from .sharding import SequenceCrowdShard, partition_bounds
-
-        return [
-            SequenceCrowdShard(self, start, stop)
-            for start, stop in partition_bounds(self.num_instances, num_shards)
-        ]
-
-    def iter_shards(self, max_observations: int):
-        """Lazily yield contiguous sentence-range views carrying at most
-        ``max_observations`` observed token labels each (at least one
-        sentence per shard; one-shot — wrap in a callable for multi-pass
-        use, like :meth:`CrowdLabelMatrix.iter_shards`)."""
-        from .sharding import SequenceCrowdShard
-
-        if max_observations < 1:
-            raise ValueError(f"need a positive observation budget, got {max_observations}")
-        I = self.num_instances
-        if I == 0:
-            yield SequenceCrowdShard(self, 0, 0)
-            return
-        _, offsets = self.flat_labels()
-        lengths = np.diff(offsets)
-        per_sentence = self.annotations_per_instance() * lengths
-        start = 0
-        while start < I:
-            stop = start + 1
-            budget = max_observations - int(per_sentence[start])
-            while stop < I and int(per_sentence[stop]) <= budget:
-                budget -= int(per_sentence[stop])
-                stop += 1
-            yield SequenceCrowdShard(self, start, stop)
-            start = stop
-
-    def append_labels(self, new_labels: list[np.ndarray]) -> "SequenceCrowdLabels":
-        """Append whole sentences in place — the streaming ingest path.
-
-        The sequence twin of :meth:`CrowdLabelMatrix.extend`: each matrix in
-        ``new_labels`` is a ``(T_i, J)`` sentence under the constructor's
-        convention. Populated caches (flat stack + offsets, COO triples,
-        token incidence, annotator mask) are updated incrementally in
-        O(new observations) of cache computation; unbuilt caches stay
-        unbuilt. Returns ``self`` for chaining.
-        """
-        start = self.num_instances
-        validated = [
-            self._validate_sentence(matrix, start + i) for i, matrix in enumerate(new_labels)
-        ]
-        flat_cache = getattr(self, "_flat_cache", None)
-        pairs_cache = getattr(self, "_flat_pairs_cache", None)
-        incidence_cache = getattr(self, "_incidence_cache", None)
-        mask_cache = getattr(self, "_annotator_mask_cache", None)
-        self.labels.extend(validated)
-        if not validated:
-            return self
-
-        block = np.concatenate(validated, axis=0)
-        if flat_cache is not None:
-            old_stacked, old_offsets = flat_cache
-            sizes = np.fromiter(
-                (matrix.shape[0] for matrix in validated), dtype=np.int64, count=len(validated)
-            )
-            new_offsets = old_offsets[-1] + np.cumsum(sizes)
-            self._flat_cache = (
-                np.concatenate([old_stacked, block], axis=0),
-                np.concatenate([old_offsets, new_offsets]),
-            )
-        tokens, annotators = np.nonzero(block != MISSING)
-        given = block[tokens, annotators]
-        old_tokens = (
-            int(flat_cache[1][-1])
-            if flat_cache is not None
-            else sum(matrix.shape[0] for matrix in self.labels[:start])
-        )
-        if pairs_cache is not None:
-            self._flat_pairs_cache = (
-                np.concatenate([pairs_cache[0], tokens + old_tokens]),
-                np.concatenate([pairs_cache[1], annotators]),
-                np.concatenate([pairs_cache[2], given]),
-            )
-        if incidence_cache is not None:
-            from scipy.sparse import csr_matrix, vstack
-
-            group = annotators * self.num_classes + given
-            block_incidence = csr_matrix(
-                (np.ones(tokens.size), (tokens, group)),
-                shape=(block.shape[0], self.num_annotators * self.num_classes),
-            )
-            self._incidence_cache = vstack(
-                [incidence_cache, block_incidence], format="csr"
-            )
-        if mask_cache is not None:
-            new_mask = np.zeros((len(validated), self.num_annotators), dtype=bool)
-            for i, matrix in enumerate(validated):
-                if matrix.shape[0]:
-                    new_mask[i] = (matrix != MISSING).any(axis=0)
-            self._annotator_mask_cache = np.concatenate([mask_cache, new_mask], axis=0)
-        return self
 
     def annotator_confusion(self, truth: list[np.ndarray], annotator: int) -> np.ndarray:
         """Token-level confusion matrix of one annotator vs ground truth."""

@@ -8,8 +8,8 @@ Architecture — three layers over one sparse-crowd core:
    length-masked forward–backward over padded ``(I, T_max, K)`` emissions.
    They run on the cached flat COO views both crowd containers expose
    (``flat_label_pairs`` + a sparse instance × (annotator, label)
-   incidence), so each EM update is a sparse–dense matmul or a
-   ``bincount`` per class — never a Python loop over instances or
+   incidence), so each EM update is a sparse–dense matmul or one
+   ``bincount`` over the triples — never a Python loop over instances or
    annotators. :mod:`repro.core.em` (Logic-LNCL's pseudo-E/M) reuses the
    same kernels.
 
@@ -27,10 +27,12 @@ Architecture — three layers over one sparse-crowd core:
    (:mod:`~repro.inference.sharding`): every E/M round maps shards to
    mergeable :class:`~repro.inference.sharding.ShardStats` and reduces
    before one global M-step. ``infer(crowd)`` is the one-shard run;
-   ``infer_sharded`` takes in-memory shard views, lazily loaded
-   out-of-core shards, or on-disk handles, so crowd-data memory is
-   O(largest shard), and any layout reproduces the one-shard run at atol
-   1e-10. :mod:`~repro.inference.streaming` runs the same kernels
+   ``infer_sharded`` takes the
+   :class:`~repro.crowd.sharding.SparseLabelShard` views of
+   ``crowd.shards(n)``, lazily loaded out-of-core shards, or on-disk
+   handles, so crowd-data memory is O(largest shard), and any layout
+   reproduces the one-shard run at atol 1e-10.
+   :mod:`~repro.inference.streaming` runs the same kernels
    *online*: label batches are ingested incrementally (``partial_fit``)
    with per-update cost O(new observations), under a replay-equivalence
    contract that pins the no-decay stream to the batch ``infer`` at

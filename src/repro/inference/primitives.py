@@ -13,11 +13,11 @@ operations over a sparse crowd:
 * **log-space normalization** — turn unnormalized log scores into a
   proper posterior.
 
-Both containers in :mod:`repro.crowd.types` expose the cached flat COO
+Both containers in :mod:`repro.crowd.types` and the
+:class:`~repro.crowd.sharding.SparseLabelShard` expose the cached flat COO
 views these kernels run on (``flat_label_pairs`` plus a sparse
-instance × (annotator, label) incidence); with the incidence each kernel
-is one sparse–dense matmul, and on a shard built with
-``sparse_incidence=False`` (no incidence) one ``bincount`` per class.
+instance × (annotator, label) incidence); each kernel is one sparse–dense
+matmul against the incidence.
 
 The module also hosts :func:`batched_forward_backward`: a length-masked
 forward–backward over padded ``(I, T_max, K)`` emissions that vectorizes
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..crowd.sharding import CrowdShard, SequenceCrowdShard, SparseLabelShard
+from ..crowd.sharding import SparseLabelShard
 from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
 
 __all__ = [
@@ -53,14 +53,13 @@ __all__ = [
 
 
 def crowd_views(crowd) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, object]:
-    """Uniform flat view of any crowd container or shard view.
+    """Uniform flat view of any crowd container or shard.
 
     Returns ``(rows, annotators, labels, num_rows, incidence)`` where
-    ``rows`` indexes instances (:class:`CrowdLabelMatrix` and the
-    instance-level shards) or stacked tokens (:class:`SequenceCrowdLabels`
-    / :class:`~repro.crowd.sharding.SequenceCrowdShard`), and ``incidence``
-    is the cached sparse ``(num_rows, J·K)`` matrix, or None for a shard
-    built with ``sparse_incidence=False``.
+    ``rows`` indexes instances (:class:`CrowdLabelMatrix` and
+    :class:`~repro.crowd.sharding.SparseLabelShard`) or stacked tokens
+    (:class:`SequenceCrowdLabels`), and ``incidence`` is the cached sparse
+    ``(num_rows, J·K)`` matrix.
 
     Dispatch is structural beyond the built-in containers: any object
     exposing the kernel-facing surface (``flat_labels`` +
@@ -68,15 +67,16 @@ def crowd_views(crowd) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, object]
     ``flat_label_pairs`` + ``num_instances`` + ``label_incidence`` for
     instance-level ones, plus ``num_classes``/``num_annotators``)
     qualifies — the shard protocol :mod:`repro.inference.sharding`
-    documents for user-defined out-of-core shards.
+    documents for user-defined out-of-core shards. The incidence method
+    must return the sparse matrix: the kernels have no other path.
     """
-    if isinstance(crowd, (SequenceCrowdLabels, SequenceCrowdShard)) or (
+    if isinstance(crowd, SequenceCrowdLabels) or (
         hasattr(crowd, "flat_labels") and hasattr(crowd, "token_label_incidence")
     ):
         stacked, _ = crowd.flat_labels()
         rows, annotators, given = crowd.flat_label_pairs()
         return rows, annotators, given, stacked.shape[0], crowd.token_label_incidence()
-    if isinstance(crowd, (CrowdLabelMatrix, CrowdShard, SparseLabelShard)) or (
+    if isinstance(crowd, (CrowdLabelMatrix, SparseLabelShard)) or (
         hasattr(crowd, "flat_label_pairs") and hasattr(crowd, "label_incidence")
     ):
         rows, annotators, given = crowd.flat_label_pairs()
@@ -89,25 +89,15 @@ def confusion_counts(posterior: np.ndarray, crowd) -> np.ndarray:
 
     ``posterior`` is ``(N, K)`` over instances (classification) or stacked
     tokens (sequences). Callers add their own prior/smoothing pseudo-counts
-    and normalize. One spMM against the incidence, else (no incidence) one
-    ``bincount`` per class.
+    and normalize. One spMM against the incidence.
     """
     K = crowd.num_classes
     J = crowd.num_annotators
     posterior = np.asarray(posterior, dtype=np.float64)
-    rows, annotators, given, num_rows, incidence = crowd_views(crowd)
+    _, _, _, num_rows, incidence = crowd_views(crowd)
     if posterior.shape != (num_rows, K):
         raise ValueError(f"posterior shape {posterior.shape} != ({num_rows}, {K})")
-    if incidence is not None:
-        summed = np.asarray(incidence.T @ posterior)          # (J·K, K)
-    else:
-        # One flat bincount over (observation, class) keys instead of a
-        # Python loop of K bincounts on non-contiguous posterior columns.
-        key = annotators * K + given
-        keys = key[:, None] * K + np.arange(K)[None, :]
-        summed = np.bincount(
-            keys.ravel(), weights=posterior[rows].ravel(), minlength=J * K * K
-        ).reshape(J * K, K)
+    summed = np.asarray(incidence.T @ posterior)              # (J·K, K)
     # summed[(j, n), m] → counts[j, m, n]
     return summed.reshape(J, K, K).transpose(0, 2, 1)
 
@@ -120,24 +110,13 @@ def emission_log_likelihood(crowd, log_confusions: np.ndarray) -> np.ndarray:
     """
     K = crowd.num_classes
     J = crowd.num_annotators
-    rows, annotators, given, num_rows, incidence = crowd_views(crowd)
+    *_, incidence = crowd_views(crowd)
     if log_confusions.shape != (J, K, K):
         raise ValueError(f"log_confusions shape {log_confusions.shape} != ({J}, {K}, {K})")
     # (J·K, K): row (j, y) holds log π_j[:, y] — annotator j's per-true-class
     # log-likelihood of emitting label y.
     by_label = np.ascontiguousarray(log_confusions.transpose(0, 2, 1)).reshape(J * K, K)
-    if incidence is not None:
-        return np.asarray(incidence @ by_label)
-    out = np.zeros((num_rows, K))
-    if rows.size:
-        # Same flat-keys trick as confusion_counts: one bincount over
-        # (observation, class) pairs replaces K bincounts of column copies.
-        contrib = by_label[annotators * K + given]            # (n_obs, K)
-        keys = rows[:, None] * K + np.arange(K)[None, :]
-        out = np.bincount(
-            keys.ravel(), weights=contrib.ravel(), minlength=num_rows * K
-        ).reshape(num_rows, K)
-    return out
+    return np.asarray(incidence @ by_label)
 
 
 def annotator_agreement(posterior: np.ndarray, crowd) -> np.ndarray:
@@ -164,8 +143,7 @@ def weighted_vote_scores(weights: np.ndarray, crowd) -> np.ndarray:
     """``S[r, k] = Σ_{j : y_rj = k} w_j`` — annotator-weighted votes, ``(N, K)``.
 
     The voting step of PM/CATD: one spMM of the cached incidence against a
-    ``(J·K, K)`` weight scatter, or (no incidence) one ``bincount`` over
-    the COO triples. Rows with no labels come back zero
+    ``(J·K, K)`` weight scatter. Rows with no labels come back zero
     (callers decide the tie/empty policy).
     """
     K = crowd.num_classes
@@ -173,14 +151,10 @@ def weighted_vote_scores(weights: np.ndarray, crowd) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (J,):
         raise ValueError(f"weights shape {weights.shape} != ({J},)")
-    rows, annotators, given, num_rows, incidence = crowd_views(crowd)
-    if incidence is not None:
-        spread = np.zeros((J * K, K))
-        spread[np.arange(J * K), np.tile(np.arange(K), J)] = np.repeat(weights, K)
-        return np.asarray(incidence @ spread)
-    key = rows * K + given
-    scores = np.bincount(key, weights=weights[annotators], minlength=num_rows * K)
-    return scores.reshape(num_rows, K)
+    *_, incidence = crowd_views(crowd)
+    spread = np.zeros((J * K, K))
+    spread[np.arange(J * K), np.tile(np.arange(K), J)] = np.repeat(weights, K)
+    return np.asarray(incidence @ spread)
 
 
 def normalize_vote_scores(scores: np.ndarray) -> np.ndarray:

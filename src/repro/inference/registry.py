@@ -25,8 +25,9 @@ Methods are registered under a *kind*:
   written map-reduce style (:mod:`~repro.inference.sharding`), registered
   as the *same class*: ``infer(crowd)`` is the one-shard run, and
   ``infer_sharded(shard_source)`` runs the same EM on mergeable per-shard
-  sufficient statistics (in-memory shard views, lazily loaded out-of-core
-  shards, or on-disk :class:`~repro.crowd.sharding.ShardHandle` files),
+  sufficient statistics (the :class:`~repro.crowd.sharding.SparseLabelShard`
+  views of ``crowd.shards(n)``, lazily loaded out-of-core shards, or
+  on-disk :class:`~repro.crowd.sharding.ShardHandle` files),
   reproducing the one-shard run at atol 1e-10 on any shard layout. The
   map stage runs serially, over a thread pool (``executor=``), or over a
   process pool (``workers=N`` or a ``ProcessPoolExecutor``) with

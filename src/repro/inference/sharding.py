@@ -18,11 +18,13 @@ one-crowd assumption over *time* instead: see
 **Shard sources.** ``infer_sharded`` accepts, in order of increasing
 externality:
 
-* a *sequence* of shards — e.g. the zero-copy views from
-  :meth:`~repro.crowd.types.CrowdLabelMatrix.shards` (in-memory sharding:
-  shard caches persist across passes, so repeated rounds cost no rebuild),
-  or :class:`~repro.crowd.sharding.ShardHandle` descriptors of on-disk
-  shard files (the parallel out-of-core form — see
+* a *sequence* of shards — e.g. the
+  :class:`~repro.crowd.sharding.SparseLabelShard` views
+  :meth:`~repro.crowd.types.CrowdLabelMatrix.shards` cuts from the
+  container's triples (in-memory sharding: each view builds its
+  incidence once and keeps it across passes, so repeated rounds cost no
+  rebuild), or :class:`~repro.crowd.sharding.ShardHandle` descriptors of
+  on-disk shard files (the parallel out-of-core form — see
   :func:`~repro.crowd.sharding.save_shard_handles`);
 * a zero-arg *callable* returning a fresh iterator of shards — the
   streaming out-of-core form: each EM round lazily loads, consumes, and
@@ -33,10 +35,12 @@ externality:
   vote); iterative methods raise a clear error asking for one of the
   re-iterable forms above.
 
-A "shard" is any object exposing the kernel-facing container surface (see
-:mod:`repro.crowd.sharding`); :class:`~repro.crowd.sharding.ShardHandle`
-entries are resolved (opened, memmapped, localized) where the map runs —
-in a worker process when one is attached.
+A "shard" is any object exposing the kernel-facing container surface,
+incidence included (see :mod:`repro.crowd.sharding`); the built-in one is
+:class:`~repro.crowd.sharding.SparseLabelShard`.
+:class:`~repro.crowd.sharding.ShardHandle` entries are resolved (opened,
+memmapped, localized) where the map runs — in a worker process when one
+is attached.
 
 **Parallel map and the pickle boundary.** ``infer_sharded(...)`` takes the
 map stage parallel three ways: ``executor=`` with a ``ThreadPoolExecutor``

@@ -178,15 +178,15 @@ def save_crowd(path, crowd) -> str:
     in the serving layer that is the stream's retained
     :class:`~repro.crowd.types.CrowdLabelMatrix`.
     """
-    if str(path).endswith(".npz"):
-        # The shard loader reads a .npz file as a zip archive, not as the
-        # header+COO layout written here.
-        raise ValueError("crowd checkpoints use the header+COO layout; drop the .npz suffix")
     return _write_in_place(path, as_sparse_shard(crowd).file_chunks())
 
 
 def load_crowd(path) -> CrowdLabelMatrix:
-    """Load a :func:`save_crowd` file back into a dense label container."""
+    """Load a :func:`save_crowd` file back into a dense label container.
+
+    A file that is not a complete shard file raises ``ValueError`` naming
+    it (see :meth:`~repro.crowd.sharding.SparseLabelShard.load`).
+    """
     return SparseLabelShard.load(str(path), mmap=False).to_matrix()
 
 

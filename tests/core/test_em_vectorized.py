@@ -1,17 +1,23 @@
 """Equivalence tests: vectorized sequence-EM vs. the loop references.
 
-The vectorized Eq. 12 / Eq. 13 implementations (flat token matrix + sparse
-incidence / bincount accumulation) must match the per-sentence /
-per-annotator loop implementations on random ragged crowds, including the
-degenerate cases (annotators who labeled nothing, sentences with a single
-annotator).
+The vectorized Eq. 12 / Eq. 13 implementations (flat token matrix + one
+sparse-incidence product) must match the per-sentence / per-annotator
+loop implementations on random ragged crowds, including the degenerate
+cases (annotators who labeled nothing, sentences with a single
+annotator), and the token-level Eq. 12 must normalize like the
+instance-level one at zero smoothing.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.em import sequence_posterior_qa, sequence_update_confusions
-from repro.crowd.types import MISSING, SequenceCrowdLabels
+from repro.core.em import (
+    sequence_posterior_qa,
+    sequence_update_confusions,
+    update_confusions,
+)
+from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
+from repro.inference.primitives import split_by_offsets
 
 from ..oracles import (
     seed_sequence_posterior_qa,
@@ -60,27 +66,34 @@ def test_posterior_qa_matches_reference(seed):
         np.testing.assert_allclose(new, old, atol=1e-12, rtol=0)
 
 
-def test_bincount_fallback_matches_sparse(monkeypatch):
-    """Force the bincount path and check it agrees with the sparse one.
-
-    Without an incidence the kernels scatter with ``bincount``; in the
-    library only a ``SparseLabelShard`` built with
-    ``sparse_incidence=False`` takes that path, so the test patches the
-    incidence away on a whole crowd.
-    """
-    crowd, qf, proba = random_crowd(3)
-    confusions = sequence_update_confusions(qf, crowd)
-    sparse_post = sequence_posterior_qa(proba, crowd, confusions)
-
-    crowd_no_scipy, _, _ = random_crowd(3)
-    monkeypatch.setattr(
-        type(crowd_no_scipy), "token_label_incidence", lambda self: None
+def test_zero_smoothing_gives_unseen_classes_uniform_rows():
+    """Eq. 12 at smoothing 0: annotator 1 labeled only a sentence whose
+    majority vote puts no mass on classes 1 and 2, so those two rows of
+    its confusion matrix have no counts. They come back uniform, as in
+    the instance-level update on the same tokens, and the Eq. 13
+    posterior of that sentence stays finite."""
+    crowd = SequenceCrowdLabels(
+        [
+            np.array([[0, MISSING], [1, MISSING], [2, MISSING]]),
+            np.array([[0, 0], [0, 0]]),
+        ],
+        num_classes=3,
+        num_annotators=2,
     )
-    fallback_conf = sequence_update_confusions(qf, crowd_no_scipy)
-    fallback_post = sequence_posterior_qa(proba, crowd_no_scipy, confusions)
-    np.testing.assert_allclose(fallback_conf, confusions, atol=1e-12, rtol=0)
-    for a, b in zip(sparse_post, fallback_post):
-        np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+    stacked, offsets = crowd.flat_labels()
+    votes = crowd.token_vote_counts_flat()
+    majority = votes / votes.sum(axis=1, keepdims=True)
+    confusions = sequence_update_confusions(
+        split_by_offsets(majority, offsets), crowd, smoothing=0.0
+    )
+    np.testing.assert_array_equal(confusions[1, 1:], np.full((2, 3), 1.0 / 3.0))
+    np.testing.assert_array_equal(
+        confusions, update_confusions(majority, CrowdLabelMatrix(stacked, 3), smoothing=0.0)
+    )
+    uniform = [np.full((length, 3), 1.0 / 3.0) for length in np.diff(offsets)]
+    for posterior in sequence_posterior_qa(uniform, crowd, confusions):
+        assert np.isfinite(posterior).all()
+        np.testing.assert_allclose(posterior.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_shape_validation_still_raises():

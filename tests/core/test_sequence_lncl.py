@@ -212,3 +212,47 @@ class TestEmptyTrainingSet:
         assert trainer.qb_ == []
         for value in model.state_dict().values():
             assert np.isfinite(value).all()
+
+
+class TestZeroSmoothing:
+    @pytest.mark.parametrize("rules", [None, _rules()], ids=["no-rules", "bio-rules"])
+    def test_fit_stays_finite_when_an_annotator_misses_classes(self, rules):
+        """``confusion_smoothing=0.0`` is a legal config. Annotator 1
+        labels only the second sentence, whose token majority vote puts
+        mass on ``O`` alone, so the Eq. 12 rows of every other class have
+        no counts: they must come back uniform, and the pseudo-E-step
+        posteriors must stay finite."""
+        from repro.crowd import SequenceCrowdLabels
+        from repro.data.datasets import SequenceTaggingDataset
+        from repro.data.vocab import Vocabulary
+
+        rng = np.random.default_rng(0)
+        model = NERTagger(
+            rng.normal(size=(30, 8)),
+            NERTaggerConfig(conv_width=3, conv_features=8, gru_hidden=4),
+            rng,
+        )
+        first = np.array([IDX["B-PER"], IDX["I-PER"], IDX["O"]])
+        second = np.array([IDX["O"], IDX["O"]])
+        train = SequenceTaggingDataset(
+            tokens=np.array([[3, 4, 5], [6, 7, 0]]),
+            lengths=np.array([3, 2]),
+            tags=[first, second],
+            vocab=Vocabulary(["a"]),
+            label_names=list(CONLL_LABELS),
+            crowd=SequenceCrowdLabels(
+                [
+                    np.stack([first, np.full(3, -1)], axis=1),
+                    np.stack([second, second], axis=1),
+                ],
+                num_classes=9,
+                num_annotators=2,
+            ),
+        )
+        config = _config(2, confusion_smoothing=0.0)
+        trainer = LogicLNCLSequenceTagger(model, config, rng, rules=rules)
+        trainer.fit(train)
+        assert np.isfinite(trainer.confusions_).all()
+        np.testing.assert_allclose(trainer.confusions_.sum(axis=2), 1.0, atol=1e-12)
+        for posterior in (*trainer.qa_, *trainer.qf_):
+            assert np.isfinite(posterior).all()

@@ -196,66 +196,6 @@ class TestCrowdLabelMatrixExtend:
         assert crowd.num_instances == 1  # failed appends leave it untouched
 
 
-class TestSequenceCrowdLabelsAppend:
-    def _sentences(self, seed, count, annotators=3, classes=3):
-        rng = np.random.default_rng(seed)
-        sentences = []
-        for index in range(count):
-            t = int(rng.integers(0 if index % 3 == 1 else 1, 5))
-            matrix = np.full((t, annotators), M, dtype=np.int64)
-            for j in range(annotators):
-                if rng.random() < 0.7:
-                    matrix[:, j] = rng.integers(0, classes, size=t)
-            sentences.append(matrix)
-        return sentences
-
-    def _assert_matches_fresh(self, extended, fresh):
-        assert extended.num_instances == fresh.num_instances
-        for got, want in zip(extended.labels, fresh.labels):
-            np.testing.assert_array_equal(got, want)
-        got_stack, got_offsets = extended.flat_labels()
-        want_stack, want_offsets = fresh.flat_labels()
-        np.testing.assert_array_equal(got_stack, want_stack)
-        np.testing.assert_array_equal(got_offsets, want_offsets)
-        for got, want in zip(extended.flat_label_pairs(), fresh.flat_label_pairs()):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(extended.annotator_mask(), fresh.annotator_mask())
-        np.testing.assert_array_equal(
-            extended.token_vote_counts_flat(), fresh.token_vote_counts_flat()
-        )
-        got_inc, want_inc = extended.token_label_incidence(), fresh.token_label_incidence()
-        if want_inc is not None:
-            assert (got_inc != want_inc).nnz == 0
-
-    def test_append_matches_fresh_container_with_warm_caches(self):
-        first = self._sentences(11, 4)
-        second = self._sentences(13, 3)
-        third = self._sentences(17, 2)
-        crowd = SequenceCrowdLabels(list(first), 3, 3)
-        crowd.flat_labels(), crowd.flat_label_pairs()
-        crowd.token_label_incidence(), crowd.annotator_mask()
-        crowd.append_labels(second)
-        crowd.append_labels([])      # empty batch is a no-op
-        crowd.append_labels(third)
-        fresh = SequenceCrowdLabels(first + second + third, 3, 3)
-        self._assert_matches_fresh(crowd, fresh)
-
-    def test_append_with_cold_caches_builds_lazily(self):
-        first = self._sentences(19, 3)
-        second = self._sentences(23, 4)
-        crowd = SequenceCrowdLabels(list(first), 3, 3)
-        crowd.append_labels(second)
-        fresh = SequenceCrowdLabels(first + second, 3, 3)
-        self._assert_matches_fresh(crowd, fresh)
-
-    def test_append_validates_sentences(self):
-        crowd = SequenceCrowdLabels([np.array([[0, 1]])], 2, 2)
-        with pytest.raises(ValueError):
-            crowd.append_labels([np.array([[0, M], [M, M]])])  # partial column
-        with pytest.raises(ValueError):
-            crowd.append_labels([np.array([[9, 0]])])  # out of range
-
-
 def _random_matrix_crowd(seed: int, instances: int, annotators: int, classes: int):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=(instances, annotators))
@@ -263,26 +203,15 @@ def _random_matrix_crowd(seed: int, instances: int, annotators: int, classes: in
     return CrowdLabelMatrix(labels, classes)
 
 
-def _random_sequence_crowd(seed: int, sentences: int, annotators: int, classes: int):
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for _ in range(sentences):
-        t = int(rng.integers(1, 8))
-        matrix = np.full((t, annotators), M, dtype=np.int64)
-        for j in rng.choice(annotators, size=2, replace=False):
-            matrix[:, j] = rng.integers(0, classes, size=t)
-        matrices.append(matrix)
-    return SequenceCrowdLabels(matrices, classes, annotators)
-
-
 class TestCrowdShards:
-    """The zero-copy shard views of CrowdLabelMatrix (PR 5 data layer)."""
+    """The SparseLabelShard views ``CrowdLabelMatrix.shards`` cuts from the
+    container's cached triples."""
 
     def test_partition_covers_crowd_in_order(self):
         crowd = _random_matrix_crowd(0, 23, 6, 3)
         shards = crowd.shards(4)
         assert [s.num_instances for s in shards] == [6, 6, 6, 5]
-        rebuilt = np.concatenate([s.labels for s in shards], axis=0)
+        rebuilt = np.concatenate([s.to_matrix().labels for s in shards], axis=0)
         np.testing.assert_array_equal(rebuilt, crowd.labels)
 
     def test_views_match_subset_containers(self):
@@ -290,9 +219,8 @@ class TestCrowdShards:
         start = 0
         for shard in crowd.shards(3):
             subset = crowd.subset(np.arange(start, start + shard.num_instances))
-            np.testing.assert_array_equal(shard.labels, subset.labels)
+            np.testing.assert_array_equal(shard.to_matrix().labels, subset.labels)
             np.testing.assert_array_equal(shard.vote_counts(), subset.vote_counts())
-            np.testing.assert_array_equal(shard.observed_mask, subset.observed_mask)
             np.testing.assert_array_equal(
                 shard.annotations_per_instance(), subset.annotations_per_instance()
             )
@@ -302,19 +230,14 @@ class TestCrowdShards:
             assert shard.total_annotations() == subset.total_annotations()
             for mine, theirs in zip(shard.flat_label_pairs(), subset.flat_label_pairs()):
                 np.testing.assert_array_equal(mine, theirs)
-            incidence = shard.label_incidence()
-            if incidence is not None:
-                np.testing.assert_array_equal(
-                    incidence.toarray(), subset.label_incidence().toarray()
-                )
+            np.testing.assert_array_equal(
+                shard.label_incidence().toarray(), subset.label_incidence().toarray()
+            )
             start += shard.num_instances
 
     def test_views_share_parent_cache_memory(self):
         crowd = _random_matrix_crowd(2, 20, 5, 3)
         shard = crowd.shards(2)[1]
-        # Label block and vote counts are row slices of the parent arrays.
-        assert np.shares_memory(shard.labels, crowd.labels)
-        assert np.shares_memory(shard.vote_counts(), crowd.vote_counts())
         # Annotator/label columns of the COO triples are parent slices;
         # only the localized row index is fresh memory.
         _, annotators, given = shard.flat_label_pairs()
@@ -358,55 +281,3 @@ class TestCrowdShards:
             crowd.shards(0)
         with pytest.raises(ValueError):
             list(crowd.iter_shards(0))
-        from repro.crowd import CrowdShard
-
-        with pytest.raises(ValueError):
-            CrowdShard(crowd, 4, 9)
-
-
-class TestSequenceCrowdShards:
-    def test_views_match_subset_containers(self):
-        crowd = _random_sequence_crowd(6, 13, 5, 4)
-        start = 0
-        for shard in crowd.shards(3):
-            subset = crowd.subset(np.arange(start, start + shard.num_instances))
-            stacked, offsets = shard.flat_labels()
-            sub_stacked, sub_offsets = subset.flat_labels()
-            np.testing.assert_array_equal(stacked, sub_stacked)
-            np.testing.assert_array_equal(offsets, sub_offsets)
-            for mine, theirs in zip(shard.flat_label_pairs(), subset.flat_label_pairs()):
-                np.testing.assert_array_equal(mine, theirs)
-            np.testing.assert_array_equal(shard.annotator_mask(), subset.annotator_mask())
-            np.testing.assert_array_equal(
-                shard.token_vote_counts_flat(), subset.token_vote_counts_flat()
-            )
-            incidence = shard.token_label_incidence()
-            if incidence is not None:
-                np.testing.assert_array_equal(
-                    incidence.toarray(), subset.token_label_incidence().toarray()
-                )
-            start += shard.num_instances
-
-    def test_primitives_run_on_sequence_shards(self):
-        from repro.inference.primitives import confusion_counts
-
-        crowd = _random_sequence_crowd(7, 9, 4, 3)
-        rng = np.random.default_rng(8)
-        start = 0
-        for shard in crowd.shards(2):
-            subset = crowd.subset(np.arange(start, start + shard.num_instances))
-            stacked, _ = shard.flat_labels()
-            posterior = rng.dirichlet(np.ones(3), size=stacked.shape[0])
-            np.testing.assert_allclose(
-                confusion_counts(posterior, shard),
-                confusion_counts(posterior, subset),
-                atol=1e-12, rtol=0,
-            )
-            start += shard.num_instances
-
-    def test_iter_shards_budgets_token_observations(self):
-        crowd = _random_sequence_crowd(9, 12, 5, 3)
-        shards = list(crowd.iter_shards(30))
-        assert sum(s.num_instances for s in shards) == crowd.num_instances
-        for shard in shards:
-            assert shard.total_annotations() <= 30 or shard.num_instances == 1

@@ -73,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from repro.autodiff.dtypes import equivalence_atol
-from repro.crowd.sharding import save_shard_handles
+from repro.crowd.sharding import SparseLabelShard, save_shard_handles
 from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
 from repro.experiments.streaming_suite import stream_crowd_in_batches
 from repro.inference import InferenceResult, SequenceInferenceResult, get_method
@@ -501,11 +501,18 @@ def assert_streaming_replay_matches(name: str, crowd, seed: int, atol: float = 1
 
 def _out_of_core_source(crowd: CrowdLabelMatrix, num_shards: int):
     """Callable yielding standalone COO shards lazily, one per iteration —
-    the out-of-core form: nothing references the parent container."""
+    the out-of-core form: each shard owns copies of its triples, so
+    nothing references the parent container."""
 
     def source():
         for shard in crowd.shards(num_shards):
-            yield shard.to_sparse()
+            rows, annotators, given = shard.flat_label_pairs()
+            yield SparseLabelShard(
+                rows.copy(), annotators.copy(), given.copy(),
+                num_instances=shard.num_instances,
+                num_annotators=shard.num_annotators,
+                num_classes=shard.num_classes,
+            )
 
     return source
 
@@ -524,9 +531,11 @@ def _handle_source(crowd: CrowdLabelMatrix, num_shards: int, mmap: bool):
 
 
 # name → (crowd → shard source): the layout axis of the sharded contract.
-# Covers the shard counts the tentpole names (1, 2, 7, one-instance,
-# empty shards), both lazy source forms, and the on-disk ShardHandle
-# layouts (one COO file + range descriptors, memmapped and eager).
+# Covers in-memory SparseLabelShard views at 1, 2 and 7 shards, one
+# instance per shard, and with empty shards; both lazy source forms
+# (standalone copies from a generator, budgeted iter_shards views); and
+# the on-disk ShardHandle layouts (one COO file + range descriptors,
+# memmapped and eager).
 SHARD_LAYOUTS: dict[str, Callable] = {
     "one-shard": lambda crowd: crowd.shards(1),
     "two-shards": lambda crowd: crowd.shards(2),

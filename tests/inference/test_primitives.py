@@ -2,16 +2,17 @@
 
 The batched forward–backward must match the per-chain reference (gamma,
 xi sums, log-likelihood) on ragged chains, and the confusion-count /
-emission-log-likelihood / weighted-vote kernels must agree between their
-sparse-incidence and bincount fallback paths on both crowd containers
-(and against the dense one-hot einsums they replaced).
+emission-log-likelihood / weighted-vote kernels (one sparse-incidence
+product each) must match the dense one-hot einsums they replaced. Their
+sequence-crowd use is pinned to the seed oracles in
+``tests/core/test_em_vectorized.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.autodiff.dtypes import equivalence_atol
-from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
+from repro.crowd.types import MISSING, CrowdLabelMatrix
 from repro.inference.primitives import (
     annotator_agreement,
     batched_forward_backward,
@@ -44,19 +45,6 @@ def classification_crowd(seed, instances=50, annotators=9, classes=4):
         chosen = rng.choice(annotators, size=rng.integers(1, 4), replace=False)
         labels[i, chosen] = rng.integers(0, classes, size=chosen.size)
     return CrowdLabelMatrix(labels, classes)
-
-
-def sequence_crowd(seed, instances=25, annotators=7, classes=5, t_max=10):
-    rng = np.random.default_rng(seed)
-    sentences = []
-    for _ in range(instances):
-        t = int(rng.integers(1, t_max + 1))
-        matrix = np.full((t, annotators), MISSING, dtype=np.int64)
-        chosen = rng.choice(annotators, size=rng.integers(1, 4), replace=False)
-        for j in chosen:
-            matrix[:, j] = rng.integers(0, classes, size=t)
-        sentences.append(matrix)
-    return SequenceCrowdLabels(sentences, classes, annotators)
 
 
 class TestBatchedForwardBackward:
@@ -175,40 +163,6 @@ class TestBatchedForwardBackward:
 
 
 class TestSharedKernels:
-    @pytest.mark.parametrize("make_crowd", [classification_crowd, sequence_crowd])
-    def test_fallback_matches_sparse(self, make_crowd, monkeypatch):
-        crowd = make_crowd(6)
-        rng = np.random.default_rng(7)
-        _, _, _, num_rows, _ = crowd_views(crowd)
-        posterior = rng.dirichlet(np.ones(crowd.num_classes), size=num_rows)
-        log_conf = np.log(
-            rng.dirichlet(
-                np.ones(crowd.num_classes),
-                size=(crowd.num_annotators, crowd.num_classes),
-            )
-        )
-        sparse_counts = confusion_counts(posterior, crowd)
-        sparse_ll = emission_log_likelihood(crowd, log_conf)
-
-        incidence_name = (
-            "token_label_incidence"
-            if isinstance(crowd, SequenceCrowdLabels)
-            else "label_incidence"
-        )
-        weights = rng.random(crowd.num_annotators) + 0.1
-        sparse_scores = weighted_vote_scores(weights, crowd)
-
-        monkeypatch.setattr(type(crowd), incidence_name, lambda self: None)
-        np.testing.assert_allclose(
-            confusion_counts(posterior, crowd), sparse_counts, atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            emission_log_likelihood(crowd, log_conf), sparse_ll, atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            weighted_vote_scores(weights, crowd), sparse_scores, atol=1e-12, rtol=0
-        )
-
     def test_counts_match_dense_einsum(self):
         crowd = classification_crowd(8)
         rng = np.random.default_rng(9)

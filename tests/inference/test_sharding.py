@@ -9,11 +9,14 @@ the plumbing the sweep rides on.
 """
 
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.crowd.sharding import ShardHandle, SparseLabelShard, save_shard_handles
 from repro.crowd.types import MISSING, CrowdLabelMatrix
@@ -490,8 +493,7 @@ class TestProcessExecutor:
         cross the pickle boundary directly (no spill for lazy sources)."""
 
         def source():
-            for shard in crowd.shards(3):
-                yield shard.to_sparse()
+            yield from crowd.shards(3)
 
         serial = run_sharded("PM", source, max_iterations=4, tolerance=0.0)
         parallel = run_sharded("PM", source, workers=2, max_iterations=4, tolerance=0.0)
@@ -517,9 +519,45 @@ class TestProcessExecutor:
         assert result.extras["iterations"] == expected.extras["iterations"]
 
 
+class TestShardViews:
+    """What ``crowd.shards()`` hands out: SparseLabelShard views that ship
+    their own slice of the triples, never the parent."""
+
+    def test_every_source_returns_sparse_label_shards(self, crowd, tmp_path):
+        [whole] = save_shard_handles(crowd, tmp_path / "whole.shard", 1)
+        ranges = save_shard_handles(crowd, tmp_path / "ranges.shard", 3)
+        shards = [
+            *crowd.shards(3),
+            *crowd.iter_shards(40),
+            whole.open(),
+            *(handle.open() for handle in ranges),
+            SparseLabelShard.load(whole.path),
+            SparseLabelShard.load(whole.path, mmap=False),
+        ]
+        assert {type(shard) for shard in shards} == {SparseLabelShard}
+
+    def test_each_shard_pickles_under_half_the_crowd(self):
+        crowd = random_classification_crowd(21, instances=120, annotators=9, classes=3)
+        whole = len(pickle.dumps(crowd))
+        for shard in crowd.shards(4):
+            shard.label_incidence()  # a built cache is not shipped either
+            assert len(pickle.dumps(shard)) < whole / 2
+
+    def test_caller_process_pool_over_in_memory_shards(self, crowd):
+        """A caller-owned ProcessPoolExecutor receives the views
+        themselves, pickled per task; the run is bit-identical to the
+        serial one."""
+        serial = run_sharded("DS", crowd.shards(4))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = run_sharded("DS", crowd.shards(4), executor=pool)
+        np.testing.assert_array_equal(serial.posterior, pooled.posterior)
+        np.testing.assert_array_equal(serial.confusions, pooled.confusions)
+        assert serial.extras["iterations"] == pooled.extras["iterations"]
+
+
 class TestShardFileFormat:
     def test_npy_round_trip_mmap_and_eager(self, crowd, tmp_path):
-        shard = crowd.shards(1)[0].to_sparse()
+        shard = crowd.shards(1)[0]
         path = shard.save(tmp_path / "shard.npy")
         for mmap in (True, False):
             loaded = SparseLabelShard.load(path, mmap=mmap)
@@ -529,24 +567,6 @@ class TestShardFileFormat:
             assert loaded.num_annotators == shard.num_annotators
             assert loaded.num_classes == shard.num_classes
             np.testing.assert_array_equal(loaded.vote_counts(), shard.vote_counts())
-
-    def test_npz_round_trip(self, crowd, tmp_path):
-        shard = crowd.shards(1)[0].to_sparse()
-        path = shard.save(tmp_path / "shard.npz")
-        loaded = SparseLabelShard.load(path)
-        np.testing.assert_array_equal(loaded.vote_counts(), shard.vote_counts())
-
-    def test_sparse_incidence_flag_survives_save_load(self, crowd, tmp_path):
-        rows, annotators, given = crowd.flat_label_pairs()
-        shard = SparseLabelShard(
-            rows, annotators, given,
-            num_instances=crowd.num_instances,
-            num_annotators=crowd.num_annotators,
-            num_classes=crowd.num_classes,
-            sparse_incidence=False,
-        )
-        loaded = SparseLabelShard.load(shard.save(tmp_path / "no-csr.npy"))
-        assert loaded.label_incidence() is None
 
     def test_empty_shard_round_trip(self, tmp_path):
         empty = SparseLabelShard(
@@ -563,6 +583,32 @@ class TestShardFileFormat:
         np.save(path, np.arange(8, dtype=np.int64))
         with pytest.raises(ValueError, match="not a shard file"):
             SparseLabelShard.load(path)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "eager"])
+    @pytest.mark.parametrize(
+        "damage", ["npz-archive", "garbage", "header-cut", "coo-cut", "trailing-bytes"]
+    )
+    def test_unreadable_file_rejected_naming_it(self, crowd, tmp_path, damage, mmap):
+        """Every file that is not a complete header+COO shard raises one
+        ValueError naming the path, before its COO block is mapped or
+        read."""
+        shard = SparseLabelShard.from_dense(crowd.labels, crowd.num_classes)
+        data = Path(shard.save(tmp_path / "intact.shard")).read_bytes()
+        path = tmp_path / "damaged.shard"
+        if damage == "npz-archive":
+            path = tmp_path / "crowd.npz"
+            rows, annotators, given = shard.flat_label_pairs()
+            np.savez(path, rows=rows, annotators=annotators, labels=given)
+        elif damage == "garbage":
+            path.write_bytes(b"not a shard file " * 8)
+        elif damage == "header-cut":
+            path.write_bytes(data[:40])
+        elif damage == "coo-cut":
+            path.write_bytes(data[:-5])
+        else:
+            path.write_bytes(data + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            SparseLabelShard.load(path, mmap=mmap)
 
     def test_handle_range_localizes_in_file_coordinates(self, crowd, tmp_path):
         handles = save_shard_handles(crowd, tmp_path / "crowd.npy", 3)
@@ -609,11 +655,10 @@ class TestShardFileFormat:
 
 
 class TestSparseLabelShardPickle:
-    """Satellite regression: pickling must drop built caches (the CSR
-    incidence in particular) and preserve the sparse_incidence flag."""
+    """Pickling must drop built caches (the CSR incidence in particular)."""
 
     def test_built_incidence_cache_is_dropped(self, crowd):
-        shard = crowd.shards(1)[0].to_sparse()
+        shard = crowd.shards(1)[0]
         assert shard.label_incidence() is not None  # build the cache
         assert "_incidence_cache" in shard.__dict__
         clone = pickle.loads(pickle.dumps(shard))
@@ -624,30 +669,17 @@ class TestSparseLabelShardPickle:
             np.asarray(shard.label_incidence().todense()),
         )
 
-    def test_sparse_incidence_false_round_trips(self, crowd):
-        rows, annotators, given = crowd.flat_label_pairs()
-        shard = SparseLabelShard(
-            rows, annotators, given,
-            num_instances=crowd.num_instances,
-            num_annotators=crowd.num_annotators,
-            num_classes=crowd.num_classes,
-            sparse_incidence=False,
-        )
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.label_incidence() is None  # the flag's promise holds
-        np.testing.assert_array_equal(clone.vote_counts(), shard.vote_counts())
-
     def test_payload_carries_no_csr(self, crowd):
         """The serialized form must not grow when a cache happens to be
         built — what goes over the pickle boundary is triples + dims."""
-        shard = crowd.shards(1)[0].to_sparse()
+        shard = crowd.shards(1)[0]
         cold = len(pickle.dumps(shard))
         shard.label_incidence()
         warm = len(pickle.dumps(shard))
         assert warm == cold
 
     def test_memmap_backed_shard_pickles_as_plain_arrays(self, crowd, tmp_path):
-        shard = crowd.shards(1)[0].to_sparse()
+        shard = crowd.shards(1)[0]
         loaded = SparseLabelShard.load(shard.save(tmp_path / "shard.npy"), mmap=True)
         clone = pickle.loads(pickle.dumps(loaded))
         assert not isinstance(clone.flat_label_pairs()[1], np.memmap)
@@ -676,7 +708,6 @@ class TestOutOfCore:
                     num_instances=int(payload["num_instances"]),
                     num_annotators=crowd.num_annotators,
                     num_classes=crowd.num_classes,
-                    sparse_incidence=False,
                 )
 
         expected = get_method("DS", kind="classification").infer(crowd)
@@ -705,7 +736,11 @@ class TestOutOfCore:
                 return self._pairs
 
             def label_incidence(self):
-                return None
+                rows, annotators, given = self._pairs
+                return csr_matrix(
+                    (np.ones(rows.size), (rows, annotators * self.num_classes + given)),
+                    shape=(self.num_instances, self.num_annotators * self.num_classes),
+                )
 
             def vote_counts(self):
                 rows, _, given = self._pairs

@@ -644,10 +644,3 @@ class TestStateCodec:
         assert path.stat().st_size == sum(
             memoryview(chunk).nbytes for chunk in as_sparse_shard(crowd).file_chunks()
         )
-
-    def test_crowd_rejects_npz_suffix(self, tmp_path):
-        crowd = random_classification_crowd(
-            47, instances=5, annotators=3, classes=2, mean_labels=2.0
-        )
-        with pytest.raises(ValueError, match="npz"):
-            save_crowd(tmp_path / "crowd.npz", crowd)
