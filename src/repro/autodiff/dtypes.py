@@ -6,9 +6,12 @@ The engine supports exactly two floating dtypes:
   repo (seed-vs-live benches at 1e-10, fused-vs-per-gate GRU at 1e-10,
   conv variant agreement at 1e-11, gradcheck vs central differences) is
   pinned on float64 and unchanged by the policy.
-* ``float32`` — the **training fast path**: ~2× memory bandwidth on every
-  GEMM in the GRU/conv/MLP hot paths. Float32 twins of the equivalence
-  tests run at the bumped tolerance (:func:`equivalence_atol`).
+* ``float32`` — the **training fast path** (:data:`FAST_DTYPE`): ~2×
+  memory bandwidth on every GEMM in the GRU/conv/MLP hot paths. The
+  paper's pipelines train in it (``sentiment_paper_config`` and
+  ``ner_paper_config`` take their ``dtype`` from the constant). Float32
+  twins of the equivalence tests run at the bumped tolerance
+  (:func:`equivalence_atol`).
 
 Resolution rules (deterministic, applied everywhere):
 
@@ -33,7 +36,9 @@ policy cannot silently erode.
 Above the layer library the one precision setting is
 ``TrainerConfig.dtype``: models are built without a dtype and the
 trainer casts them (:meth:`repro.autodiff.nn.Module.cast`) before it
-allocates optimizer state.
+allocates optimizer state. Its default stays float64, the reference
+path; the paper's Table I configs select the fast path through
+:data:`FAST_DTYPE`.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "FAST_DTYPE",
     "canonical_dtype",
     "get_default_dtype",
     "set_default_dtype",
@@ -63,6 +69,11 @@ _ALLOWED: dict[str, np.dtype] = {
 _EQUIVALENCE_ATOL: dict[str, float] = {"float64": 1e-10, "float32": 1e-4}
 
 _DEFAULT = _ALLOWED["float64"]
+
+# The training fast path, by canonical name: the precision the paper's
+# Table I configs train in. The pseudo-E-step computes in float64 whatever
+# dtype the network returns.
+FAST_DTYPE = "float32"
 
 
 def float_dtype_names() -> tuple[str, ...]:

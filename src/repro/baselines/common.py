@@ -67,11 +67,16 @@ class TrainerConfig:
 
     ``dtype`` is the one precision setting: "float64" (default) is the
     reference path every equivalence test is pinned to; "float32" is the
-    fast path (~2x GEMM throughput, half the tape memory). Models are
-    built without a dtype; :func:`build_optimizer` casts every tensor they
-    hold to this dtype before allocating optimizer state, and the training
-    loops scope the autodiff ambient default to it, so scalar constants
-    and loss coercions inside the loop follow the same precision.
+    fast path (~2x GEMM throughput, half the tape memory), named
+    :data:`repro.autodiff.dtypes.FAST_DTYPE`. The paper's Table I configs
+    (:func:`repro.core.config.sentiment_paper_config`,
+    :func:`~repro.core.config.ner_paper_config`) train in the fast path,
+    and the Table II–IV suites give every compared method their dtype.
+    Models are built without a dtype; :func:`build_optimizer` casts every
+    tensor they hold to this dtype before allocating optimizer state, and
+    the training loops scope the autodiff ambient default to it, so scalar
+    constants and loss coercions inside the loop follow the same
+    precision.
     """
 
     epochs: int = 30

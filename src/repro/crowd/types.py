@@ -98,14 +98,14 @@ class CrowdLabelMatrix:
 
     def annotations_per_instance(self) -> np.ndarray:
         """``num(J(i))`` of paper Eq. 5: labels per instance, shape ``(I,)``."""
-        return self.observed_mask.sum(axis=1)
+        return np.bincount(self.flat_label_pairs()[0], minlength=self.num_instances)
 
     def annotations_per_annotator(self) -> np.ndarray:
         """Number of instances each annotator labeled, shape ``(J,)``."""
-        return self.observed_mask.sum(axis=0)
+        return np.bincount(self.flat_label_pairs()[1], minlength=self.num_annotators)
 
     def total_annotations(self) -> int:
-        return int(self.observed_mask.sum())
+        return int(self.flat_label_pairs()[0].size)
 
     def flat_label_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached ``(instance, annotator, label)`` triples of observed cells.
@@ -113,11 +113,13 @@ class CrowdLabelMatrix:
         The ``(n_obs,)`` COO view of the matrix; the shared kernels in
         :mod:`repro.inference.primitives` scatter/gather over these triples
         instead of scanning the dense ``(I, J)`` matrix (or its ``(I, J, K)``
-        one-hot expansion) every EM round.
+        one-hot expansion) every EM round. The label counts above count
+        from them too, so none of these caches the dense
+        :attr:`observed_mask`.
         """
         cached = getattr(self, "_flat_pairs_cache", None)
         if cached is None:
-            rows, cols = np.nonzero(self.observed_mask)
+            rows, cols = np.nonzero(self.labels != MISSING)
             cached = (rows, cols, self.labels[rows, cols])
             self._flat_pairs_cache = cached
         return cached

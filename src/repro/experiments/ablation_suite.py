@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines import TrainerConfig, TwoStageClassifier, TwoStageSequenceTagger
-from ..core import LogicLNCLClassifier, LogicLNCLSequenceTagger, ner_paper_config, sentiment_paper_config
+from ..baselines import TwoStageClassifier, TwoStageSequenceTagger
+from ..core import LogicLNCLClassifier, LogicLNCLSequenceTagger, sentiment_paper_config
 from ..data import CONLL_LABELS
 from ..eval import accuracy, posterior_accuracy, span_f1_score
 from ..inference import get_method, majority_vote_posterior

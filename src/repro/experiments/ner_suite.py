@@ -110,13 +110,17 @@ def _tagger(task: NERTask, config: NERBenchConfig, seed: int) -> NERTagger:
 
 
 def _trainer_config(config: NERBenchConfig) -> TrainerConfig:
+    """The baselines' trainer: Logic-LNCL's optimizer, schedule and
+    precision, so every Table III row trains at the paper config's dtype."""
+    paper = _lncl_config(config)
     return TrainerConfig(
-        epochs=config.epochs,
-        batch_size=64,
-        optimizer="adam",
-        learning_rate=config.learning_rate,
-        lr_decay_every=None,
-        patience=5,
+        epochs=paper.epochs,
+        batch_size=paper.batch_size,
+        optimizer=paper.optimizer,
+        learning_rate=paper.learning_rate,
+        lr_decay_every=paper.lr_decay_every,
+        patience=paper.patience,
+        dtype=paper.dtype,
     )
 
 

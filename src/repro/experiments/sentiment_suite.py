@@ -109,6 +109,8 @@ def _cnn(task: SentimentTask, config: SentimentBenchConfig, seed: int) -> TextCN
 
 
 def _trainer_config(config: SentimentBenchConfig) -> TrainerConfig:
+    """The baselines' trainer: the paper config's optimizer, schedule and
+    precision, so every Table II row trains at Logic-LNCL's dtype."""
     paper = sentiment_paper_config(epochs=config.epochs)
     return TrainerConfig(
         epochs=paper.epochs,
@@ -118,6 +120,7 @@ def _trainer_config(config: SentimentBenchConfig) -> TrainerConfig:
         lr_decay_every=paper.lr_decay_every,
         lr_decay_factor=paper.lr_decay_factor,
         patience=paper.patience,
+        dtype=paper.dtype,
     )
 
 

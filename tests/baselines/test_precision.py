@@ -7,6 +7,11 @@ dtype. So a float32 trainer config alone must give a float32 run: weights,
 optimizer buffers, ``conv1d_seq`` outputs, logits, CrowdLayer scores and
 the losses that are back-propagated. At the float64 default the cast must
 copy nothing.
+
+The paper's Table I configs set that dtype to the fast path, so a
+Logic-LNCL fit under them trains in float32 too, while its pseudo-E-step
+stays float64: the Eq. 12–15 functions cast whatever probabilities the
+network returns, so ``qa``/``qb``/``qf`` are float64 distributions.
 """
 
 from dataclasses import replace
@@ -20,10 +25,22 @@ from repro.autodiff.dtypes import default_dtype, get_default_dtype
 from repro.baselines import CrowdLayerClassifier, CrowdLayerSequenceTagger, TrainerConfig
 from repro.baselines.common import build_optimizer, fit_classifier, fit_tagger
 from repro.baselines.crowd_layer import _CrowdLayer
+from repro.core import (
+    LogicLNCLClassifier,
+    LogicLNCLSequenceTagger,
+    ner_paper_config,
+    posterior_qa,
+    sentiment_paper_config,
+    sequence_posterior_qa,
+)
+from repro.crowd import CrowdLabelMatrix, SequenceCrowdLabels
+from repro.data import CONLL_LABELS
+from repro.logic import ButRule, bio_transition_rules, chain_marginals, distill_posterior
 from repro.models import MLPClassifier, NERTagger, NERTaggerConfig, TextCNN, TextCNNConfig
 from repro.noisy_labels import as_single_source_crowd, forward_correction_baseline
 
 F32 = np.dtype(np.float32)
+F64 = np.dtype(np.float64)
 
 
 def _float32_config(**overrides) -> TrainerConfig:
@@ -99,6 +116,20 @@ def seen(monkeypatch):
     return recorder
 
 
+@pytest.fixture
+def optimizers(monkeypatch):
+    """Every optimizer the training loops build, in build order."""
+    built = []
+
+    def recording_build(modules, config):
+        optimizer, schedule = build_optimizer(modules, config)
+        built.append(optimizer)
+        return optimizer, schedule
+
+    monkeypatch.setattr("repro.baselines.common.build_optimizer", recording_build)
+    return built
+
+
 def _optimizer_buffers(optimizer) -> list[np.ndarray]:
     return [
         buffer
@@ -109,16 +140,17 @@ def _optimizer_buffers(optimizer) -> list[np.ndarray]:
     ]
 
 
-def test_trainer_dtype_alone_trains_text_cnn_and_tagger_in_float32(seen, monkeypatch):
-    optimizers = []
-    real_build = build_optimizer
+def _assert_trained_in_float32(model, optimizer) -> None:
+    """Every tensor ``model`` holds and every optimizer buffer is float32."""
+    for tensor in _tensors(model):
+        assert tensor.dtype == F32
+    buffers = _optimizer_buffers(optimizer)
+    assert len(buffers) == 2 * len(model.parameters())
+    for buffer in buffers:
+        assert buffer.dtype == F32
 
-    def recording_build(modules, config):
-        optimizer, schedule = real_build(modules, config)
-        optimizers.append(optimizer)
-        return optimizer, schedule
 
-    monkeypatch.setattr("repro.baselines.common.build_optimizer", recording_build)
+def test_trainer_dtype_alone_trains_text_cnn_and_tagger_in_float32(seen, optimizers):
     rng = np.random.default_rng(0)
     embeddings = rng.normal(size=(30, 6))
     tokens = rng.integers(0, 30, size=(8, 7))
@@ -140,13 +172,7 @@ def test_trainer_dtype_alone_trains_text_cnn_and_tagger_in_float32(seen, monkeyp
     seen.assert_all_float32()
     assert len(optimizers) == 2
     for model, optimizer in zip((text_cnn, tagger), optimizers):
-        assert model.embedding.weight.dtype == F32
-        for tensor in _tensors(model):
-            assert tensor.dtype == F32
-        buffers = _optimizer_buffers(optimizer)
-        assert len(buffers) == 2 * len(model.parameters())
-        for buffer in buffers:
-            assert buffer.dtype == F32
+        _assert_trained_in_float32(model, optimizer)
         assert model.logits(tokens, lengths).dtype == F32
 
 
@@ -222,3 +248,72 @@ def test_forward_correction_follows_trainer_dtype(sentiment_task, seen):
     )
     assert seen.kinds() == {"conv1d_seq", "logits", "loss"}
     seen.assert_all_float32()
+
+
+def _assert_float64_distributions(rows: np.ndarray) -> None:
+    assert rows.dtype == F64
+    assert np.isfinite(rows).all()
+    np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
+
+
+def test_sentiment_paper_config_trains_logic_lncl_in_float32(sentiment_task, seen, optimizers):
+    model = TextCNN(
+        sentiment_task.embeddings, TextCNNConfig(filter_windows=(2, 3), feature_maps=4),
+        np.random.default_rng(0),
+    )
+    trainer = LogicLNCLClassifier(
+        model, sentiment_paper_config(epochs=2), np.random.default_rng(1),
+        rule=ButRule(sentiment_task.but_id),
+    )
+    trainer.fit(sentiment_task.train, dev=sentiment_task.dev)
+    assert seen.kinds() == {"conv1d_seq", "loss"}
+    seen.assert_all_float32()
+    assert len(optimizers) == 1
+    _assert_trained_in_float32(model, optimizers[0])
+    assert trainer.confusions_.dtype == F64
+    for posterior in (trainer.qa_, trainer.qb_, trainer.qf_):
+        _assert_float64_distributions(posterior)
+
+
+def test_ner_paper_config_trains_logic_lncl_in_float32(ner_task, seen, optimizers):
+    model = NERTagger(
+        ner_task.embeddings, NERTaggerConfig(conv_features=8, gru_hidden=4),
+        np.random.default_rng(0),
+    )
+    trainer = LogicLNCLSequenceTagger(
+        model, ner_paper_config(epochs=2), np.random.default_rng(1),
+        rules=bio_transition_rules(CONLL_LABELS),
+    )
+    trainer.fit(ner_task.train, dev=ner_task.dev)
+    assert seen.kinds() == {"conv1d_seq", "loss"}
+    seen.assert_all_float32()
+    assert len(optimizers) == 1
+    _assert_trained_in_float32(model, optimizers[0])
+    assert trainer.confusions_.dtype == F64
+    for posterior in (trainer.qa_, trainer.qb_, trainer.qf_):
+        assert len(posterior) == len(ner_task.train)
+        _assert_float64_distributions(np.concatenate(posterior, axis=0))
+
+
+def test_pseudo_e_step_computes_in_float64_from_float32_probabilities():
+    rng = np.random.default_rng(0)
+    K, lengths = 3, np.array([3, 1, 2])
+    confusions = rng.dirichlet(np.ones(K), size=(2, K))
+    crowd = CrowdLabelMatrix(rng.integers(-1, K, size=(5, 2)), K)
+    sequence_crowd = SequenceCrowdLabels(
+        [rng.integers(0, K, size=(int(t), 2)) for t in lengths], K, 2
+    )
+
+    def proba(*shape) -> np.ndarray:
+        return rng.dirichlet(np.ones(K), size=shape).astype(np.float32)
+
+    qa = posterior_qa(proba(5), crowd, confusions)
+    qb = distill_posterior(proba(5), rng.random((5, K)).astype(np.float32), C=5.0)
+    sequence_qa = sequence_posterior_qa([proba(int(t)) for t in lengths], sequence_crowd, confusions)
+    marginals = chain_marginals(
+        proba(3, 3), lengths, rng.random((K, K)).astype(np.float32),
+        rng.random(K).astype(np.float32) + 0.1,
+    )
+    for posterior in (qa, qb, *sequence_qa):
+        _assert_float64_distributions(posterior)
+    _assert_float64_distributions(marginals[np.arange(3)[None, :] < lengths[:, None]])

@@ -66,6 +66,7 @@ class TestConfigs:
         assert config.lr_decay_every == 5
         assert not config.weighted_loss
         assert config.imitation(1) == pytest.approx(0.06)
+        assert config.dtype == "float32"
 
     def test_ner_paper_values(self):
         config = ner_paper_config()
@@ -74,6 +75,12 @@ class TestConfigs:
         assert config.learning_rate == pytest.approx(1e-3)
         assert config.weighted_loss
         assert config.imitation(100) == pytest.approx(0.8)
+        assert config.dtype == "float32"
+
+    def test_library_default_stays_float64(self):
+        # The paper configs opt into the fast path; the reference path
+        # every equivalence test is pinned to stays the default.
+        assert LogicLNCLConfig().dtype == "float64"
 
     def test_validation(self):
         with pytest.raises(ValueError):

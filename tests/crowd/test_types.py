@@ -35,6 +35,17 @@ class TestCrowdLabelMatrix:
         np.testing.assert_array_equal(crowd.annotations_per_annotator(), [2, 2, 2])
         assert crowd.total_annotations() == 6
 
+    def test_counts_match_the_dense_mask_without_caching_it(self):
+        crowd = _random_matrix_crowd(7, 50, 9, 4)
+        observed = crowd.labels != M
+        np.testing.assert_array_equal(crowd.annotations_per_instance(), observed.sum(axis=1))
+        np.testing.assert_array_equal(crowd.annotations_per_annotator(), observed.sum(axis=0))
+        assert crowd.total_annotations() == observed.sum()
+        assert getattr(crowd, "_observed_mask_cache", None) is None
+        # Direct readers still get the cached mask.
+        np.testing.assert_array_equal(crowd.observed_mask, observed)
+        assert crowd.observed_mask is crowd.observed_mask
+
     def test_vote_counts(self):
         crowd = self._tiny()
         np.testing.assert_array_equal(crowd.vote_counts(), [[1, 1], [0, 3], [1, 0]])
@@ -257,8 +268,11 @@ class TestCrowdShards:
 
     def test_iter_shards_respects_observation_budget(self):
         crowd = _random_matrix_crowd(4, 40, 8, 3)
-        per_instance = crowd.annotations_per_instance()
+        per_instance = (crowd.labels != M).sum(axis=1)
         shards = list(crowd.iter_shards(10))
+        # Shards are sized from the cached triples: a budgeted pass
+        # allocates O(observations), never the dense (I, J) mask.
+        assert getattr(crowd, "_observed_mask_cache", None) is None
         assert sum(s.num_instances for s in shards) == crowd.num_instances
         for shard in shards:
             obs = shard.total_annotations()

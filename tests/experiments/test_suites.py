@@ -7,6 +7,8 @@ fail on plumbing, and checks the reporting primitives.
 import numpy as np
 import pytest
 
+from repro.baselines.common import build_optimizer
+from repro.core import ner_paper_config, sentiment_paper_config
 from repro.experiments import (
     ABLATION_METHODS,
     NER_INFERENCE_METHODS,
@@ -49,6 +51,19 @@ def micro_ner():
         epochs=2, conv_features=16, gru_hidden=8, embedding_dim=16, seeds=(0,),
     )
     return config, build_ner_data(0, config)
+
+
+@pytest.fixture
+def trained_dtypes(monkeypatch):
+    """The ``dtype`` of every trainer config an optimizer is built for."""
+    dtypes = []
+
+    def recording_build(modules, config):
+        dtypes.append(config.dtype)
+        return build_optimizer(modules, config)
+
+    monkeypatch.setattr("repro.baselines.common.build_optimizer", recording_build)
+    return dtypes
 
 
 class TestReporting:
@@ -99,9 +114,11 @@ class TestSentimentSuite:
         assert task.train.crowd.num_annotators == 10
 
     @pytest.mark.parametrize("name", SENTIMENT_METHODS)
-    def test_every_method_runs(self, micro_sentiment, name):
+    def test_every_method_runs(self, micro_sentiment, name, trained_dtypes):
         config, task = micro_sentiment
         result = run_sentiment_method(name, task, config, seed=0)
+        # Every row of Table II trains at the paper config's precision.
+        assert trained_dtypes and set(trained_dtypes) == {sentiment_paper_config().dtype}
         for value in result.values():
             assert 0.0 <= value <= 1.0
         if name != "Raykar":
@@ -128,9 +145,10 @@ class TestSentimentSuite:
 
 class TestNERSuite:
     @pytest.mark.parametrize("name", NER_METHODS)
-    def test_every_method_runs(self, micro_ner, name):
+    def test_every_method_runs(self, micro_ner, name, trained_dtypes):
         config, task = micro_ner
         result = run_ner_method(name, task, config, seed=0)
+        assert trained_dtypes and set(trained_dtypes) == {ner_paper_config().dtype}
         assert {"precision", "recall", "f1", "inf_precision", "inf_recall", "inf_f1"} <= set(result)
         for value in result.values():
             assert 0.0 <= value <= 1.0
@@ -153,18 +171,20 @@ class TestNERSuite:
 
 class TestAblationSuite:
     @pytest.mark.parametrize("name", ABLATION_METHODS)
-    def test_sentiment_ablations_run(self, micro_sentiment, name):
+    def test_sentiment_ablations_run(self, micro_sentiment, name, trained_dtypes):
         config, task = micro_sentiment
         result = run_sentiment_ablation(name, task, config, seed=0)
+        assert trained_dtypes and set(trained_dtypes) == {sentiment_paper_config().dtype}
         assert set(result) == {"prediction", "inference"}
 
     @pytest.mark.parametrize(
         "name", [m for m in ABLATION_METHODS if m not in ("GLAD-Rule",)]
     )
-    def test_ner_ablations_run(self, micro_ner, name):
+    def test_ner_ablations_run(self, micro_ner, name, trained_dtypes):
         # GLAD-Rule trains an extra AggNet pass; covered by the bench itself.
         config, task = micro_ner
         result = run_ner_ablation(name, task, config, seed=0)
+        assert trained_dtypes and set(trained_dtypes) == {ner_paper_config().dtype}
         assert set(result) == {"prediction", "inference"}
 
     def test_paper_reference_covers_all_ablations(self):
