@@ -31,9 +31,11 @@ from repro.experiments import (
 
 def _config() -> NERBenchConfig:
     if fast_mode():
+        # Default model sizes and enough data for the taggers to leave the
+        # all-O solution: at 120 sentences, 4 epochs and conv 32 / GRU 16
+        # every trained row scored F1 0, so no row could show a regression.
         return NERBenchConfig(
-            num_train=120, num_dev=40, num_test=40, num_annotators=10,
-            epochs=4, conv_features=32, gru_hidden=16, embedding_dim=24, seeds=(0,),
+            num_train=200, num_dev=50, num_test=50, num_annotators=10, epochs=6, seeds=(0,),
         )
     scale = bench_scale()
     return NERBenchConfig(
@@ -74,7 +76,11 @@ def test_table3_ner(benchmark, archive):
     for row in table.rows:
         for value in row.measured.values():
             assert 0.0 <= value <= 1.0
-    if not fast_mode():
+    if fast_mode():
+        # The fast table must still show the trained rows learning.
+        for name in ("Gold", "Logic-LNCL-student", "Logic-LNCL-teacher"):
+            assert table.measured(name, "f1") > 0.0, name
+    else:
         # Sequential aggregation must not lose to token-level MV.
         assert table.measured("HMM-Crowd", "inf_f1") >= table.measured("MV", "inf_f1") - 0.03
         # Logic-LNCL inference must improve on the MV initialization.

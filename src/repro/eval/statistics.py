@@ -3,6 +3,11 @@
 The paper reports one-sided t-tests of Logic-LNCL vs the strongest
 competitor over repeated seeded runs, and Pearson correlations between
 estimated and real annotator reliability (Fig. 6b/7b).
+
+:mod:`scipy.stats` is imported inside the two functions, on their first
+call: importing it costs ~1 s and ~44 MiB in every process, and
+``import repro`` (every training, inference and serving process) would
+otherwise pay that for two analysis helpers.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["TTestResult", "one_sided_t_test", "pearson_correlation"]
 
@@ -33,6 +37,8 @@ def one_sided_t_test(a: np.ndarray, b: np.ndarray, paired: bool = True) -> TTest
     Paired by default (same seeds produce matched runs, the paper's
     "unilateral statistics"); falls back to Welch's test otherwise.
     """
+    from scipy import stats
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -48,6 +54,8 @@ def one_sided_t_test(a: np.ndarray, b: np.ndarray, paired: bool = True) -> TTest
 
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient (Fig. 6b/7b report ≈0.92/0.91)."""
+    from scipy import stats
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:

@@ -530,7 +530,10 @@ def seed_catd(
     alpha: float = 0.05,
 ):
     """Pre-PR-3 CATD: dense one-hot einsums over ``(I, J, K)`` per sweep."""
-    from scipy import stats  # seed CATD required scipy, as the live one does
+    # The bound stays ``stats.chi2.ppf`` on purpose: it is the independent
+    # spec for the live CATD's ``2·gammaincinv(n_j/2, 1 − α/2)``, which
+    # must equal it bit for bit.
+    from scipy import stats
 
     one_hot = seed_one_hot(labels, num_classes)
     observed = labels != MISSING
