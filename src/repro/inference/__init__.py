@@ -40,7 +40,13 @@ Architecture — three layers over one sparse-crowd core:
 
 3. **Registry** (:mod:`~repro.inference.registry`): the single name →
    factory table the experiment suites and examples resolve through. To
-   add a classification method: subclass
+   add a classification method that differs from an existing family only
+   in its global step, subclass that family and override the one method:
+   :class:`~repro.inference.dawid_skene.DawidSkene` and its
+   ``_global_step`` (merged soft confusion counts → E-step parameters; IBCC
+   is DS with a Dirichlet M-step), or :class:`~repro.inference.pm.PM` and
+   its ``_global_step`` (merged label counts and agreement → annotator
+   weights; CATD is PM with a χ² weight). Otherwise subclass
    :class:`~repro.inference.sharding.ShardedTruthInference` and implement
    ``_infer`` over its shard passes (mappers from a shard to
    :class:`~repro.inference.sharding.ShardStats`, then a global M-step
@@ -79,7 +85,7 @@ from .primitives import (
     weighted_vote_scores,
 )
 from .registry import available_methods, build_method_table, get_method, register
-from .sequence_utils import TokenLevelInference, flatten_sequence_crowd
+from .sequence_utils import TokenLevelInference
 from .sharding import (
     ShardedTruthInference,
     ShardStats,
@@ -119,7 +125,6 @@ __all__ = [
     "available_methods",
     "build_method_table",
     "TokenLevelInference",
-    "flatten_sequence_crowd",
     "StreamingTruthInference",
     "StreamingMajorityVote",
     "StreamingDawidSkene",

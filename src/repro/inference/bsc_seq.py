@@ -52,6 +52,8 @@ class BSCSeq:
         prior_off_diagonal: float = 1.0,
         prior_transition: float = 1.0,
     ) -> None:
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         if prior_diagonal <= 0 or prior_off_diagonal <= 0 or prior_transition <= 0:
             raise ValueError("Dirichlet priors must be positive")
         self.max_iterations = max_iterations

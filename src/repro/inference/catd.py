@@ -17,17 +17,14 @@ That is the expression ``scipy.stats.chi2.ppf`` evaluates, so the two
 agree bit for bit, and CATD does not load :mod:`scipy.stats` (~1 s and
 ~44 MiB per process) for one quantile.
 
-The iteration is written once, map-reduce style
-(:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
-as its own single shard, ``infer_sharded`` on any shard source.
-
-Performance: the error sum is one
-:func:`~repro.inference.primitives.annotator_agreement` gather/scatter and
-the weighted vote one
-:func:`~repro.inference.primitives.weighted_vote_scores` spMM/bincount over
-the shard's cached COO views — the dense ``(I, J, K)`` one-hot einsums
-survive only in ``seed_catd`` (``tests/oracles.py``), the executable
-specification the equivalence harness pins at atol 1e-10.
+Everything but the weight update is PM's: the majority-vote init, the
+weighted vote and the error sums it needs. So :class:`CATD` is a
+:class:`~repro.inference.pm.PM` whose global step is the χ² weight, and it
+inherits PM's init pass, vote mapper and loop, sharding included
+(``infer(crowd)`` is the one-shard run, ``infer_sharded`` takes any shard
+source). The dense ``(I, J, K)`` one-hot einsums survive only in
+``seed_catd`` (``tests/oracles.py``), the executable specification the
+equivalence harness pins at atol 1e-10.
 """
 
 from __future__ import annotations
@@ -35,21 +32,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincinv
 
-from .base import ConvergenceMonitor, InferenceResult
-from .majority_vote import majority_vote_posterior
-from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
-from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
+from .pm import PM
 
 __all__ = ["CATD"]
 
 
-class CATD(ShardedTruthInference):
-    """Confidence-aware iterative weighted voting.
-
-    The chi-square interval bounds depend only on the merged per-annotator
-    label counts (computed once, in the init pass); each round then needs
-    only the merged error sums for the global weight update, and the
-    weighted vote runs shard-local.
+class CATD(PM):
+    """Confidence-aware iterative weighted voting: PM with a χ² weight.
 
     Parameters
     ----------
@@ -66,6 +55,8 @@ class CATD(ShardedTruthInference):
     def __init__(
         self, max_iterations: int = 50, tolerance: float = 1e-6, alpha: float = 0.05
     ) -> None:
+        # PM's constructor is not called: CATD's weights need no error
+        # clamp, so it has no ``floor``.
         if max_iterations < 1:
             raise ValueError("need at least one iteration")
         if not 0.0 < alpha < 1.0:
@@ -74,43 +65,10 @@ class CATD(ShardedTruthInference):
         self.tolerance = tolerance
         self.alpha = alpha
 
-    def _init_mapper(self, params, shard):
-        block = majority_vote_posterior(shard)
-        return block, ShardStats(
-            agreement=annotator_agreement(block, shard),
-            label_counts=np.asarray(
-                shard.annotations_per_annotator(), dtype=np.float64
-            ),
-            **shard_base_stats(shard),
-        )
-
-    def _vote_mapper(self, weights, shard, old_block):
-        block = normalize_vote_scores(weighted_vote_scores(weights, shard))
-        return block, ShardStats(
-            agreement=annotator_agreement(block, shard),
-            delta=float(np.abs(block - old_block).max(initial=0.0)),
-        )
-
-    def _infer(self, ctx) -> InferenceResult:
-        _, K, blocks, merged = self._initial_pass(ctx, self._init_mapper)
-        self._require_annotated(merged)
-        num_shards = len(blocks)
-        observations = merged.observations
-        counts = merged.label_counts
-        # χ²(α/2; n_j): annotators with more labels can earn larger weights.
-        df = np.maximum(counts, 1)
-        chi_upper = 2.0 * gammaincinv(df / 2.0, 1.0 - self.alpha / 2.0)
-        monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
-
-        while True:
-            error_sum = counts - merged.agreement
-            weights = chi_upper / np.maximum(error_sum, 1e-6)
-            weights = weights / weights.max()  # scale-invariant voting
-
-            blocks, merged = self._pass(ctx, blocks, self._vote_mapper, weights)
-            if monitor.step(merged.delta):
-                break
-
-        extras = monitor.extras()
-        extras.update(weights=weights, shards=num_shards, observations=observations)
-        return InferenceResult(posterior=self._concat(blocks, K), extras=extras)
+    def _global_step(self, label_counts: np.ndarray, agreement: np.ndarray) -> np.ndarray:
+        """χ²(α/2; n_j) over each annotator's error sum, scaled by the
+        largest weight: annotators with more labels can earn larger
+        weights, and scale-invariant voting needs only the ratios."""
+        chi_upper = 2.0 * gammaincinv(np.maximum(label_counts, 1) / 2.0, 1.0 - self.alpha / 2.0)
+        weights = chi_upper / np.maximum(label_counts - agreement, 1e-6)
+        return weights / weights.max()

@@ -44,6 +44,14 @@ class DawidSkene(ShardedTruthInference):
     can ship them by name; the per-round ``(log prior, log confusions)``
     travel as the pass params, broadcast once per pass.
 
+    The global M-step is :meth:`_global_step`, the only part of the loop
+    that knows how the parameters come from the counts. Bayesian DS
+    (:class:`~repro.inference.ibcc.IBCC`) overrides it and inherits the
+    rest. ``extras["log_likelihood_trace"]`` records, per round, the sum
+    over instances of the E-step's log normalizer
+    ``log Σ_k exp(log prior_k + Σ_j log π_j(k, y_ij))`` under the
+    parameters that round used: for DS, the observed-data log-likelihood.
+
     Parameters
     ----------
     max_iterations:
@@ -93,6 +101,19 @@ class DawidSkene(ShardedTruthInference):
             delta=float(np.abs(block - old_block).max(initial=0.0)),
         )
 
+    def _global_step(self, stats: ShardStats):
+        """Global M-step: Laplace-smoothed normalized counts.
+
+        Returns ``(log prior, log confusions, reported confusions)``: the
+        first two are the next E-step's parameters, the third is what the
+        result reports.
+        """
+        counts = stats.confusion + self.smoothing
+        confusions = counts / counts.sum(axis=2, keepdims=True)
+        prior = stats.class_totals + self.smoothing
+        prior = prior / prior.sum()
+        return np.log(prior), np.log(confusions), confusions
+
     def _infer(self, ctx) -> InferenceResult:
         _, K, blocks, stats = self._initial_pass(ctx, self._init_mapper)
         self._require_annotated(stats)
@@ -101,14 +122,9 @@ class DawidSkene(ShardedTruthInference):
         monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
 
         while True:
-            # Global M-step from the merged sufficient statistics.
-            counts = stats.confusion + self.smoothing
-            confusions = counts / counts.sum(axis=2, keepdims=True)
-            prior = stats.class_totals + self.smoothing
-            prior = prior / prior.sum()
-
+            log_prior, log_confusions, confusions = self._global_step(stats)
             blocks, stats = self._pass(
-                ctx, blocks, self._em_mapper, (np.log(prior), np.log(confusions))
+                ctx, blocks, self._em_mapper, (log_prior, log_confusions)
             )
             if monitor.step(stats.delta, stats.log_likelihood):
                 break

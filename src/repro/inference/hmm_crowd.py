@@ -50,6 +50,8 @@ class HMMCrowd:
     def __init__(self, max_iterations: int = 30, tolerance: float = 1e-4, smoothing: float = 0.1) -> None:
         if max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if smoothing < 0:
+            raise ValueError(f"smoothing must be non-negative, got {smoothing}")
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.smoothing = smoothing

@@ -38,7 +38,10 @@ class PM(ShardedTruthInference):
 
     The annotator-error update needs only the merged per-annotator
     agreement sums and label counts; the weighted vote is per-instance and
-    runs shard-local under the global weights.
+    runs shard-local under the global weights. The weight update is
+    :meth:`_global_step`, the only part of the loop that knows how
+    weights come from errors; :class:`~repro.inference.catd.CATD`
+    overrides it and inherits the rest.
 
     Parameters
     ----------
@@ -47,7 +50,8 @@ class PM(ShardedTruthInference):
     tolerance:
         Stop when the posterior's max absolute change falls below this.
     floor:
-        Clamp on annotator error rates, keeping ``-log(error)`` finite.
+        Clamp on annotator error rates, keeping ``-log(error)`` finite;
+        must lie in ``(0, 0.5)``.
     """
 
     name = "PM"
@@ -57,6 +61,11 @@ class PM(ShardedTruthInference):
     ) -> None:
         if max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if not 0.0 < floor < 0.5:
+            # Outside (0, 0.5) the clamp is empty (np.clip then returns the
+            # upper bound for every annotator: uniform weights) or admits
+            # error 0, whose -log is infinite.
+            raise ValueError(f"floor must be in (0, 0.5), got {floor}")
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.floor = floor
@@ -72,27 +81,32 @@ class PM(ShardedTruthInference):
         )
 
     def _vote_mapper(self, weights, shard, old_block):
-        scores = np.maximum(weighted_vote_scores(weights, shard), 0.0)
-        block = normalize_vote_scores(scores)
+        # Weights are positive (see _global_step), so the scores are
+        # nonnegative, as normalize_vote_scores requires.
+        block = normalize_vote_scores(weighted_vote_scores(weights, shard))
         return block, ShardStats(
             agreement=annotator_agreement(block, shard),
             delta=float(np.abs(block - old_block).max(initial=0.0)),
         )
+
+    def _global_step(self, label_counts: np.ndarray, agreement: np.ndarray) -> np.ndarray:
+        """Annotator weights from the merged label counts and agreement
+        sums: the clamped ``-log`` error rate. Weights must be positive:
+        the vote mapper normalizes the scores they give unclamped."""
+        error = 1.0 - agreement / np.maximum(label_counts, 1)
+        error = np.clip(error, self.floor, 1.0 - self.floor)
+        return -np.log(error)
 
     def _infer(self, ctx) -> InferenceResult:
         _, K, blocks, stats = self._initial_pass(ctx, self._init_mapper)
         self._require_annotated(stats)
         num_shards = len(blocks)
         observations = stats.observations
-        counts = np.maximum(stats.label_counts, 1)
+        label_counts = stats.label_counts
         monitor = ConvergenceMonitor(self.tolerance, self.max_iterations)
 
         while True:
-            # Global weight update from the merged agreement sums.
-            error = 1.0 - stats.agreement / counts
-            error = np.clip(error, self.floor, 1.0 - self.floor)
-            weights = -np.log(error)
-
+            weights = self._global_step(label_counts, stats.agreement)
             blocks, stats = self._pass(ctx, blocks, self._vote_mapper, weights)
             if monitor.step(stats.delta):
                 break

@@ -1,49 +1,44 @@
 """Adapters that run instance-level inference methods at the token level.
 
 MV, DS, and IBCC are token-independent, so for sequence crowds (NER) the
-paper applies them per token. These adapters flatten a
-:class:`~repro.crowd.SequenceCrowdLabels` into one big token × annotator
-matrix, run the wrapped method, and unflatten back into per-sentence
-posteriors.
+paper applies them per token. :class:`TokenLevelInference` hands the
+wrapped method the crowd's own cached ``(token, annotator, label)``
+triples as one :class:`~repro.crowd.sharding.SparseLabelShard` (tokens as
+instances) and splits the posterior back into sentences at the
+:meth:`~repro.crowd.types.SequenceCrowdLabels.flat_labels` offsets. No
+``(ΣT_i, J)`` label matrix is validated, scanned or stored per call.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from ..crowd.sharding import SparseLabelShard
+from ..crowd.types import SequenceCrowdLabels
+from .base import SequenceInferenceResult
+from .primitives import split_by_offsets
+from .sharding import ShardedTruthInference
 
-from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
-from .base import SequenceInferenceResult, TruthInferenceMethod
-
-__all__ = ["flatten_sequence_crowd", "TokenLevelInference"]
-
-
-def flatten_sequence_crowd(crowd: SequenceCrowdLabels) -> tuple[CrowdLabelMatrix, list[slice]]:
-    """Stack all sentences' token labels into one ``(ΣT_i, J)`` matrix.
-
-    Returns the matrix and per-sentence row slices for unflattening. The
-    stacked matrix and offsets come from the crowd's cached flat view, so
-    repeated flattening (every EM round) costs no fresh concatenation.
-    """
-    stacked, offsets = crowd.flat_labels()
-    slices = [
-        slice(int(offsets[i]), int(offsets[i + 1])) for i in range(crowd.num_instances)
-    ]
-    return CrowdLabelMatrix(stacked, crowd.num_classes), slices
+__all__ = ["TokenLevelInference"]
 
 
 class TokenLevelInference:
-    """Run a classification truth-inference method independently per token."""
+    """Run a shardable classification truth-inference method independently
+    per token."""
 
-    def __init__(self, method: TruthInferenceMethod) -> None:
+    def __init__(self, method: ShardedTruthInference) -> None:
         self.method = method
         self.name = f"{method.name} (token)"
 
     def infer(self, crowd: SequenceCrowdLabels) -> SequenceInferenceResult:
-        flat, slices = flatten_sequence_crowd(crowd)
-        result = self.method.infer(flat)
-        posteriors = [result.posterior[s] for s in slices]
+        stacked, offsets = crowd.flat_labels()
+        tokens = SparseLabelShard(
+            *crowd.flat_label_pairs(),
+            num_instances=stacked.shape[0],
+            num_annotators=crowd.num_annotators,
+            num_classes=crowd.num_classes,
+        )
+        result = self.method.infer(tokens)
         return SequenceInferenceResult(
-            posteriors=posteriors,
+            posteriors=split_by_offsets(result.posterior, offsets),
             confusions=result.confusions,
             extras=dict(result.extras),
         )

@@ -66,7 +66,7 @@ import numpy as np
 from ..crowd.types import CrowdLabelMatrix
 from .base import ConvergenceMonitor, InferenceResult
 from .dawid_skene import DawidSkene
-from .glad import GLAD, _sigmoid
+from .glad import GLAD
 from .majority_vote import MajorityVote, majority_vote_posterior
 from .primitives import confusion_counts, emission_log_likelihood, normalize_log_posterior
 
@@ -570,6 +570,16 @@ class StreamingGLAD(StreamingTruthInference):
     damps per-batch swings while decay lets abilities track drifting
     annotators. Past batches' difficulties stay frozen at ingest time.
 
+    The batch is one shard of the batch twin's EM: ingest runs it through
+    :class:`~repro.inference.glad.GLAD`'s own init, E-step and gradient
+    mappers, so the E-step and the gradients are defined once, there.
+    What stays here is the α update's normalizer (the decayed running
+    counts, not the batch's) and the fixed schedule: one E-step, the
+    ascent, one E-step under the trained model. The first ``partial_fit``
+    on a fresh stream therefore returns the posterior of
+    ``GLAD(em_iterations=2, tolerance=0.0)`` on that batch, up to the
+    rounding of the α update's operand order.
+
     The per-batch ascent uses ``gradient_steps``/``learning_rate``/
     ``prior_correct`` only; ``em_iterations`` sizes the batch twin
     :meth:`fit_to_convergence` runs, which is fixed-budget (twin
@@ -610,30 +620,8 @@ class StreamingGLAD(StreamingTruthInference):
         if batch.num_classes != 2:
             raise ValueError("GLAD supports binary labels only (as in the paper)")
 
-    def _posterior_one(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        votes_one: np.ndarray,
-        log_beta: np.ndarray,
-        num_rows: int,
-    ) -> np.ndarray:
-        sig = _sigmoid(np.exp(log_beta)[rows] * self._alpha[cols])
-        log_sig = np.log(sig + 1e-12)
-        log_one_minus = np.log(1.0 - sig + 1e-12)
-        log_like_one = np.bincount(
-            rows, weights=np.where(votes_one, log_sig, log_one_minus), minlength=num_rows
-        )
-        log_like_zero = np.bincount(
-            rows, weights=np.where(votes_one, log_one_minus, log_sig), minlength=num_rows
-        )
-        log_prior_ratio = np.log(self.prior_correct) - np.log(1 - self.prior_correct)
-        return _sigmoid(log_prior_ratio + log_like_one - log_like_zero)
-
     def _ingest(self, batch: CrowdLabelMatrix) -> float:
-        J = self.num_annotators
-        rows, cols, given = batch.flat_label_pairs()
-        if rows.size == 0:
+        if batch.total_annotations() == 0:
             # Observation-free update: abilities and history untouched.
             # Until a real batch has trained the abilities the stream has
             # learned nothing, so the monitor must keep reporting "not
@@ -645,46 +633,23 @@ class StreamingGLAD(StreamingTruthInference):
             self._blocks.append(np.stack([1.0 - prior, prior], axis=1))
             return np.inf if self._alpha is None else 0.0
         if self._alpha is None:
-            self._alpha = np.ones(J)
-            self._label_counts = np.zeros(J)
-        votes_one = given == 1
-        self._label_counts = self._decay_factor() * self._label_counts + np.bincount(
-            cols, minlength=J
-        )
+            self._alpha = np.ones(self.num_annotators)
+            self._label_counts = np.zeros(self.num_annotators)
+        twin = self._twin
+        state, stats = twin._init_mapper(None, batch)
+        self._label_counts = self._decay_factor() * self._label_counts + stats.label_counts
         normalizer = np.maximum(self._label_counts, 1.0)
-        labels_per_instance = np.maximum(
-            np.bincount(rows, minlength=batch.num_instances), 1
-        )
         previous_alpha = self._alpha.copy()
-
-        log_beta = np.zeros(batch.num_instances)
-        posterior_one = self._posterior_one(
-            rows, cols, votes_one, log_beta, batch.num_instances
-        )
+        state, _ = twin._e_mapper(self._alpha, batch, state)
         for _ in range(self.gradient_steps):
-            beta = np.exp(log_beta)
-            sig = _sigmoid(beta[rows] * self._alpha[cols])
-            prob_correct = np.where(
-                votes_one, posterior_one[rows], 1.0 - posterior_one[rows]
-            )
-            residual = prob_correct - sig
-            grad_alpha = (
-                np.bincount(cols, weights=residual * beta[rows], minlength=J)
-                / normalizer
-            )
-            grad_log_beta = (
-                np.bincount(
-                    rows, weights=residual * self._alpha[cols], minlength=batch.num_instances
-                )
-                * beta
-            ) / labels_per_instance
+            state, grads = twin._grad_mapper(self._alpha, batch, state)
+            # ``lr * (g / n)``, not the batch twin's ``lr * g / n``: the
+            # two round differently, and this order keeps α (and so every
+            # checkpoint) bit-identical to the stream's earlier releases.
             self._alpha = np.clip(
-                self._alpha + self.learning_rate * grad_alpha, -8.0, 8.0
+                self._alpha + self.learning_rate * (grads.grad_alpha / normalizer), -8.0, 8.0
             )
-            log_beta = np.clip(log_beta + self.learning_rate * grad_log_beta, -4.0, 4.0)
-        posterior_one = self._posterior_one(
-            rows, cols, votes_one, log_beta, batch.num_instances
-        )
+        (posterior_one, log_beta, _), _ = twin._e_mapper(self._alpha, batch, state)
 
         self._log_beta_blocks.append(log_beta)
         self._blocks.append(np.stack([1.0 - posterior_one, posterior_one], axis=1))
@@ -696,11 +661,12 @@ class StreamingGLAD(StreamingTruthInference):
     def _refreshed_blocks(self) -> list[np.ndarray]:
         if self._alpha is None or not self._log_beta_blocks:
             return list(self._blocks)
-        rows, cols, given = self.crowd.flat_label_pairs()
+        # The twin's E-step over the whole retained stream, from its init
+        # state with the stream's frozen difficulties (the E-step reads no
+        # labels-per-instance normalizer, so none is built).
         log_beta = np.concatenate(self._log_beta_blocks)
-        posterior_one = self._posterior_one(
-            rows, cols, given == 1, log_beta, self.crowd.num_instances
-        )
+        state = (np.full(log_beta.shape, self.prior_correct), log_beta, None)
+        (posterior_one, _, _), _ = self._twin._e_mapper(self._alpha, self.crowd, state)
         return [np.stack([1.0 - posterior_one, posterior_one], axis=1)]
 
     def _model_state(self) -> dict:

@@ -147,9 +147,9 @@ class TestRegistryAPI:
 
 def _budget_cases():
     """(kind, name, keyword) for every budget keyword a registered
-    classification, sharded, or streaming constructor takes."""
+    classification, sequence, sharded, or streaming constructor takes."""
     cases = []
-    for kind in ("classification", "sharded", "streaming"):
+    for kind in ("classification", "sequence", "sharded", "streaming"):
         for name in available_methods(kind):
             parameters = inspect.signature(_REGISTRY[kind, name].factory).parameters
             for keyword in BUDGET_KEYWORDS:
@@ -160,11 +160,32 @@ def _budget_cases():
     return cases
 
 
+# Out-of-range non-budget values. PM's error clamp [floor, 1 - floor] must
+# be a nonempty interval inside (0, 1): from floor 0.5 up np.clip returns
+# the upper bound for every annotator (uniform weights), and floor 0
+# admits -log(0). HMM-Crowd's smoothing is a pseudo-count, as DS's is.
+HOSTILE_VALUES = [
+    ("classification", "PM", "floor", 0.7),
+    ("classification", "PM", "floor", 0.5),
+    ("sharded", "PM", "floor", 0.0),
+    ("classification", "PM", "floor", -0.1),
+    ("sequence", "HMM-Crowd", "smoothing", -1.0),
+]
+
+
 class TestConstructorValidation:
     @pytest.mark.parametrize("kind,name,keyword", _budget_cases())
     def test_zero_budget_rejected_at_construction(self, kind, name, keyword):
         with pytest.raises(ValueError):
             get_method(name, kind, **{keyword: 0})
+
+    @pytest.mark.parametrize(
+        "kind,name,keyword,value",
+        [pytest.param(*case, id="-".join(map(str, case))) for case in HOSTILE_VALUES],
+    )
+    def test_hostile_value_rejected_at_construction(self, kind, name, keyword, value):
+        with pytest.raises(ValueError, match=keyword):
+            get_method(name, kind, **{keyword: value})
 
 
 class TestOneClassPerMethod:
@@ -238,6 +259,16 @@ class TestDiagnosticsContract:
         assert extras["iterations"] >= 1
         assert np.isfinite(extras["last_change"])
         assert isinstance(extras["converged"], bool)
+
+    @pytest.mark.parametrize("name", ["DS", "IBCC"])
+    def test_confusion_family_traces_e_step_log_normalizer(
+        self, name, small_classification_crowd
+    ):
+        # One entry per round from the shared DS loop; for IBCC it is one
+        # term of the variational bound, so only its shape is pinned.
+        extras = get_method(name, kind="classification").infer(small_classification_crowd).extras
+        assert len(extras["log_likelihood_trace"]) == extras["iterations"]
+        assert np.isfinite(extras["log_likelihood_trace"]).all()
 
     @pytest.mark.parametrize("name", ["GLAD", "PM", "CATD"])
     def test_method_specific_extras_preserved(self, name, small_classification_crowd):

@@ -12,7 +12,6 @@ from repro.inference import (
     HMMCrowd,
     MajorityVote,
     TokenLevelInference,
-    flatten_sequence_crowd,
 )
 
 from ..oracles import seed_forward_backward
@@ -73,13 +72,6 @@ class TestForwardBackward:
 
 
 class TestFlatten:
-    def test_roundtrip_slices(self):
-        _, crowd = _ner_crowd(sentences=10)
-        flat, slices = flatten_sequence_crowd(crowd)
-        assert flat.num_instances == sum(m.shape[0] for m in crowd.labels)
-        total = sum(s.stop - s.start for s in slices)
-        assert total == flat.num_instances
-
     def test_token_level_mv(self):
         task, crowd = _ner_crowd(sentences=40)
         result = TokenLevelInference(MajorityVote()).infer(crowd)

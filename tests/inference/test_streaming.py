@@ -13,6 +13,7 @@ import pytest
 from repro.crowd.types import MISSING, CrowdLabelMatrix
 from repro.experiments.streaming_suite import stream_crowd_in_batches
 from repro.inference import (
+    GLAD,
     DawidSkene,
     MajorityVote,
     StreamingDawidSkene,
@@ -398,6 +399,28 @@ class TestStreamingGLAD:
             stream.partial_fit(batch)
         alpha = stream._alpha
         assert alpha[:2].max() < alpha[2:].mean()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("gradient_steps,learning_rate", [(20, 0.05), (4, 0.3)])
+    def test_first_batch_is_two_round_batch_glad(self, seed, gradient_steps, learning_rate):
+        # A fresh stream's first ingest is the batch twin's EM on that
+        # batch: E-step, ascent normalized by the batch's label counts,
+        # E-step — fixed-budget GLAD at two rounds, up to the rounding of
+        # the α update's operand order.
+        batch = random_classification_crowd(
+            seed, instances=80, annotators=9, classes=2, mean_labels=4.0, adversarial=1
+        )
+        stream = StreamingGLAD(gradient_steps=gradient_steps, learning_rate=learning_rate)
+        stream.partial_fit(batch)
+        batch_glad = GLAD(
+            em_iterations=2,
+            gradient_steps=gradient_steps,
+            learning_rate=learning_rate,
+            tolerance=0.0,
+        ).infer(batch)
+        np.testing.assert_allclose(
+            stream.result().posterior, batch_glad.posterior, rtol=0, atol=1e-12
+        )
 
     def test_refresh_concatenates_difficulties(self, binary_crowd):
         stream = StreamingGLAD()
