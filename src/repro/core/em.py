@@ -10,6 +10,10 @@ rule-free special case).
 Sequence versions treat each (sentence, token) as an instance whose
 annotator set is the sentence's annotator set.
 
+Eq. 12 is Dawid & Skene's M-step on ``qf``: both variants normalize the
+smoothed counts with :func:`repro.inference.primitives.normalize_rows`,
+as DS, streaming DS and HMM-Crowd do, so a row with no mass is uniform.
+
 Performance: all four functions run on the shared sparse-crowd kernels of
 :mod:`repro.inference.primitives` — the same confusion-count scatter and
 log-likelihood gather that DS/IBCC/HMM-Crowd/BSC-seq use. Both crowd
@@ -32,6 +36,7 @@ from ..inference.primitives import (
     confusion_counts,
     emission_log_likelihood,
     normalize_log_posterior,
+    normalize_rows,
     split_by_offsets,
 )
 
@@ -56,19 +61,7 @@ def update_confusions(
         raise ValueError(
             f"qf shape {qf.shape} != ({crowd.num_instances}, {crowd.num_classes})"
         )
-    return _normalize_confusion_rows(confusion_counts(qf, crowd) + smoothing)
-
-
-def _normalize_confusion_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-normalize smoothed Eq. 12 counts ``(J, K, K)`` over the label axis.
-
-    Rows with no mass (annotator j never labeled anything attributed to
-    class m, and smoothing == 0) fall back to uniform.
-    """
-    row_sums = counts.sum(axis=2, keepdims=True)
-    return np.where(
-        row_sums > 0, counts / np.where(row_sums > 0, row_sums, 1.0), 1.0 / counts.shape[2]
-    )
+    return normalize_rows(confusion_counts(qf, crowd) + smoothing)
 
 
 def posterior_qa(
@@ -114,7 +107,7 @@ def sequence_update_confusions(
     (``tests/oracles.py``) at atol 1e-12.
     """
     gamma = _stack_ragged(qf, crowd)                          # (N, K)
-    return _normalize_confusion_rows(confusion_counts(gamma, crowd) + smoothing)
+    return normalize_rows(confusion_counts(gamma, crowd) + smoothing)
 
 
 def sequence_posterior_qa(

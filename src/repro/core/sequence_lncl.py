@@ -28,7 +28,7 @@ import numpy as np
 from ..autodiff.optim import Optimizer
 from ..baselines.common import fit_epochs, predict_sequence_proba_batched, run_sequence_epoch
 from ..data.datasets import SequenceTaggingDataset, pad_ragged, trim_padded
-from ..inference.primitives import split_by_offsets
+from ..inference.primitives import normalize_rows, split_by_offsets
 from ..logic.distillation import chain_marginals
 from ..logic.ner_rules import TransitionRules
 from ..models.base import SequenceTagger
@@ -91,14 +91,6 @@ class LogicLNCLSequenceTagger:
         )
         return trim_padded(marginals, lengths)
 
-    @staticmethod
-    def _token_mv(crowd) -> np.ndarray:
-        """Token-level majority vote, stacked ``(ΣT_i, K)`` in sentence order."""
-        votes = crowd.token_vote_counts_flat()
-        totals = votes.sum(axis=1, keepdims=True)
-        uniform = 1.0 / crowd.num_classes
-        return np.where(totals > 0, votes / np.where(totals > 0, totals, 1.0), uniform)
-
     def _check_fixed_qa(self, lengths: np.ndarray) -> None:
         """Reject a frozen posterior that does not match the training sentences."""
         if len(self.fixed_qa) != len(lengths):
@@ -130,7 +122,8 @@ class LogicLNCLSequenceTagger:
             per_sentence = crowd.annotations_per_instance()
             weights = np.repeat(per_sentence[:, None], max_time, axis=1)
 
-        mv = self._token_mv(crowd)
+        # Token-level majority vote, stacked (ΣT_i, K) in sentence order.
+        mv = normalize_rows(crowd.token_vote_counts_flat())
         self.qf_ = split_by_offsets(mv, crowd.flat_labels()[1])
         self.qa_ = self.qb_ = self.qf_
         self.confusions_ = sequence_update_confusions(self.qf_, crowd, smoothing)

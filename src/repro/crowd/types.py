@@ -20,9 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MISSING", "CrowdLabelMatrix", "SequenceCrowdLabels"]
+__all__ = ["MISSING", "CrowdLabelMatrix", "SequenceCrowdLabels", "normalize_rows"]
 
 MISSING = -1
+
+
+def normalize_rows(counts: np.ndarray) -> np.ndarray:
+    """Normalize nonnegative ``counts`` over the last axis.
+
+    A row with no mass (total exactly 0) becomes uniform instead of 0/0.
+    Every other row is the division ``x / x.sum(-1)`` does, so a NaN in a
+    row still propagates. Integer counts give float64.
+    """
+    totals = counts.sum(axis=-1, keepdims=True)
+    empty = totals == 0
+    return np.where(empty, 1.0 / counts.shape[-1], counts / np.where(empty, 1.0, totals))
 
 
 def _validate_label_block(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -290,9 +302,7 @@ class CrowdLabelMatrix:
             mask = observed & (truth == m)
             given = self.labels[mask, annotator]
             np.add.at(counts[m], given, 1.0)
-        row_sums = counts.sum(axis=1, keepdims=True)
-        uniform = np.full((K, K), 1.0 / K)
-        return np.where(row_sums > 0, counts / np.where(row_sums > 0, row_sums, 1), uniform)
+        return normalize_rows(counts)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -473,6 +483,4 @@ class SequenceCrowdLabels:
             given = self.labels[i][:, annotator]
             true = np.asarray(truth[i])
             np.add.at(counts, (true, given), 1.0)
-        row_sums = counts.sum(axis=1, keepdims=True)
-        uniform = np.full((K, K), 1.0 / K)
-        return np.where(row_sums > 0, counts / np.where(row_sums > 0, row_sums, 1), uniform)
+        return normalize_rows(counts)

@@ -9,7 +9,10 @@ interval on their error sum:
 
 so scarce annotators get conservative (smaller) weights. We alternate this
 weight update with weighted voting, using the squared distance
-``d = 1 - posterior_match`` for categorical labels.
+``d = 1 - posterior_match`` for categorical labels. The reported weights
+are scaled by the largest one. An annotator with no labels gets weight 0:
+a χ² with zero degrees of freedom is the point mass at 0. When nobody has
+labels every weight is 0.
 
 The bound χ²(α/2; n_j) is the chi-square quantile at ``1 − α/2``,
 computed as ``2·gammaincinv(n_j/2, 1 − α/2)`` from :mod:`scipy.special`.
@@ -68,7 +71,10 @@ class CATD(PM):
     def _global_step(self, label_counts: np.ndarray, agreement: np.ndarray) -> np.ndarray:
         """χ²(α/2; n_j) over each annotator's error sum, scaled by the
         largest weight: annotators with more labels can earn larger
-        weights, and scale-invariant voting needs only the ratios."""
+        weights, and scale-invariant voting needs only the ratios. An
+        annotator with no labels gets 0 (see the module docs)."""
         chi_upper = 2.0 * gammaincinv(np.maximum(label_counts, 1) / 2.0, 1.0 - self.alpha / 2.0)
         weights = chi_upper / np.maximum(label_counts - agreement, 1e-6)
-        return weights / weights.max()
+        weights[label_counts == 0] = 0.0
+        top = weights.max(initial=0.0)
+        return weights / top if top > 0 else weights

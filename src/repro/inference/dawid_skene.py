@@ -3,7 +3,9 @@
 The grandfather of the paper's probabilistic model family (§VII). Latent
 true labels, per-annotator confusion matrices, class prior; EM alternates
 Bayes-rule posteriors with closed-form count updates. Laplace smoothing
-keeps confusion rows proper on sparse annotators.
+keeps confusion rows proper on sparse annotators; at zero smoothing
+:func:`~repro.inference.primitives.normalize_rows` makes a row with no
+mass uniform.
 
 The EM loop is written once, map-reduce style
 (:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
@@ -25,7 +27,7 @@ import numpy as np
 
 from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
-from .primitives import confusion_counts, emission_log_likelihood
+from .primitives import confusion_counts, emission_log_likelihood, normalize_rows
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
 __all__ = ["DawidSkene"]
@@ -59,7 +61,8 @@ class DawidSkene(ShardedTruthInference):
     tolerance:
         Stop when the posterior's max absolute change falls below this.
     smoothing:
-        Laplace pseudo-count added to confusion and prior counts.
+        Laplace pseudo-count added to confusion and prior counts. At 0 a
+        confusion row with no mass is uniform.
     """
 
     name = "DS"
@@ -108,10 +111,8 @@ class DawidSkene(ShardedTruthInference):
         first two are the next E-step's parameters, the third is what the
         result reports.
         """
-        counts = stats.confusion + self.smoothing
-        confusions = counts / counts.sum(axis=2, keepdims=True)
-        prior = stats.class_totals + self.smoothing
-        prior = prior / prior.sum()
+        confusions = normalize_rows(stats.confusion + self.smoothing)
+        prior = normalize_rows(stats.class_totals + self.smoothing)
         return np.log(prior), np.log(confusions), confusions
 
     def _infer(self, ctx) -> InferenceResult:

@@ -55,7 +55,9 @@ class GLAD(ShardedTruthInference):
     em_iterations:
         Number of E/M alternations.
     gradient_steps, learning_rate:
-        Inner ascent steps on (α, log β) per M-step.
+        Inner ascent steps on (α, log β) per M-step. The learning rate
+        must be positive and finite: at 0 no α moves, and a negative rate
+        clips every α to +8.
     prior_correct:
         Prior probability that the true label is class 1.
     tolerance:
@@ -82,6 +84,8 @@ class GLAD(ShardedTruthInference):
             raise ValueError("need at least one gradient step")
         if not 0.0 < prior_correct < 1.0:
             raise ValueError("prior must be in (0, 1)")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, got {learning_rate}")
         self.em_iterations = em_iterations
         self.gradient_steps = gradient_steps
         self.learning_rate = learning_rate

@@ -7,7 +7,9 @@ emits labels through a per-annotator confusion matrix. EM:
   likelihood at token ``t`` for state ``m`` is
   ``Π_{j∈J(i)} π_j[m, y_{tj}]``;
 * M-step — count updates (with smoothing) for the initial distribution,
-  the transition matrix, and every confusion matrix.
+  the transition matrix, and every confusion matrix, each normalized by
+  :func:`repro.inference.primitives.normalize_rows`, so at zero smoothing
+  a row with no mass is uniform.
 
 The transition matrix is what lets the method repair boundary errors that
 token-independent aggregation (MV/DS) cannot.
@@ -34,6 +36,7 @@ from .primitives import (
     confusion_counts,
     emission_log_likelihood,
     flat_chain_views,
+    normalize_rows,
     scatter_to_padded,
     split_by_offsets,
     token_majority_vote_flat,
@@ -84,8 +87,7 @@ class HMMCrowd:
 
         while True:
             # M-step from current posteriors.
-            counts = confusion_counts(gamma_flat, crowd) + self.smoothing
-            confusions = counts / counts.sum(axis=2, keepdims=True)
+            confusions = normalize_rows(confusion_counts(gamma_flat, crowd) + self.smoothing)
             initial_counts = self.smoothing + gamma_flat[starts].sum(axis=0)
 
             # E-step: all chains at once, with fresh transition statistics.
@@ -97,9 +99,8 @@ class HMMCrowd:
                 log_em, np.log(transition), np.log(initial), lengths
             )
             gamma_flat = gamma_padded[chain_index, time_index]
-            transition_counts = self.smoothing + xi.sum(axis=0)
-            transition = transition_counts / transition_counts.sum(axis=1, keepdims=True)
-            initial = initial_counts / initial_counts.sum()
+            transition = normalize_rows(self.smoothing + xi.sum(axis=0))
+            initial = normalize_rows(initial_counts)
 
             total_log_likelihood = float(chain_log_likelihoods.sum())
             change = abs(total_log_likelihood - previous_log_likelihood)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..crowd.types import CrowdLabelMatrix
 from .base import InferenceResult
+from .primitives import normalize_rows
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
 __all__ = ["MajorityVote", "majority_vote_posterior"]
@@ -21,10 +22,7 @@ __all__ = ["MajorityVote", "majority_vote_posterior"]
 
 def majority_vote_posterior(crowd: CrowdLabelMatrix) -> np.ndarray:
     """``(I, K)`` vote-fraction posterior; uniform for unlabeled instances."""
-    counts = crowd.vote_counts().astype(np.float64)
-    totals = counts.sum(axis=1, keepdims=True)
-    uniform = np.full((1, crowd.num_classes), 1.0 / crowd.num_classes)
-    return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
+    return normalize_rows(crowd.vote_counts())
 
 
 class MajorityVote(ShardedTruthInference):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
-from .primitives import annotator_agreement, normalize_vote_scores, weighted_vote_scores
+from .primitives import annotator_agreement, normalize_rows, weighted_vote_scores
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
 __all__ = ["PM"]
@@ -81,9 +81,9 @@ class PM(ShardedTruthInference):
         )
 
     def _vote_mapper(self, weights, shard, old_block):
-        # Weights are positive (see _global_step), so the scores are
-        # nonnegative, as normalize_vote_scores requires.
-        block = normalize_vote_scores(weighted_vote_scores(weights, shard))
+        # Weights are nonnegative (see _global_step), so the scores are
+        # too, as normalize_rows requires; a row with no votes is uniform.
+        block = normalize_rows(weighted_vote_scores(weights, shard))
         return block, ShardStats(
             agreement=annotator_agreement(block, shard),
             delta=float(np.abs(block - old_block).max(initial=0.0)),
@@ -91,8 +91,9 @@ class PM(ShardedTruthInference):
 
     def _global_step(self, label_counts: np.ndarray, agreement: np.ndarray) -> np.ndarray:
         """Annotator weights from the merged label counts and agreement
-        sums: the clamped ``-log`` error rate. Weights must be positive:
-        the vote mapper normalizes the scores they give unclamped."""
+        sums: the clamped ``-log`` error rate. Weights must be
+        nonnegative: the vote mapper normalizes the scores they give
+        unclamped."""
         error = 1.0 - agreement / np.maximum(label_counts, 1)
         error = np.clip(error, self.floor, 1.0 - self.floor)
         return -np.log(error)

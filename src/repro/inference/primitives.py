@@ -1,7 +1,7 @@
 """Shared vectorized kernels for the truth-inference subsystem.
 
 Every confusion-matrix method (DS, IBCC, HMM-Crowd, BSC-seq) and the
-Logic-LNCL pseudo-E/M in :mod:`repro.core.em` needs the same three
+Logic-LNCL pseudo-E/M in :mod:`repro.core.em` needs the same four
 operations over a sparse crowd:
 
 * **confusion counts** — scatter a soft truth posterior into per-annotator
@@ -11,7 +11,13 @@ operations over a sparse crowd:
   ``(N, K)`` matrix (the E-step evidence term of Eq. 13 and the HMM
   emission scores);
 * **log-space normalization** — turn unnormalized log scores into a
-  proper posterior.
+  proper posterior;
+* **row normalization** — turn nonnegative counts into distributions, a
+  row with no mass uniform: every count-to-distribution step (the M-steps
+  of DS, streaming DS, HMM-Crowd and Eq. 12, the MV and PM/CATD votes).
+  :func:`normalize_rows` is defined beside the containers in
+  :mod:`repro.crowd.types`, whose empirical ``annotator_confusion`` uses
+  it too, and is re-exported here.
 
 Both containers in :mod:`repro.crowd.types` and the
 :class:`~repro.crowd.sharding.SparseLabelShard` expose the cached flat COO
@@ -33,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..crowd.sharding import SparseLabelShard
-from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
+from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels, normalize_rows
 
 __all__ = [
     "crowd_views",
@@ -42,7 +48,7 @@ __all__ = [
     "normalize_log_posterior",
     "annotator_agreement",
     "weighted_vote_scores",
-    "normalize_vote_scores",
+    "normalize_rows",
     "chain_indices",
     "flat_chain_views",
     "token_majority_vote_flat",
@@ -157,19 +163,6 @@ def weighted_vote_scores(weights: np.ndarray, crowd) -> np.ndarray:
     return np.asarray(incidence @ spread)
 
 
-def normalize_vote_scores(scores: np.ndarray) -> np.ndarray:
-    """Turn nonnegative ``(N, K)`` vote scores into row distributions.
-
-    The shared tie/empty policy of the weighted-voting methods (PM/CATD):
-    rows with zero total mass fall back to uniform.
-    """
-    totals = scores.sum(axis=1, keepdims=True)
-    return np.where(
-        totals > 0, scores / np.where(totals > 0, totals, 1.0),
-        np.full_like(scores, 1.0 / scores.shape[1]),
-    )
-
-
 def normalize_log_posterior(log_posterior: np.ndarray) -> np.ndarray:
     """Row-wise softmax of unnormalized log scores (max-shifted; returns a
     new array, the input is left untouched)."""
@@ -231,8 +224,7 @@ def flat_chain_views(crowd: SequenceCrowdLabels):
 
 def token_majority_vote_flat(crowd: SequenceCrowdLabels, prior: float = 1e-3) -> np.ndarray:
     """Token-level majority-vote initialization, flat ``(ΣT_i, K)``."""
-    votes = crowd.token_vote_counts_flat().astype(np.float64) + prior
-    return votes / votes.sum(axis=1, keepdims=True)
+    return normalize_rows(crowd.token_vote_counts_flat() + prior)
 
 
 def batched_forward_backward(

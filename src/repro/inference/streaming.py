@@ -68,7 +68,12 @@ from .base import ConvergenceMonitor, InferenceResult
 from .dawid_skene import DawidSkene
 from .glad import GLAD
 from .majority_vote import MajorityVote, majority_vote_posterior
-from .primitives import confusion_counts, emission_log_likelihood, normalize_log_posterior
+from .primitives import (
+    confusion_counts,
+    emission_log_likelihood,
+    normalize_log_posterior,
+    normalize_rows,
+)
 
 __all__ = [
     "StreamingTruthInference",
@@ -385,12 +390,7 @@ class StreamingMajorityVote(StreamingTruthInference):
         if self._vote_totals is None:
             self._vote_totals = np.zeros(self.num_classes)
         self._vote_totals += batch.vote_counts().sum(axis=0)
-        grand = self._vote_totals.sum()
-        share = (
-            self._vote_totals / grand
-            if grand > 0
-            else np.full(self.num_classes, 1.0 / self.num_classes)
-        )
+        share = normalize_rows(self._vote_totals)
         previous, self._vote_share = self._vote_share, share
         return float(np.abs(share - previous).max()) if previous is not None else np.inf
 
@@ -458,10 +458,10 @@ class StreamingDawidSkene(StreamingTruthInference):
         return normalize_log_posterior(log_posterior)
 
     def _m_step(self) -> None:
-        counts = self._stat_confusions + self.smoothing
-        self._confusions = counts / counts.sum(axis=2, keepdims=True)
-        prior = self._stat_prior + self.smoothing
-        self._prior = prior / prior.sum()
+        # The batch twin's M-step (DawidSkene._global_step), kept in
+        # probability space: the state stores the prior, not its log.
+        self._confusions = normalize_rows(self._stat_confusions + self.smoothing)
+        self._prior = normalize_rows(self._stat_prior + self.smoothing)
 
     def _ingest(self, batch: CrowdLabelMatrix) -> float:
         K = self.num_classes
@@ -545,8 +545,7 @@ class StreamingDawidSkene(StreamingTruthInference):
 
     def _no_evidence_posterior(self, sub_result: InferenceResult) -> np.ndarray:
         # DS's E-step gives an unlabeled instance the class prior.
-        prior = sub_result.posterior.sum(axis=0) + self.smoothing
-        return prior / prior.sum()
+        return normalize_rows(sub_result.posterior.sum(axis=0) + self.smoothing)
 
     def _adopt(self, result: InferenceResult) -> None:
         self._confusions = result.confusions
@@ -555,8 +554,7 @@ class StreamingDawidSkene(StreamingTruthInference):
         # later partial_fit calls continue from the converged model.
         self._stat_confusions = confusion_counts(result.posterior, self.crowd)
         self._stat_prior = result.posterior.sum(axis=0)
-        prior = self._stat_prior + self.smoothing
-        self._prior = prior / prior.sum()
+        self._prior = normalize_rows(self._stat_prior + self.smoothing)
 
 
 class StreamingGLAD(StreamingTruthInference):

@@ -22,6 +22,8 @@ from repro.inference import (
     majority_vote_posterior,
 )
 
+from .equivalence_harness import random_classification_crowd
+
 M = MISSING
 
 
@@ -177,6 +179,24 @@ class TestPMAndCATD:
         crowd = CrowdLabelMatrix(labels, 2)
         weights = CATD().infer(crowd).extras["weights"]
         assert weights[2] < weights[0]
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_catd_label_less_annotator_weighs_zero(self, seed, num_classes):
+        # A χ² with zero degrees of freedom is the point mass at 0: an
+        # annotator with no labels weighs 0 and cannot rescale the others.
+        crowd = random_classification_crowd(seed, 200, 8, num_classes)
+        column = seed % (crowd.num_annotators + 1)
+        widened = CrowdLabelMatrix(np.insert(crowd.labels, column, M, axis=1), num_classes)
+        base, result = CATD().infer(crowd), CATD().infer(widened)
+        weights = result.extras["weights"]
+        assert weights[column] == 0.0
+        np.testing.assert_array_equal(np.delete(weights, column), base.extras["weights"])
+        np.testing.assert_array_equal(result.posterior, base.posterior)
+
+    def test_catd_reports_zero_weights_when_nobody_labels(self):
+        result = CATD().infer(CrowdLabelMatrix(np.zeros((0, 4), dtype=np.int64), 2))
+        np.testing.assert_array_equal(result.extras["weights"], np.zeros(4))
 
 
 class TestIBCC:

@@ -10,6 +10,9 @@ sequence-crowd use is pinned to the seed oracles in
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autodiff.dtypes import equivalence_atol
 from repro.crowd.types import MISSING, CrowdLabelMatrix
@@ -20,7 +23,7 @@ from repro.inference.primitives import (
     crowd_views,
     emission_log_likelihood,
     normalize_log_posterior,
-    normalize_vote_scores,
+    normalize_rows,
     weighted_vote_scores,
 )
 
@@ -162,6 +165,15 @@ class TestBatchedForwardBackward:
                 batched_forward_backward(log_em, np.zeros((2, 2)), np.zeros(2), [2])
 
 
+@st.composite
+def _count_arrays(draw):
+    """Nonnegative 1-D, 2-D or 3-D counts, some of whose rows are all zero."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5))
+    counts = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1e6)))
+    counts[draw(hnp.arrays(np.bool_, shape[:-1]))] = 0.0
+    return counts
+
+
 class TestSharedKernels:
     def test_counts_match_dense_einsum(self):
         crowd = classification_crowd(8)
@@ -205,12 +217,24 @@ class TestSharedKernels:
             weighted_vote_scores(weights, crowd), dense, atol=1e-12, rtol=0
         )
 
-    def test_normalize_vote_scores_uniform_on_empty_rows(self):
-        scores = np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-        posterior = normalize_vote_scores(scores)
-        atol = equivalence_atol("float64")
-        np.testing.assert_allclose(posterior[0], [0.5, 0.5, 0.0], atol=atol)
-        np.testing.assert_allclose(posterior[1], [1 / 3, 1 / 3, 1 / 3], atol=atol)
+    @settings(max_examples=200, deadline=None)
+    @given(counts=_count_arrays())
+    @example(counts=np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+    def test_normalize_rows_uniform_on_empty_rows(self, counts):
+        rows = normalize_rows(counts)
+        assert rows.shape == counts.shape and rows.dtype == np.float64
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+        totals = counts.sum(axis=-1, keepdims=True)
+        empty = totals[..., 0] == 0
+        np.testing.assert_array_equal(rows[empty], 1.0 / counts.shape[-1])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(rows[~empty], (counts / totals)[~empty])
+
+    def test_normalize_rows_integer_counts(self):
+        votes = np.array([[2, 2, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(
+            normalize_rows(votes), normalize_rows(votes.astype(np.float64))
+        )
 
     def test_shape_validation(self):
         crowd = classification_crowd(12)

@@ -164,12 +164,19 @@ def _budget_cases():
 # be a nonempty interval inside (0, 1): from floor 0.5 up np.clip returns
 # the upper bound for every annotator (uniform weights), and floor 0
 # admits -log(0). HMM-Crowd's smoothing is a pseudo-count, as DS's is.
+# GLAD's learning rate must be positive and finite: at 0 every ability
+# stays at 1, and a negative rate clips every ability to +8. The
+# streaming GLAD refuses it through its batch twin.
 HOSTILE_VALUES = [
     ("classification", "PM", "floor", 0.7),
     ("classification", "PM", "floor", 0.5),
     ("sharded", "PM", "floor", 0.0),
     ("classification", "PM", "floor", -0.1),
     ("sequence", "HMM-Crowd", "smoothing", -1.0),
+    ("classification", "GLAD", "learning_rate", 0.0),
+    ("classification", "GLAD", "learning_rate", -0.05),
+    ("classification", "GLAD", "learning_rate", float("nan")),
+    ("streaming", "GLAD", "learning_rate", 0.0),
 ]
 
 

@@ -529,7 +529,14 @@ def seed_catd(
     tolerance: float = 1e-6,
     alpha: float = 0.05,
 ):
-    """Pre-PR-3 CATD: dense one-hot einsums over ``(I, J, K)`` per sweep."""
+    """The original CATD: dense one-hot einsums over ``(I, J, K)`` per sweep.
+
+    One rule is newer than those einsums and changed together with
+    ``CATD._global_step``: an annotator with no labels weighs 0 (a χ² with
+    zero degrees of freedom is the point mass at 0), the other weights are
+    scaled by the largest labelled weight, and every weight is 0 when
+    nobody labels.
+    """
     # The bound stays ``stats.chi2.ppf`` on purpose: it is the independent
     # spec for the live CATD's ``2·gammaincinv(n_j/2, 1 − α/2)``, which
     # must equal it bit for bit.
@@ -547,7 +554,9 @@ def seed_catd(
         agreement = np.einsum("ijk,ik->ij", one_hot, posterior)
         error_sum = np.where(observed, 1.0 - agreement, 0.0).sum(axis=0)
         weights = chi_upper / np.maximum(error_sum, 1e-6)
-        weights = weights / weights.max()
+        weights[counts == 0] = 0.0  # χ² with zero degrees of freedom
+        top = weights.max(initial=0.0)
+        weights = weights / top if top > 0 else weights
 
         scores = np.einsum("j,ijk->ik", weights, one_hot)
         totals = scores.sum(axis=1, keepdims=True)
