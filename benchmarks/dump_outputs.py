@@ -27,11 +27,19 @@ parent tree dumps the parent's code.
 * Eq. 12 and Eq. 13 (``repro.core.em``) on seeded posteriors, at
   smoothing 0.01 and 0.0;
 * every annotator's empirical ``annotator_confusion`` against a seeded
-  truth;
+  truth, and on each classification case the
+  ``classification_annotator_report`` against the same truth (counts,
+  quality, confusions, ``overall_reliability()``);
+* the §VI-B statistics on seeded arrays: ``one_sided_t_test``, paired
+  and Welch, and ``pearson_correlation``;
+* ``corrupt_labels`` draws under a symmetric and an asymmetric
+  transition;
 
 and a two-epoch fit of each Logic-LNCL trainer (two seeds, confusion
 smoothing 0.01 and 0.0), saving ``qa_``, ``qb_``, ``qf_`` and
-``confusions_``. Where a method refuses a case, the exception's type
+``confusions_``, plus per seed the history of a two-epoch
+``forward_correction_baseline`` on noisy copies of the same sentiment
+data's gold labels. Where a method refuses a case, the exception's type
 name is saved instead. Keys read ``kind/method/case/output``.
 
 ``compare A.npz B.npz`` prints every key that is missing on one side,
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +59,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.baselines import TrainerConfig  # noqa: E402
 from repro.core import LogicLNCLClassifier, LogicLNCLSequenceTagger  # noqa: E402
 from repro.core.config import ner_paper_config, sentiment_paper_config  # noqa: E402
 from repro.core.em import (  # noqa: E402
@@ -58,7 +68,9 @@ from repro.core.em import (  # noqa: E402
     sequence_update_confusions,
     update_confusions,
 )
+from repro.crowd.metrics import classification_annotator_report  # noqa: E402
 from repro.data import CONLL_LABELS  # noqa: E402
+from repro.eval.statistics import one_sided_t_test, pearson_correlation  # noqa: E402
 from repro.experiments.ner_suite import NERBenchConfig, build_ner_data  # noqa: E402
 from repro.experiments.sentiment_suite import (  # noqa: E402
     SentimentBenchConfig,
@@ -69,6 +81,11 @@ from repro.inference import available_methods, get_method  # noqa: E402
 from repro.inference.sharding import run_sharded  # noqa: E402
 from repro.logic import ButRule, bio_transition_rules  # noqa: E402
 from repro.models import NERTagger, NERTaggerConfig, TextCNN, TextCNNConfig  # noqa: E402
+from repro.noisy_labels import (  # noqa: E402
+    as_single_source_crowd,
+    corrupt_labels,
+    forward_correction_baseline,
+)
 from tests.inference.equivalence_harness import (  # noqa: E402
     METHOD_OVERRIDES,
     crowd_cases,
@@ -206,6 +223,71 @@ def _annotator_confusions(out: dict) -> None:
         _attempt(out, key, run)
 
 
+def _annotator_reports(out: dict) -> None:
+    """The classification annotator report against ``_annotator_confusions``' truth."""
+    for seed, case in enumerate(crowd_cases()):
+        if case.kind == "sequence":
+            continue
+        crowd = case.build()
+        truth = np.random.default_rng(seed).integers(crowd.num_classes, size=crowd.num_instances)
+        prefix = f"report/classification/{case.name}"
+
+        def run():
+            report = classification_annotator_report(crowd, truth)
+            out[f"{prefix}/counts"] = report.counts
+            out[f"{prefix}/quality"] = report.quality
+            out[f"{prefix}/confusions"] = report.confusions
+            out[f"{prefix}/overall_reliability"] = report.overall_reliability()
+
+        _attempt(out, prefix, run)
+
+
+def _statistics(out: dict) -> None:
+    """The one-sided t-tests, paired and Welch, and Pearson's r."""
+    rng = np.random.default_rng(0)
+    base = rng.normal(0.0, 0.01, size=30)
+    better = base + 0.05 + rng.normal(0.0, 0.01, size=30)
+    other = rng.normal(0.02, 0.02, size=20)
+    for name, b, paired in (("paired", base, True), ("welch", other, False)):
+        result = one_sided_t_test(better, b, paired=paired)
+        out[f"statistics/one_sided_t_test/{name}"] = np.array([result.t_value, result.p_value])
+    x = rng.normal(size=50)
+    y = 0.9 * x + rng.normal(0.0, 0.5, size=50)
+    out["statistics/pearson_correlation"] = np.array(pearson_correlation(x, y))
+
+
+def _corrupt_labels(out: dict) -> None:
+    """Noisy draws under transitions whose rows are true, columns recorded classes."""
+    rng = np.random.default_rng(0)
+    labels = rng.integers(3, size=500)
+    transitions = (
+        ("symmetric", [[0.7, 0.15, 0.15], [0.15, 0.7, 0.15], [0.15, 0.15, 0.7]]),
+        ("asymmetric", [[0.6, 0.4, 0.0], [0.0, 0.9, 0.1], [0.2, 0.0, 0.8]]),
+    )
+    for name, transition in transitions:
+        out[f"noisy/corrupt_labels/{name}"] = corrupt_labels(rng, labels, np.array(transition))
+
+
+def _forward_correction(out: dict, seed: int, task, feature_maps: int) -> None:
+    """Two epochs of forward correction on noisy copies of the gold labels."""
+    rng = np.random.default_rng(seed + 3000)
+    transition = np.array([[0.8, 0.2], [0.3, 0.7]])
+    noisy = corrupt_labels(rng, task.train.labels, transition)
+    train = replace(task.train, crowd=as_single_source_crowd(noisy, 2))
+    model = TextCNN(
+        task.embeddings, TextCNNConfig(feature_maps=feature_maps), np.random.default_rng(seed + 1000)
+    )
+    prefix = f"noisy/forward_correction/seed={seed}"
+
+    def run():
+        history = forward_correction_baseline(
+            model, TrainerConfig(epochs=2), rng, train, transition, dev=task.dev
+        )
+        _put_state(out, prefix, history)
+
+    _attempt(out, prefix, run)
+
+
 def _trainers(out: dict) -> None:
     sentiment = SentimentBenchConfig(
         num_train=60, num_dev=20, num_test=20, num_annotators=10,
@@ -218,6 +300,7 @@ def _trainers(out: dict) -> None:
     for seed in TRAINER_SEEDS:
         sentiment_task = build_sentiment_data(seed, sentiment)
         ner_task = build_ner_data(seed, ner)
+        _forward_correction(out, seed, sentiment_task, sentiment.feature_maps)
         for smoothing in SMOOTHINGS:
             config = sentiment_paper_config(epochs=2)
             config.confusion_smoothing = smoothing
@@ -261,6 +344,9 @@ def collect() -> dict[str, np.ndarray]:
     _methods(out)
     _eq12_eq13(out)
     _annotator_confusions(out)
+    _annotator_reports(out)
+    _statistics(out)
+    _corrupt_labels(out)
     _trainers(out)
     return out
 

@@ -1,7 +1,7 @@
 """repro.analysis — the AST contract-lint engine (see ``engine`` docs).
 
 Run it as ``python -m repro.analysis [paths...]`` (defaults to
-``src tests`` against the committed baseline ratchet), or drive it
+``src tests``; exits 1 if there is any finding), or drive it
 programmatically::
 
     from repro.analysis import analyze_paths, available_rules
@@ -13,13 +13,6 @@ Importing the package registers the built-in rule catalog
 
 from __future__ import annotations
 
-from .baseline import (
-    compare_to_baseline,
-    default_baseline_path,
-    load_baseline,
-    summarize,
-    write_baseline,
-)
 from .engine import (
     Finding,
     Rule,
@@ -49,9 +42,4 @@ __all__ = [
     "get_rule",
     "register_rule",
     "registered_rules",
-    "compare_to_baseline",
-    "default_baseline_path",
-    "load_baseline",
-    "summarize",
-    "write_baseline",
 ]

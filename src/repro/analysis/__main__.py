@@ -1,21 +1,16 @@
-"""CLI: ``python -m repro.analysis [--baseline PATH | --no-baseline] [paths...]``.
+"""CLI: ``python -m repro.analysis [paths...]``.
 
-Default invocation (``python -m repro.analysis`` from the repo root, or
-explicitly ``... src tests``) lints the source and test trees against the
-committed ratchet at ``analysis/baseline.json`` and exits 0 iff the counts
-match it exactly — new findings fail with ``file:line`` locations, and
-*fewer* findings than baselined fail too, telling you to shrink the file
-(``--write-baseline``) so the fix can never silently regress.
+Lints ``src tests`` by default (run from the repo root) and prints every
+finding as ``file:line: [rule-id] message``; exits 1 if there is any,
+0 if there is none. Every rule holds at zero, so a finding is fixed or
+waived on its own line with ``# lint: ok(rule-id)``. A path that is not
+a python file or directory is a usage error (exit 2, like a bad flag),
+so a typo in a CI invocation does not read as a lint failure.
 
-``--no-baseline`` prints every finding raw (exit 1 if any);
-``--write-baseline`` regenerates the ratchet from the current findings —
-but refuses non-default path arguments unless ``--force``: a ratchet
-written from a subtree's findings would make the next full run fail on
-everything else as "new". ``--format json`` emits findings, per-rule
-counts, and elapsed seconds as one machine-readable object for CI
-artifacts; ``--profile`` appends per-rule wall time (the shared dataflow
-fixpoints are charged to whichever rule touches a file's flow facts
-first). ``--list-rules`` prints the catalog.
+``--format json`` emits findings, per-rule counts, and elapsed seconds as
+one machine-readable object for CI artifacts; ``--profile`` adds per-rule
+wall time (the shared dataflow fixpoints are charged to whichever rule
+touches a file's flow facts first). ``--list-rules`` prints the catalog.
 """
 
 from __future__ import annotations
@@ -26,15 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import (
-    compare_to_baseline,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from .engine import analyze_paths, available_rules, get_rule
-
-_DEFAULT_PATHS = ("src", "tests")
 
 
 def _as_json(findings, elapsed: float, timings: dict[str, float] | None) -> str:
@@ -77,29 +64,12 @@ def main(argv: list[str] | None = None) -> int:
         description="AST contract lint for the repro codebase",
     )
     parser.add_argument(
-        "paths", nargs="*", default=list(_DEFAULT_PATHS),
+        "paths", nargs="*", default=["src", "tests"],
         help="files or directories to lint (default: src tests)",
     )
     parser.add_argument(
         "--root", default=".",
         help="repo root findings are keyed relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="ratchet file (default: <root>/analysis/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the ratchet; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="regenerate the ratchet from the current findings and exit",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="allow --write-baseline with non-default paths (a subtree "
-        "ratchet makes the next full run fail on everything else)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -119,80 +89,28 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule_id:18s} {get_rule(rule_id).description}")
         return 0
 
-    if args.write_baseline and not args.force:
-        if sorted(args.paths) != sorted(_DEFAULT_PATHS):
-            print(
-                "refusing --write-baseline with non-default paths "
-                f"({' '.join(args.paths)}): the ratchet would hold only that "
-                "subtree's findings and the next full run would fail on "
-                "everything else as new. Re-run without paths, or pass "
-                "--force if you really mean it.",
-                file=sys.stderr,
-            )
-            return 2
-
-    root = Path(args.root).resolve()
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path(root)
-    )
-    timings: dict[str, float] | None = (
-        {} if (args.profile or args.format == "json") else None
-    )
+    timings: dict[str, float] | None = {} if args.profile else None
     started = time.perf_counter()
-    findings = analyze_paths(args.paths, root=root, timings=timings)
+    try:
+        findings = analyze_paths(
+            args.paths, root=Path(args.root).resolve(), timings=timings
+        )
+    except FileNotFoundError as exc:
+        parser.error(str(exc))
     elapsed = time.perf_counter() - started
 
-    if args.write_baseline:
-        counts = write_baseline(findings, baseline_path)
-        print(
-            f"wrote {baseline_path} ({len(findings)} findings across "
-            f"{len(counts)} file/rule keys)"
-        )
-        return 0
-
-    if args.no_baseline:
-        if args.format == "json":
-            print(_as_json(findings, elapsed, timings if args.profile else None))
-        else:
-            for finding in findings:
-                print(finding)
-            print(
-                f"{len(findings)} finding(s) in {elapsed:.2f}s "
-                f"({len(available_rules())} rules)"
-            )
-            if args.profile and timings is not None:
-                _print_profile(timings)
-        return 1 if findings else 0
-
-    baseline = load_baseline(baseline_path)
-    new, stale = compare_to_baseline(findings, baseline)
     if args.format == "json":
-        print(_as_json(new, elapsed, timings if args.profile else None))
-        return 1 if (new or stale) else 0
-    for finding in new:
-        print(finding)
-    if new:
+        print(_as_json(findings, elapsed, timings))
+    else:
+        for finding in findings:
+            print(finding)
         print(
-            f"{len(new)} finding(s) over the baseline — fix them or waive "
-            "with `# lint: ok(rule-id)` on the offending line"
+            f"{len(findings)} finding(s) in {elapsed:.2f}s "
+            f"({len(available_rules())} rules)"
         )
-    for key, (expected, actual) in stale.items():
-        print(
-            f"{key}: baseline records {expected} finding(s), now {actual} — "
-            "you fixed some! shrink the ratchet: python -m repro.analysis "
-            "--write-baseline"
-        )
-    if not new and not stale:
-        print(
-            f"clean: {len(findings)} baselined finding(s), 0 new, "
-            f"{elapsed:.2f}s"
-        )
-        if args.profile and timings is not None:
+        if timings is not None:
             _print_profile(timings)
-        return 0
-    if args.profile and timings is not None:
-        _print_profile(timings)
-    return 1
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ Design, mirroring :mod:`repro.inference.registry`:
   (comma-separated ids allowed). A suppression that matches no finding is
   itself reported under :data:`UNUSED_SUPPRESSION_ID`, so waivers cannot
   go stale silently;
-* pre-existing findings are tolerated through the committed baseline
-  ratchet (:mod:`repro.analysis.baseline`), enforced by the CLI
-  (``python -m repro.analysis``) and ``tests/tooling/test_analysis.py``.
+* every rule holds at zero findings over ``src/`` and ``tests/``: the CLI
+  (``python -m repro.analysis``) exits 1 on any finding, and
+  ``tests/tooling/test_analysis.py`` gates tier-1 on an empty run.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class SourceFile:
     Built once per file per analysis run; every rule receives the same
     instance, so no rule re-parses or re-tokenizes. ``rel`` is the
     repo-relative posix path — it is what rules scope on (``src/`` vs
-    ``tests/``) and what findings/baselines are keyed by, so fixture tests
+    ``tests/``) and what findings are keyed by, so fixture tests
     can fabricate sources at any virtual location via :meth:`from_source`.
     """
 

@@ -23,8 +23,8 @@ machinery that makes those checkable:
 
 Rules consuming these facts (``view-mutation``, ``publish-escape``, the
 path-sensitive ``optional-guard``) plug into the existing registry /
-baseline / suppression machinery unchanged — flow facts change what a
-rule can *see*, not how findings are reported, waived, or ratcheted.
+suppression machinery unchanged — flow facts change what a rule can
+*see*, not how findings are reported or waived.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ The scope is wider than the original test: all of ``src/repro`` (not just
 the autodiff package), because the two-precision system only pays off if
 the rest of the stack routes through :func:`repro.autodiff.dtypes.
 coerce_array` / :func:`~repro.autodiff.dtypes.resolve_dtype` too. The
-autodiff package itself is held at zero findings (no baseline entries);
-the historical ``np.float64(...)`` casts in the inference/crowd layers are
-carried by the baseline ratchet and shrink over time.
+rule holds at zero findings: the casts the EM, crowd and logic layers
+make to float64 by design name :data:`repro.autodiff.dtypes.
+REFERENCE_DTYPE`, and the paper configs' fast path names
+:data:`~repro.autodiff.dtypes.FAST_DTYPE`.
 """
 
 from __future__ import annotations

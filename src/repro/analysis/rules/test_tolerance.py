@@ -12,9 +12,8 @@ strictness or a crash, never what was meant).
 Mechanization: every ``assert_allclose`` call in ``tests/`` must pass an
 explicit ``atol=`` keyword. Calls that forward ``**kwargs`` are assumed
 compliant (the tolerance decision was made by the caller being wrapped).
-The ~80 pre-existing defaulted calls ride the baseline ratchet and shrink
-as files are touched; ``tests/inference``'s core contract files were
-converted when this rule landed.
+The rule holds at zero findings. The calls that predate it state
+``atol=0``, numpy's default, so each kept exactly the check it had.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 The engine supports exactly two floating dtypes:
 
-* ``float64`` — the **reference** path. Every equivalence contract in the
-  repo (seed-vs-live benches at 1e-10, fused-vs-per-gate GRU at 1e-10,
-  conv variant agreement at 1e-11, gradcheck vs central differences) is
-  pinned on float64 and unchanged by the policy.
+* ``float64`` — the **reference** path (:data:`REFERENCE_DTYPE`). Every
+  equivalence contract in the repo (seed-vs-live benches at 1e-10,
+  fused-vs-per-gate GRU at 1e-10, conv variant agreement at 1e-11,
+  gradcheck vs central differences) is pinned on float64 and unchanged by
+  the policy. The code that computes in float64 by design — the
+  pseudo-E-step (Eq. 12–15), the truth-inference methods, the crowd
+  simulators and statistics — casts to the constant.
 * ``float32`` — the **training fast path** (:data:`FAST_DTYPE`): ~2×
   memory bandwidth on every GEMM in the GRU/conv/MLP hot paths. The
   paper's pipelines train in it (``sentiment_paper_config`` and
@@ -30,15 +33,15 @@ Resolution rules (deterministic, applied everywhere):
 
 The ``dtype-literal`` rule of the contract linter (:mod:`repro.analysis`)
 forbids raw ``np.float64`` / ``np.float32`` literals anywhere else in
-``src/repro``, and holds ``repro.autodiff`` at zero findings, so the
-policy cannot silently erode.
+``src/repro``, so the policy cannot silently erode: every other module
+names a dtype through :data:`REFERENCE_DTYPE` or :data:`FAST_DTYPE`.
 
 Above the layer library the one precision setting is
 ``TrainerConfig.dtype``: models are built without a dtype and the
 trainer casts them (:meth:`repro.autodiff.nn.Module.cast`) before it
 allocates optimizer state. Its default stays float64, the reference
-path; the paper's Table I configs select the fast path through
-:data:`FAST_DTYPE`.
+path (:data:`REFERENCE_DTYPE`); the paper's Table I configs select the
+fast path through :data:`FAST_DTYPE`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "REFERENCE_DTYPE",
     "FAST_DTYPE",
     "canonical_dtype",
     "get_default_dtype",
@@ -68,12 +72,17 @@ _ALLOWED: dict[str, np.dtype] = {
 # the repo-wide 1e-10 discipline; float32 twins run at a bumped 1e-4.
 _EQUIVALENCE_ATOL: dict[str, float] = {"float64": 1e-10, "float32": 1e-4}
 
-_DEFAULT = _ALLOWED["float64"]
+# The reference path, by canonical name: the library default and the
+# precision of everything that is float64 by design (the pseudo-E-step,
+# truth inference, crowd simulation and statistics).
+REFERENCE_DTYPE = "float64"
 
 # The training fast path, by canonical name: the precision the paper's
 # Table I configs train in. The pseudo-E-step computes in float64 whatever
 # dtype the network returns.
 FAST_DTYPE = "float32"
+
+_DEFAULT = _ALLOWED[REFERENCE_DTYPE]
 
 
 def float_dtype_names() -> tuple[str, ...]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..autodiff import Tensor, no_grad
 from ..autodiff import functional as F
-from ..autodiff.dtypes import canonical_dtype, default_dtype
+from ..autodiff.dtypes import REFERENCE_DTYPE, canonical_dtype, default_dtype
 from ..autodiff.nn import Module
 from ..autodiff.optim import SGD, Adadelta, Adam, Optimizer, StepDecay, clip_grad_norm
 from ..data.datasets import SequenceTaggingDataset, TextClassificationDataset, length_mask
@@ -65,9 +65,10 @@ class TrainerConfig:
     :func:`run_epoch` and :func:`fit_epochs`. ``weighted_loss`` (Eq. 10)
     weights by annotator counts, so only the Logic-LNCL trainers read it.
 
-    ``dtype`` is the one precision setting: "float64" (default) is the
-    reference path every equivalence test is pinned to; "float32" is the
-    fast path (~2x GEMM throughput, half the tape memory), named
+    ``dtype`` is the one precision setting: "float64" (default, named
+    :data:`repro.autodiff.dtypes.REFERENCE_DTYPE`) is the reference path
+    every equivalence test is pinned to; "float32" is the fast path (~2x
+    GEMM throughput, half the tape memory), named
     :data:`repro.autodiff.dtypes.FAST_DTYPE`. The paper's Table I configs
     (:func:`repro.core.config.sentiment_paper_config`,
     :func:`~repro.core.config.ner_paper_config`) train in the fast path,
@@ -88,7 +89,7 @@ class TrainerConfig:
     patience: int = 5
     grad_clip: float | None = 5.0
     weighted_loss: bool = False  # Eq. 10 (num annotators) vs Eq. 8
-    dtype: str = "float64"
+    dtype: str = REFERENCE_DTYPE
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

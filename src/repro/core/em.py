@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels
 from ..inference.primitives import (
     confusion_counts,
@@ -56,7 +57,7 @@ def update_confusions(
     Laplace ``smoothing`` keeps rows proper for annotators with few (or no)
     labels for some true class; at zero smoothing such a row is uniform.
     """
-    qf = np.asarray(qf, dtype=np.float64)
+    qf = np.asarray(qf, dtype=REFERENCE_DTYPE)
     if qf.shape != (crowd.num_instances, crowd.num_classes):
         raise ValueError(
             f"qf shape {qf.shape} != ({crowd.num_instances}, {crowd.num_classes})"
@@ -72,7 +73,7 @@ def posterior_qa(
     Computed in log space for stability; instances with no annotations
     reduce to the network prediction.
     """
-    proba = np.asarray(proba, dtype=np.float64)
+    proba = np.asarray(proba, dtype=REFERENCE_DTYPE)
     I, K = proba.shape
     if confusions.shape != (crowd.num_annotators, K, K):
         raise ValueError(
@@ -91,7 +92,7 @@ def _stack_ragged(arrays: list[np.ndarray], crowd: SequenceCrowdLabels) -> np.nd
             raise ValueError(f"entry {i} shape {shape} mismatches sentence")
     if not arrays:
         return np.zeros((0, K))
-    return np.concatenate(arrays, axis=0).astype(np.float64, copy=False)
+    return np.concatenate(arrays, axis=0).astype(REFERENCE_DTYPE, copy=False)
 
 
 def sequence_update_confusions(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..data.bio import CONLL_LABELS
 from ..eval.ner_f1 import span_f1_score
 from .types import CrowdLabelMatrix, SequenceCrowdLabels
@@ -38,7 +39,7 @@ class BoxplotStats:
 
     @staticmethod
     def from_values(values: np.ndarray) -> "BoxplotStats":
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=REFERENCE_DTYPE)
         if values.size == 0:
             raise ValueError("cannot summarize an empty array")
         q1, median, q3 = np.percentile(values, [25, 50, 75])

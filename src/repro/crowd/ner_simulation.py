@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..data.bio import CONLL_LABELS, bio_from_spans, spans_from_bio
 from .types import MISSING, SequenceCrowdLabels
 
@@ -51,7 +52,7 @@ class NERAnnotatorPool:
     activity: np.ndarray
 
     def __post_init__(self) -> None:
-        self.activity = np.asarray(self.activity, dtype=np.float64)
+        self.activity = np.asarray(self.activity, dtype=REFERENCE_DTYPE)
         if self.activity.shape != (len(self.profiles),):
             raise ValueError("activity must have one weight per annotator")
         if np.any(self.activity <= 0):
@@ -94,7 +95,7 @@ def sample_ner_pool(
             )
         )
     ranks = rng.permutation(num_annotators) + 1
-    activity = ranks.astype(np.float64) ** (-zipf_exponent)
+    activity = ranks.astype(REFERENCE_DTYPE) ** (-zipf_exponent)
     return NERAnnotatorPool(profiles=profiles, activity=activity)
 
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from .types import MISSING, CrowdLabelMatrix
 
 __all__ = [
@@ -109,7 +110,7 @@ def _fast_csr(data, indices, indptr, shape):
             )
             probe = bypass(*probe_args)
             reference = csr_matrix(probe_args[:3], shape=probe_args[3])
-            dense = np.arange(6, dtype=np.float64).reshape(3, 2)
+            dense = np.arange(6, dtype=REFERENCE_DTYPE).reshape(3, 2)
             ok = (
                 np.abs(probe @ dense - reference @ dense).max() == 0.0
                 and np.abs(probe.T @ np.ones((2, 2)) - reference.T @ np.ones((2, 2))).max() == 0.0

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from .types import MISSING, CrowdLabelMatrix
 
 __all__ = [
@@ -53,8 +54,8 @@ class AnnotatorPool:
     activity: np.ndarray
 
     def __post_init__(self) -> None:
-        self.confusions = np.asarray(self.confusions, dtype=np.float64)
-        self.activity = np.asarray(self.activity, dtype=np.float64)
+        self.confusions = np.asarray(self.confusions, dtype=REFERENCE_DTYPE)
+        self.activity = np.asarray(self.activity, dtype=REFERENCE_DTYPE)
         if self.confusions.ndim != 3 or self.confusions.shape[1] != self.confusions.shape[2]:
             raise ValueError(f"confusions must be (J, K, K), got {self.confusions.shape}")
         if self.activity.shape != (self.confusions.shape[0],):
@@ -135,7 +136,7 @@ def sample_annotator_pool(
         accuracy = rng.uniform(low, high)
         confusions[j] = sample_confusion_matrix(rng, accuracy, num_classes)
     ranks = rng.permutation(num_annotators) + 1
-    activity = ranks.astype(np.float64) ** (-zipf_exponent)
+    activity = ranks.astype(REFERENCE_DTYPE) ** (-zipf_exponent)
     return AnnotatorPool(confusions=confusions, activity=activity)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from .bio import CONLL_LABELS, label_index
 from .datasets import SequenceTaggingDataset, pad_sequences
 from .embeddings import PrototypeEmbeddings
@@ -117,7 +118,7 @@ class _Gazetteer:
         entity_type: str,
         length_weights: tuple[float, ...],
     ) -> list[int]:
-        weights = np.asarray(length_weights, dtype=np.float64)
+        weights = np.asarray(length_weights, dtype=REFERENCE_DTYPE)
         length = int(rng.choice(len(weights), p=weights / weights.sum())) + 1
         pool = self.pools[entity_type]
         return [pool[rng.integers(len(pool))] for _ in range(length)]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
+
 __all__ = ["TTestResult", "one_sided_t_test", "pearson_correlation"]
 
 
@@ -39,8 +41,8 @@ def one_sided_t_test(a: np.ndarray, b: np.ndarray, paired: bool = True) -> TTest
     """
     from scipy import stats
 
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a, dtype=REFERENCE_DTYPE)
+    b = np.asarray(b, dtype=REFERENCE_DTYPE)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least two runs per method")
     if paired:
@@ -56,8 +58,8 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient (Fig. 6b/7b report ≈0.92/0.91)."""
     from scipy import stats
 
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=REFERENCE_DTYPE)
+    y = np.asarray(y, dtype=REFERENCE_DTYPE)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..crowd.types import CrowdLabelMatrix
 
 __all__ = [
@@ -84,7 +85,7 @@ class InferenceResult:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.posterior = np.asarray(self.posterior, dtype=np.float64)
+        self.posterior = np.asarray(self.posterior, dtype=REFERENCE_DTYPE)
         if self.posterior.ndim != 2:
             raise ValueError(f"posterior must be (I, K), got {self.posterior.shape}")
         sums = self.posterior.sum(axis=1)

@@ -113,7 +113,9 @@ class DawidSkene(ShardedTruthInference):
         """
         confusions = normalize_rows(stats.confusion + self.smoothing)
         prior = normalize_rows(stats.class_totals + self.smoothing)
-        return np.log(prior), np.log(confusions), confusions
+        # At zero smoothing a label the counts rule out has log 0 = -inf.
+        with np.errstate(divide="ignore"):
+            return np.log(prior), np.log(confusions), confusions
 
     def _infer(self, ctx) -> InferenceResult:
         _, K, blocks, stats = self._initial_pass(ctx, self._init_mapper)

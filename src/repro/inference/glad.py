@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from .base import ConvergenceMonitor, InferenceResult
 from .sharding import ShardedTruthInference, ShardStats, shard_base_stats
 
@@ -106,7 +107,7 @@ class GLAD(ShardedTruthInference):
         return state, ShardStats(
             label_counts=np.bincount(
                 cols, minlength=shard.num_annotators
-            ).astype(np.float64),
+            ).astype(REFERENCE_DTYPE),
             **shard_base_stats(shard),
         )
 

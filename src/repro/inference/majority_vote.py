@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..crowd.types import CrowdLabelMatrix
 from .base import InferenceResult
 from .primitives import normalize_rows
@@ -39,7 +40,7 @@ class MajorityVote(ShardedTruthInference):
     def _vote_mapper(self, params, shard):
         block = majority_vote_posterior(shard)
         stats = ShardStats(
-            vote_totals=np.asarray(shard.vote_counts(), dtype=np.float64).sum(axis=0),
+            vote_totals=np.asarray(shard.vote_counts(), dtype=REFERENCE_DTYPE).sum(axis=0),
             **shard_base_stats(shard),
         )
         return block, stats

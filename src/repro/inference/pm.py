@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from .base import ConvergenceMonitor, InferenceResult
 from .majority_vote import majority_vote_posterior
 from .primitives import annotator_agreement, normalize_rows, weighted_vote_scores
@@ -75,7 +76,7 @@ class PM(ShardedTruthInference):
         return block, ShardStats(
             agreement=annotator_agreement(block, shard),
             label_counts=np.asarray(
-                shard.annotations_per_annotator(), dtype=np.float64
+                shard.annotations_per_annotator(), dtype=REFERENCE_DTYPE
             ),
             **shard_base_stats(shard),
         )

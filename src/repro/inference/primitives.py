@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..crowd.sharding import SparseLabelShard
 from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels, normalize_rows
 
@@ -99,7 +100,7 @@ def confusion_counts(posterior: np.ndarray, crowd) -> np.ndarray:
     """
     K = crowd.num_classes
     J = crowd.num_annotators
-    posterior = np.asarray(posterior, dtype=np.float64)
+    posterior = np.asarray(posterior, dtype=REFERENCE_DTYPE)
     _, _, _, num_rows, incidence = crowd_views(crowd)
     if posterior.shape != (num_rows, K):
         raise ValueError(f"posterior shape {posterior.shape} != ({num_rows}, {K})")
@@ -134,7 +135,7 @@ def annotator_agreement(posterior: np.ndarray, crowd) -> np.ndarray:
     directly on the cached COO triples — no incidence needed, O(n_obs) instead
     of the dense ``(I, J, K)`` agreement einsum.
     """
-    posterior = np.asarray(posterior, dtype=np.float64)
+    posterior = np.asarray(posterior, dtype=REFERENCE_DTYPE)
     rows, annotators, given, num_rows, _ = crowd_views(crowd)
     if posterior.shape != (num_rows, crowd.num_classes):
         raise ValueError(
@@ -154,7 +155,7 @@ def weighted_vote_scores(weights: np.ndarray, crowd) -> np.ndarray:
     """
     K = crowd.num_classes
     J = crowd.num_annotators
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=REFERENCE_DTYPE)
     if weights.shape != (J,):
         raise ValueError(f"weights shape {weights.shape} != ({J},)")
     *_, incidence = crowd_views(crowd)

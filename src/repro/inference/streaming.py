@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..crowd.types import CrowdLabelMatrix
 from .base import ConvergenceMonitor, InferenceResult
 from .dawid_skene import DawidSkene
@@ -95,7 +96,7 @@ def _state_array(state: dict, key: str) -> np.ndarray | None:
     value = state.get(key)
     if value is None:
         return None
-    return np.array(value, dtype=np.float64)
+    return np.array(value, dtype=REFERENCE_DTYPE)
 
 
 class StreamingTruthInference:
@@ -704,8 +705,8 @@ class StreamingGLAD(StreamingTruthInference):
         extras["beta"] = beta
 
     def _adopt(self, result: InferenceResult) -> None:
-        self._alpha = np.asarray(result.extras["alpha"], dtype=np.float64).copy()
-        beta = np.asarray(result.extras["beta"], dtype=np.float64)
+        self._alpha = np.asarray(result.extras["alpha"], dtype=REFERENCE_DTYPE).copy()
+        beta = np.asarray(result.extras["beta"], dtype=REFERENCE_DTYPE)
         self._log_beta_blocks = [np.log(beta)] if beta.size else []
         self._blocks = [result.posterior] if result.posterior.size else []
-        self._label_counts = self.crowd.annotations_per_annotator().astype(np.float64)
+        self._label_counts = self.crowd.annotations_per_annotator().astype(REFERENCE_DTYPE)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..inference.primitives import batched_forward_backward
 
 __all__ = ["distill_posterior", "chain_marginals"]
@@ -51,8 +52,8 @@ def distill_posterior(qa: np.ndarray, penalties: np.ndarray, C: float) -> np.nda
     -------
     ``(B, K)`` rule-regularized posterior ``qb``.
     """
-    qa = np.asarray(qa, dtype=np.float64)
-    penalties = np.asarray(penalties, dtype=np.float64)
+    qa = np.asarray(qa, dtype=REFERENCE_DTYPE)
+    penalties = np.asarray(penalties, dtype=REFERENCE_DTYPE)
     if qa.shape != penalties.shape:
         raise ValueError(f"qa shape {qa.shape} != penalties shape {penalties.shape}")
     if C < 0:
@@ -114,8 +115,8 @@ def chain_marginals(
         with no support (every label path through some position, the
         first token included, has zero potential).
     """
-    unary = np.asarray(unary, dtype=np.float64)
-    pairwise = np.asarray(pairwise, dtype=np.float64)
+    unary = np.asarray(unary, dtype=REFERENCE_DTYPE)
+    pairwise = np.asarray(pairwise, dtype=REFERENCE_DTYPE)
     if unary.ndim != 3:
         raise ValueError(f"unary must be (I, T_max, K), got shape {unary.shape}")
     I, T_max, K = unary.shape
@@ -127,7 +128,7 @@ def chain_marginals(
     if initial is None:
         initial = np.ones(K)
     else:
-        initial = np.asarray(initial, dtype=np.float64)
+        initial = np.asarray(initial, dtype=REFERENCE_DTYPE)
         if initial.shape != (K,):
             raise ValueError(f"initial must be ({K},), got {initial.shape}")
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff import functional as F
+from ..autodiff.dtypes import REFERENCE_DTYPE
 from ..autodiff.optim import Optimizer
 from ..baselines.common import TrainerConfig, fit_epochs, run_epoch
 from ..core.logic_lncl import LogicLNCLClassifier
@@ -39,7 +40,7 @@ def corrupt_labels(
     the special case ``T = (1-ρ)·I + ρ/(K-1)·(1-I)``.
     """
     labels = np.asarray(labels)
-    transition = np.asarray(transition, dtype=np.float64)
+    transition = np.asarray(transition, dtype=REFERENCE_DTYPE)
     K = transition.shape[0]
     if transition.shape != (K, K):
         raise ValueError(f"transition must be square, got {transition.shape}")
@@ -102,7 +103,7 @@ def forward_correction_baseline(
     crowd = train.crowd
     if crowd is None or crowd.num_annotators != 1:
         raise ValueError("forward correction expects a single-source crowd")
-    transition = np.asarray(transition, dtype=np.float64)
+    transition = np.asarray(transition, dtype=REFERENCE_DTYPE)
     K = model.num_classes
     if transition.shape != (K, K):
         raise ValueError(f"transition must be ({K}, {K}), got {transition.shape}")

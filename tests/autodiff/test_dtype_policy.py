@@ -14,10 +14,14 @@ import pytest
 
 from repro.autodiff import Tensor, equivalence_atol
 from repro.autodiff import functional as F
+from repro.autodiff import dtypes
 from repro.autodiff.dtypes import (
+    FAST_DTYPE,
+    REFERENCE_DTYPE,
     canonical_dtype,
     coerce_array,
     default_dtype,
+    float_dtype_names,
     get_default_dtype,
     resolve_dtype,
     set_default_dtype,
@@ -38,6 +42,13 @@ F32_ATOL = equivalence_atol("float32")
 class TestPolicyBasics:
     def test_default_is_float64(self):
         assert get_default_dtype() == F64
+
+    def test_reference_and_fast_dtypes_name_the_two_engine_dtypes(self):
+        assert canonical_dtype(REFERENCE_DTYPE) == F64
+        assert canonical_dtype(FAST_DTYPE) == F32
+        assert sorted(float_dtype_names()) == sorted([REFERENCE_DTYPE, FAST_DTYPE])
+        assert get_default_dtype().name == REFERENCE_DTYPE
+        assert {"REFERENCE_DTYPE", "FAST_DTYPE"} <= set(dtypes.__all__)
 
     def test_canonical_dtype_accepts_aliases(self):
         assert canonical_dtype("float32") == F32
@@ -210,6 +221,12 @@ class TestConfigPlumbing:
         assert TrainerConfig().dtype == "float64"
         with pytest.raises(ValueError):
             TrainerConfig(dtype="float16")
+
+    def test_trainer_config_defaults_to_the_reference_dtype(self):
+        # The default trainer runs the reference path; only an explicit
+        # dtype (the paper configs pass FAST_DTYPE) takes the fast path.
+        assert TrainerConfig().dtype == REFERENCE_DTYPE
+        assert TrainerConfig(dtype=FAST_DTYPE).dtype == FAST_DTYPE
 
 
 def _toy_classification(dtype: str):

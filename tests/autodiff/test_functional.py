@@ -21,13 +21,13 @@ class TestEmbedding:
         idx = np.array([[0, 2], [3, 3]])
         out = F.embedding(weight, idx)
         assert out.shape == (2, 2, 3)
-        np.testing.assert_allclose(out.numpy()[0, 1], [6.0, 7.0, 8.0])
+        np.testing.assert_allclose(out.numpy()[0, 1], [6.0, 7.0, 8.0], atol=0)
 
     def test_repeated_indices_accumulate_grad(self):
         weight = Tensor(np.zeros((3, 2)), requires_grad=True)
         idx = np.array([1, 1, 2])
         F.embedding(weight, idx).sum().backward()
-        np.testing.assert_allclose(weight.grad, [[0, 0], [2, 2], [1, 1]])
+        np.testing.assert_allclose(weight.grad, [[0, 0], [2, 2], [1, 1]], atol=0)
 
     def test_rejects_float_indices(self):
         weight = Tensor(np.zeros((3, 2)))
@@ -98,13 +98,13 @@ class TestMaxOverTime:
     def test_basic(self):
         x = Tensor([[[1.0, 9.0], [5.0, 2.0], [3.0, 3.0]]])
         out = F.max_over_time(x)
-        np.testing.assert_allclose(out.numpy(), [[5.0, 9.0]])
+        np.testing.assert_allclose(out.numpy(), [[5.0, 9.0]], atol=0)
 
     def test_mask_excludes_padding(self):
         x = Tensor([[[1.0], [100.0]]])
         mask = np.array([[True, False]])
         out = F.max_over_time(x, mask)
-        np.testing.assert_allclose(out.numpy(), [[1.0]])
+        np.testing.assert_allclose(out.numpy(), [[1.0]], atol=0)
 
     def test_mask_all_invalid_raises(self):
         x = Tensor(np.zeros((1, 2, 1)))
@@ -127,7 +127,7 @@ class TestSoftmax:
     def test_rows_sum_to_one(self):
         x = Tensor(_rng().normal(size=(4, 5)))
         out = F.softmax(x).numpy()
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(4))
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=0)
         assert (out > 0).all()
 
     def test_shift_invariance(self):
@@ -152,7 +152,7 @@ class TestSoftmax:
 
     def test_softmax_axis0(self):
         x = Tensor(_rng().normal(size=(3, 4)))
-        np.testing.assert_allclose(F.softmax(x, axis=0).numpy().sum(axis=0), np.ones(4))
+        np.testing.assert_allclose(F.softmax(x, axis=0).numpy().sum(axis=0), np.ones(4), atol=0)
 
 
 class TestDropout:
@@ -169,7 +169,7 @@ class TestDropout:
         x = Tensor(np.ones((2000,)))
         out = F.dropout(x, 0.5, _rng(), training=True).numpy()
         kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
+        np.testing.assert_allclose(kept, 2.0, atol=0)
         # Keep-rate concentration: ~50% kept.
         assert 0.4 < (out != 0).mean() < 0.6
 
@@ -181,7 +181,7 @@ class TestDropout:
         x = Tensor(np.ones((100,)), requires_grad=True)
         out = F.dropout(x, 0.5, _rng(7), training=True)
         out.sum().backward()
-        np.testing.assert_allclose(x.grad, out.numpy())
+        np.testing.assert_allclose(x.grad, out.numpy(), atol=0)
 
 
 class TestJoins:
@@ -220,7 +220,7 @@ class TestSoftCrossEntropy:
         target = np.array([[1.0, 0.0], [1.0, 0.0]])
         unweighted = F.cross_entropy_soft(logits, target).item()
         weighted = F.cross_entropy_soft(logits, target, weights=np.array([2.0, 0.0])).item()
-        np.testing.assert_allclose(weighted, unweighted)  # symmetric case
+        np.testing.assert_allclose(weighted, unweighted, atol=0)  # symmetric case
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -256,11 +256,11 @@ class TestSequenceSoftCrossEntropy:
         masked = F.sequence_cross_entropy_soft(
             logits, target, np.array([[1, 1, 0]])
         ).item()
-        np.testing.assert_allclose(full, masked)  # uniform logits: same per-token CE
+        np.testing.assert_allclose(full, masked, atol=0)  # uniform logits: same per-token CE
         # but gradients at masked positions must be zero:
         logits2 = Tensor(np.zeros((1, 3, 2)), requires_grad=True)
         F.sequence_cross_entropy_soft(logits2, target, np.array([[1, 1, 0]])).backward()
-        np.testing.assert_allclose(logits2.grad[0, 2], 0.0)
+        np.testing.assert_allclose(logits2.grad[0, 2], 0.0, atol=0)
 
     def test_shape_validation(self):
         logits = Tensor(np.zeros((1, 3, 2)))

@@ -52,7 +52,7 @@ class TestModule:
         b = nn.Linear(3, 2, _rng(1))
         assert not np.allclose(a.weight.data, b.weight.data)
         b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(a.weight.data, b.weight.data)
+        np.testing.assert_allclose(a.weight.data, b.weight.data, atol=0)
 
     def test_state_dict_detects_mismatch(self):
         rng = _rng()
@@ -125,7 +125,7 @@ class TestEmbedding:
         emb = nn.Embedding(5, 3, pretrained=pretrained, trainable=False)
         assert emb.parameters() == []
         out = emb(np.array([1, 2]))
-        np.testing.assert_allclose(out.numpy(), pretrained[[1, 2]])
+        np.testing.assert_allclose(out.numpy(), pretrained[[1, 2]], atol=0)
 
     def test_pretrained_shape_check(self):
         with pytest.raises(ValueError):
@@ -164,8 +164,8 @@ class TestConvDropout:
 
     def test_activation_modules(self):
         x = Tensor(np.array([-1.0, 2.0]))
-        np.testing.assert_allclose(nn.ReLU()(x).numpy(), [0.0, 2.0])
-        np.testing.assert_allclose(nn.Tanh()(x).numpy(), np.tanh([-1.0, 2.0]))
+        np.testing.assert_allclose(nn.ReLU()(x).numpy(), [0.0, 2.0], atol=0)
+        np.testing.assert_allclose(nn.Tanh()(x).numpy(), np.tanh([-1.0, 2.0]), atol=0)
 
 
 class TestGRU:
@@ -192,8 +192,8 @@ class TestGRU:
         mask = np.array([[1, 1, 0, 0, 0]])
         out = gru(Tensor(x), mask=mask).numpy()
         # After the mask ends the hidden state must stay constant.
-        np.testing.assert_allclose(out[0, 2], out[0, 3])
-        np.testing.assert_allclose(out[0, 3], out[0, 4])
+        np.testing.assert_allclose(out[0, 2], out[0, 3], atol=0)
+        np.testing.assert_allclose(out[0, 3], out[0, 4], atol=0)
 
     def test_padding_invariance(self):
         gru = nn.GRU(3, 4, _rng())
@@ -225,4 +225,4 @@ class TestInitializers:
         np.testing.assert_allclose(q.T @ q, np.eye(6), atol=1e-10)
 
     def test_zeros(self):
-        np.testing.assert_allclose(nn.init.zeros((2, 2)), np.zeros((2, 2)))
+        np.testing.assert_allclose(nn.init.zeros((2, 2)), np.zeros((2, 2)), atol=0)

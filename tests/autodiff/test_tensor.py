@@ -120,13 +120,13 @@ class TestArithmeticGradients:
         b = a * a
         loss = (b + b).sum()
         loss.backward()
-        np.testing.assert_allclose(a.grad, [12.0])
+        np.testing.assert_allclose(a.grad, [12.0], atol=0)
 
     def test_reused_leaf_accumulates(self):
         a = Tensor([2.0], requires_grad=True)
         loss = (a * 3.0 + a * 4.0).sum()
         loss.backward()
-        np.testing.assert_allclose(a.grad, [7.0])
+        np.testing.assert_allclose(a.grad, [7.0], atol=0)
 
     def test_second_backward_does_not_leak_stale_grads(self):
         a = Tensor([1.0], requires_grad=True)
@@ -134,7 +134,7 @@ class TestArithmeticGradients:
         loss.backward()
         first = a.grad.copy()
         loss.backward()
-        np.testing.assert_allclose(a.grad, 2 * first)
+        np.testing.assert_allclose(a.grad, 2 * first, atol=0)
 
 
 class TestNonlinearities:
@@ -153,12 +153,12 @@ class TestNonlinearities:
     def test_relu_zero_gradient_below_zero(self):
         a = Tensor([-1.0, 2.0], requires_grad=True)
         a.relu().sum().backward()
-        np.testing.assert_allclose(a.grad, [0.0, 1.0])
+        np.testing.assert_allclose(a.grad, [0.0, 1.0], atol=0)
 
     def test_clip_gradient_masked(self):
         a = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
         a.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(a.grad, [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(a.grad, [0.0, 1.0, 0.0], atol=0)
 
 
 class TestReductionsAndShapes:
@@ -178,7 +178,7 @@ class TestReductionsAndShapes:
         a = Tensor([[1.0, 5.0, 5.0]], requires_grad=True)
         a.max(axis=1).sum().backward()
         # Ties route to the first maximum only.
-        np.testing.assert_allclose(a.grad, [[0.0, 1.0, 0.0]])
+        np.testing.assert_allclose(a.grad, [[0.0, 1.0, 0.0]], atol=0)
 
     def test_max_gradcheck(self):
         a = Tensor(_rng().normal(size=(3, 4)), requires_grad=True)
@@ -201,7 +201,7 @@ class TestReductionsAndShapes:
         a = Tensor([1.0, 2.0], requires_grad=True)
         out = a[np.array([0, 0, 1])]
         out.sum().backward()
-        np.testing.assert_allclose(a.grad, [2.0, 1.0])
+        np.testing.assert_allclose(a.grad, [2.0, 1.0], atol=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,7 +215,7 @@ def test_property_sum_gradient_is_ones(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     a.sum().backward()
-    np.testing.assert_allclose(a.grad, np.ones((rows, cols)))
+    np.testing.assert_allclose(a.grad, np.ones((rows, cols)), atol=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -226,7 +226,7 @@ def test_property_chain_rule_linear(seed):
     c = rng.normal(size=(3,))
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     (Tensor(c) * x).sum().backward()
-    np.testing.assert_allclose(x.grad, c)
+    np.testing.assert_allclose(x.grad, c, atol=0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -67,8 +67,8 @@ class TestFitBasics:
         )
         history = trainer.fit(sentiment_task.train)
         assert history["k"] == [0.0, 0.0]
-        np.testing.assert_allclose(trainer.qa_, trainer.qb_)
-        np.testing.assert_allclose(trainer.qa_, trainer.qf_)
+        np.testing.assert_allclose(trainer.qa_, trainer.qb_, atol=0)
+        np.testing.assert_allclose(trainer.qa_, trainer.qf_, atol=0)
 
     def test_inference_posterior_requires_fit(self, sentiment_task):
         trainer = LogicLNCLClassifier(
@@ -147,6 +147,7 @@ class TestTeacherStudent:
         np.testing.assert_allclose(
             trainer.predict_proba_teacher(test.tokens, test.lengths),
             trainer.predict_proba_student(test.tokens, test.lengths),
+            atol=0,
         )
 
     def test_teacher_differs_on_but_sentences(self, sentiment_task):
@@ -203,6 +204,6 @@ class TestAblationHooks:
             rule=ButRule(sentiment_task.but_id), fixed_qa=mv,
         )
         trainer.fit(sentiment_task.train)
-        np.testing.assert_allclose(trainer.qa_, mv)
+        np.testing.assert_allclose(trainer.qa_, mv, atol=0)
         # qb still adapts via the rule.
         assert not np.allclose(trainer.qb_, mv)

@@ -98,22 +98,22 @@ class TestUpdateConfusions:
         qf = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         pi = update_confusions(qf, crowd, smoothing=0.0)
         # Row 0 (true class 0): mass 1.5; says 0 on instances 0 (1.0) and 2 (0.5).
-        np.testing.assert_allclose(pi[0, 0], [1.0, 0.0])
+        np.testing.assert_allclose(pi[0, 0], [1.0, 0.0], atol=0)
         # Row 1: mass 1.5; says 1 on instance 1 (1.0), says 0 on instance 2 (0.5).
-        np.testing.assert_allclose(pi[0, 1], [1 / 3, 2 / 3])
+        np.testing.assert_allclose(pi[0, 1], [1 / 3, 2 / 3], atol=0)
 
     def test_missing_labels_excluded(self):
         crowd = CrowdLabelMatrix(np.array([[0, M], [M, 1]]), 2)
         qf = np.array([[1.0, 0.0], [0.0, 1.0]])
         pi = update_confusions(qf, crowd, smoothing=0.0)
-        np.testing.assert_allclose(pi[0][0], [1.0, 0.0])  # annotator 0, true 0
-        np.testing.assert_allclose(pi[1][1], [0.0, 1.0])  # annotator 1, true 1
+        np.testing.assert_allclose(pi[0][0], [1.0, 0.0], atol=0)  # annotator 0, true 0
+        np.testing.assert_allclose(pi[1][1], [0.0, 1.0], atol=0)  # annotator 1, true 1
 
     def test_smoothing_fills_unobserved_rows(self):
         crowd = CrowdLabelMatrix(np.array([[0]]), 2)
         qf = np.array([[1.0, 0.0]])
         pi = update_confusions(qf, crowd, smoothing=0.01)
-        np.testing.assert_allclose(pi[0][1], [0.5, 0.5])  # no true-1 mass → uniform
+        np.testing.assert_allclose(pi[0][1], [0.5, 0.5], atol=0)  # no true-1 mass → uniform
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(0)
@@ -136,14 +136,14 @@ class TestPosteriorQa:
         confusions = np.array([[[0.9, 0.1], [0.2, 0.8]]])
         qa = posterior_qa(proba, crowd, confusions)
         # qa(0) ∝ 0.5·π[0,1]=0.05; qa(1) ∝ 0.5·π[1,1]=0.4.
-        np.testing.assert_allclose(qa[0], [0.05 / 0.45, 0.4 / 0.45])
+        np.testing.assert_allclose(qa[0], [0.05 / 0.45, 0.4 / 0.45], atol=0)
 
     def test_no_annotations_returns_model(self):
         crowd = CrowdLabelMatrix(np.array([[M], [0]]), 2)
         proba = np.array([[0.7, 0.3], [0.7, 0.3]])
         confusions = np.array([[[0.9, 0.1], [0.1, 0.9]]])
         qa = posterior_qa(proba, crowd, confusions)
-        np.testing.assert_allclose(qa[0], [0.7, 0.3])
+        np.testing.assert_allclose(qa[0], [0.7, 0.3], atol=0)
 
     def test_many_annotators_overrule_model(self):
         labels = np.full((1, 10), 1)

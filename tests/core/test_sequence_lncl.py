@@ -66,7 +66,7 @@ class TestFitBasics:
         history = trainer.fit(ner_task.train)
         assert history["k"] == [0.0, 0.0]
         for qa, qf in zip(trainer.qa_, trainer.qf_):
-            np.testing.assert_allclose(qa, qf)
+            np.testing.assert_allclose(qa, qf, atol=0)
 
 
 class TestRuleEffects:

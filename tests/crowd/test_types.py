@@ -53,8 +53,8 @@ class TestCrowdLabelMatrix:
     def test_one_hot(self):
         one_hot = self._tiny().one_hot()
         assert one_hot.shape == (3, 3, 2)
-        np.testing.assert_allclose(one_hot[0, 0], [1, 0])
-        np.testing.assert_allclose(one_hot[0, 2], [0, 0])  # missing
+        np.testing.assert_allclose(one_hot[0, 0], [1, 0], atol=0)
+        np.testing.assert_allclose(one_hot[0, 2], [0, 0], atol=0)  # missing
 
     def test_subset(self):
         sub = self._tiny().subset(np.array([2]))
@@ -66,12 +66,12 @@ class TestCrowdLabelMatrix:
         truth = np.array([0, 1, 0])
         confusion = crowd.annotator_confusion(truth, annotator=0)
         # Annotator 0 labeled instance 0 (true 0 → said 0) and 1 (true 1 → said 1).
-        np.testing.assert_allclose(confusion, np.eye(2))
+        np.testing.assert_allclose(confusion, np.eye(2), atol=0)
 
     def test_annotator_confusion_unobserved_row_uniform(self):
         crowd = CrowdLabelMatrix(np.array([[0], [M]]), 2)
         confusion = crowd.annotator_confusion(np.array([0, 1]), 0)
-        np.testing.assert_allclose(confusion[1], [0.5, 0.5])
+        np.testing.assert_allclose(confusion[1], [0.5, 0.5], atol=0)
 
     def test_paper_convention_roundtrip(self):
         paper = np.array([[1, 0, 2], [0, 2, 1]])
@@ -132,12 +132,12 @@ class TestSequenceCrowdLabels:
         crowd = self._tiny()
         truth = [np.array([0, 1]), np.array([0, 1, 2])]
         confusion = crowd.annotator_confusion(truth, 0)
-        np.testing.assert_allclose(confusion, np.eye(3))
+        np.testing.assert_allclose(confusion, np.eye(3), atol=0)
         confusion1 = crowd.annotator_confusion(truth, 1)
         # Annotator 1 labeled only sentence 1: true (0,1,2) → said (0,2,2).
-        np.testing.assert_allclose(confusion1[0], [1, 0, 0])
-        np.testing.assert_allclose(confusion1[1], [0, 0, 1])
-        np.testing.assert_allclose(confusion1[2], [0, 0, 1])
+        np.testing.assert_allclose(confusion1[0], [1, 0, 0], atol=0)
+        np.testing.assert_allclose(confusion1[1], [0, 0, 1], atol=0)
+        np.testing.assert_allclose(confusion1[2], [0, 0, 1], atol=0)
 
 
 def _assert_classification_caches_match(extended: CrowdLabelMatrix, fresh: CrowdLabelMatrix):

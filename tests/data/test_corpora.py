@@ -72,7 +72,7 @@ class TestSentimentCorpus:
         config = _small_sentiment_config()
         task = make_sentiment_task(np.random.default_rng(0), config)
         assert task.embeddings.shape == (len(task.vocab), config.embedding_dim)
-        np.testing.assert_allclose(task.embeddings[0], 0.0)
+        np.testing.assert_allclose(task.embeddings[0], 0.0, atol=0)
 
     def test_no_crowd_attached(self):
         task = make_sentiment_task(np.random.default_rng(0), _small_sentiment_config())
@@ -83,7 +83,7 @@ class TestSentimentCorpus:
         b = make_sentiment_task(np.random.default_rng(7), _small_sentiment_config())
         np.testing.assert_array_equal(a.train.tokens, b.train.tokens)
         np.testing.assert_array_equal(a.train.labels, b.train.labels)
-        np.testing.assert_allclose(a.embeddings, b.embeddings)
+        np.testing.assert_allclose(a.embeddings, b.embeddings, atol=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ class TestPrototypeEmbeddings:
         p1 = factory.prototype("x")
         p2 = factory.prototype("x")
         assert p1 is p2
-        np.testing.assert_allclose(np.linalg.norm(p1), 1.0)
+        np.testing.assert_allclose(np.linalg.norm(p1), 1.0, atol=0)
 
     def test_opposed_prototypes_anticorrelated(self):
         factory = PrototypeEmbeddings(32, 0.5, np.random.default_rng(0))
@@ -161,7 +161,7 @@ class TestPrototypeEmbeddings:
     def test_build_matrix_pad_row_zero(self):
         factory = PrototypeEmbeddings(8, 0.5, np.random.default_rng(0))
         matrix = factory.build_matrix(["a", "a", None])
-        np.testing.assert_allclose(matrix[0], 0.0)
+        np.testing.assert_allclose(matrix[0], 0.0, atol=0)
         assert matrix.shape == (3, 8)
 
     def test_same_role_words_cluster(self):

@@ -24,6 +24,10 @@ from repro.serving import CrowdService
 
 from ..oracles import seed_dawid_skene, seed_hmm_crowd
 
+# The log of an exact zero is an intended -inf, not a numerical accident:
+# no method here may warn about it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 K = 3
 J = 4
 SILENT = 3

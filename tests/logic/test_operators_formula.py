@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autodiff.dtypes import REFERENCE_DTYPE
 from repro.logic import (
     And,
     Atom,
@@ -44,7 +45,22 @@ class TestOperators:
     def test_elementwise_arrays(self):
         a = np.array([0.2, 0.9])
         b = np.array([0.9, 0.9])
-        np.testing.assert_allclose(soft_and(a, b), [0.1, 0.8])
+        np.testing.assert_allclose(soft_and(a, b), [0.1, 0.8], atol=0)
+
+    @pytest.mark.parametrize("op", [soft_and, soft_or, soft_implies])
+    def test_binary_operators_compute_in_the_reference_dtype(self, op):
+        # Truth values from a float32 network are combined in float64.
+        a = np.array([0.2, 0.7, 1.0], dtype=np.float32)
+        b = np.array([0.9, 0.6, 0.0], dtype=np.float32)
+        out = op(a, b)
+        assert out.dtype == np.dtype(REFERENCE_DTYPE)
+        reference = op(a.astype(REFERENCE_DTYPE), b.astype(REFERENCE_DTYPE))
+        np.testing.assert_array_equal(out, reference)
+
+    def test_not_computes_in_the_reference_dtype(self):
+        a = np.array([0.2, 0.7], dtype=np.float32)
+        assert soft_not(a).dtype == np.dtype(REFERENCE_DTYPE)
+        assert validate_truth(a).dtype == np.dtype(REFERENCE_DTYPE)
 
     def test_validate_truth_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -125,4 +141,4 @@ class TestFormula:
     def test_array_interpretation(self):
         f = Atom("a") >> Atom("b")
         interp = {"a": np.array([1.0, 0.0]), "b": np.array([0.3, 0.3])}
-        np.testing.assert_allclose(f.truth(interp), [0.3, 1.0])
+        np.testing.assert_allclose(f.truth(interp), [0.3, 1.0], atol=0)

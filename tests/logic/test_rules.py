@@ -67,7 +67,7 @@ class TestRuleSet:
 
         penalties = rs.ground_penalties(groundings, label_atoms, num_classes=2)
         # class 0: antecedent false → satisfied → penalty 0.
-        np.testing.assert_allclose(penalties[:, 0], 0.0)
+        np.testing.assert_allclose(penalties[:, 0], 0.0, atol=0)
         # class 1: penalty = 1 - clause_pos.
         np.testing.assert_allclose(penalties[:, 1], [0.1, 0.9], atol=1e-12)
 

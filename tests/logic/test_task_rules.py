@@ -48,7 +48,7 @@ class TestButRule:
         batch = np.array([[1, 2, 3], [4, 5, 6]])
         lengths = np.array([3, 3])
         penalties = rule.penalties(batch, lengths, _uniform_proba)
-        np.testing.assert_allclose(penalties, 0.0)
+        np.testing.assert_allclose(penalties, 0.0, atol=0)
 
     def test_penalties_follow_clause_probability(self):
         rule = ButRule(BUT)
@@ -62,13 +62,13 @@ class TestButRule:
         penalties = rule.penalties(batch, lengths, proba)
         # grounded row: penalty_k = 1 - sigma(B)_k
         np.testing.assert_allclose(penalties[0], [0.8, 0.2], atol=1e-12)
-        np.testing.assert_allclose(penalties[1], 0.0)
+        np.testing.assert_allclose(penalties[1], 0.0, atol=0)
 
     def test_penalties_weight_scales(self):
         rule = ButRule(BUT, weight=0.5)
         batch = np.array([[1, BUT, 3]])
         penalties = rule.penalties(batch, np.array([3]), lambda t, l: np.array([[0.0, 1.0]]))
-        np.testing.assert_allclose(penalties[0], [0.5, 0.0])
+        np.testing.assert_allclose(penalties[0], [0.5, 0.0], atol=0)
 
     def test_penalties_shape_validation(self):
         rule = ButRule(BUT)
@@ -146,10 +146,12 @@ class TestTransitionRules:
     def test_pairwise_potential_exponentiates(self):
         tr = TransitionRules(LABELS)
         np.testing.assert_allclose(
-            tr.pairwise_potential(5.0), np.exp(-5.0 * tr.penalty_matrix)
+            tr.pairwise_potential(5.0), np.exp(-5.0 * tr.penalty_matrix),
+            atol=0,
         )
         np.testing.assert_allclose(
-            tr.initial_potential(5.0), np.exp(-5.0 * tr.initial_penalty)
+            tr.initial_potential(5.0), np.exp(-5.0 * tr.initial_penalty),
+            atol=0,
         )
 
     def test_negative_C_rejected(self):

@@ -53,7 +53,7 @@ class TestTextCNN:
     def test_predict_proba_rows_sum_one(self):
         model = _small_cnn()
         proba = model.predict_proba(np.array([[2, 3, 4, 5]]), np.array([4]))
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=0)
 
     def test_predict_restores_training_mode(self):
         model = _small_cnn()
@@ -85,7 +85,7 @@ class TestTextCNN:
         model.output.weight.data *= 100.0
         before = model.output.weight.data.copy()
         model.apply_max_norm()
-        np.testing.assert_allclose(model.output.weight.data, before)
+        np.testing.assert_allclose(model.output.weight.data, before, atol=0)
 
     def test_gradients_flow_to_all_parameters(self):
         # Dropout off: with rate 0.5 a conv branch can legitimately receive
@@ -131,7 +131,7 @@ class TestNERTagger:
     def test_per_token_proba_normalized(self):
         model = _small_tagger()
         proba = model.predict_proba(np.array([[2, 3, 4]]), np.array([3]))
-        np.testing.assert_allclose(proba.sum(axis=-1), 1.0)
+        np.testing.assert_allclose(proba.sum(axis=-1), 1.0, atol=0)
 
     def test_gradients_flow(self):
         model = _small_tagger(num_classes=3)

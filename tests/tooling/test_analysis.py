@@ -15,14 +15,13 @@ Three layers, mirroring how the engine is trusted:
   than a syntactic pattern match.
 * **engine mechanics** — registry semantics (duplicates raise, reserved
   ids refused, KeyError names the catalog), inline ``# lint: ok(...)``
-  suppression consumption and staleness, baseline-ratchet comparison in
-  both directions, syntax-error resilience, and the CLI's full
-  write/check/regress/shrink cycle on a throwaway tree.
-* **the repo itself** — ``src``+``tests`` lint clean against the
-  committed ``analysis/baseline.json`` in under 10 s, the contract rules
-  that were fixed at zero (optional-guard, lock-discipline,
-  pickle-boundary, broad-except) stay at zero on ``src``, and the
-  autodiff package stays dtype-literal-free with no baseline slack.
+  suppression consumption and staleness, syntax-error resilience, and the
+  CLI's text/JSON/profile output and usage errors on a throwaway tree.
+* **the repo itself** — ``src``+``tests`` lint with zero findings under
+  every rule in under 10 s. A stale waiver or a file that does not parse
+  is itself a finding, so the one check covers both. The contract rules
+  and the dtype rule are also run by class, not through the registry, so
+  a rule that drops out of the catalog cannot take its zero with it.
 """
 
 import json
@@ -32,20 +31,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Finding,
     SourceFile,
     SYNTAX_ERROR_ID,
     UNUSED_SUPPRESSION_ID,
     analyze_paths,
     analyze_sources,
     available_rules,
-    compare_to_baseline,
-    default_baseline_path,
     get_rule,
-    load_baseline,
     register_rule,
-    summarize,
-    write_baseline,
 )
 from repro.analysis.__main__ import main as cli_main
 from repro.analysis.rules import (
@@ -469,68 +462,7 @@ def test_syntax_error_reported_not_fatal(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Baseline-ratchet semantics: strict in both directions.
-# --------------------------------------------------------------------- #
-
-
-def _finding(file, line, rule_id="dtype-literal"):
-    return Finding(file=file, line=line, rule_id=rule_id, message="m")
-
-
-def test_baseline_equal_counts_are_clean():
-    findings = [_finding("src/a.py", 3), _finding("src/a.py", 9)]
-    new, stale = compare_to_baseline(findings, summarize(findings))
-    assert new == [] and stale == {}
-
-
-def test_baseline_tolerates_line_shifts():
-    baseline = summarize([_finding("src/a.py", 3)])
-    new, stale = compare_to_baseline([_finding("src/a.py", 30)], baseline)
-    assert new == [] and stale == {}
-
-
-def test_baseline_fails_on_new_findings():
-    baseline = summarize([_finding("src/a.py", 3)])
-    current = [_finding("src/a.py", 3), _finding("src/a.py", 4)]
-    new, stale = compare_to_baseline(current, baseline)
-    # Count keys can't attribute which finding is the new one, so every
-    # finding of the over-budget key is listed for the human to triage.
-    assert len(new) == 2
-    assert stale == {}
-
-
-def test_baseline_fails_on_fixed_but_not_shrunk():
-    baseline = summarize([_finding("src/a.py", 3), _finding("src/b.py", 1)])
-    new, stale = compare_to_baseline([_finding("src/b.py", 1)], baseline)
-    assert new == []
-    assert stale == {"src/a.py::dtype-literal": (1, 0)}
-
-
-def test_baseline_write_load_roundtrip(tmp_path):
-    findings = [
-        _finding("src/a.py", 3),
-        _finding("src/a.py", 7),
-        _finding("tests/t.py", 2, "allclose-atol"),
-    ]
-    path = tmp_path / "analysis" / "baseline.json"
-    counts = write_baseline(findings, path)
-    assert counts == {"src/a.py::dtype-literal": 2, "tests/t.py::allclose-atol": 1}
-    assert load_baseline(path) == counts
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
-def test_baseline_rejects_non_mapping(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text('["not", "a", "mapping"]')
-    with pytest.raises(ValueError, match="file::rule_id"):
-        load_baseline(path)
-
-
-# --------------------------------------------------------------------- #
-# The CLI: file:line output and the full ratchet cycle.
+# The CLI: file:line output, JSON, profile and usage errors.
 # --------------------------------------------------------------------- #
 
 
@@ -543,47 +475,13 @@ def _seed_repo(tmp_path, source):
 
 def test_cli_reports_file_line_rule(tmp_path, capsys):
     _seed_repo(tmp_path, "import numpy as np\nx = np.float64(3.0)\n")
-    assert cli_main(["--root", str(tmp_path), "--no-baseline", "src"]) == 1
+    assert cli_main(["--root", str(tmp_path), "src"]) == 1
     assert "src/repro/mod.py:2: [dtype-literal]" in capsys.readouterr().out
-
-
-def test_cli_baseline_ratchet_cycle(tmp_path, capsys):
-    mod = _seed_repo(tmp_path, "import numpy as np\nx = np.float64(3.0)\n")
-    root = ["--root", str(tmp_path)]
-    # Write the ratchet (this throwaway tree has no tests/, so the
-    # subtree write needs --force): the finding is now tolerated.
-    assert cli_main(root + ["--write-baseline", "--force", "src"]) == 0
-    assert cli_main(root + ["src"]) == 0
-    # A second violation exceeds the key's budget and fails.
-    mod.write_text("import numpy as np\nx = np.float64(3.0)\ny = np.float32(1.0)\n")
-    assert cli_main(root + ["src"]) == 1
-    assert "dtype-literal" in capsys.readouterr().out
-    # Fixing everything without shrinking the ratchet also fails...
-    mod.write_text("x = 3.0\n")
-    assert cli_main(root + ["src"]) == 1
-    assert "--write-baseline" in capsys.readouterr().out
-    # ...until the baseline is regenerated, locking the fix in.
-    assert cli_main(root + ["--write-baseline", "--force", "src"]) == 0
-    assert cli_main(root + ["src"]) == 0
-
-
-def test_cli_write_baseline_refuses_subtree_without_force(tmp_path, capsys):
-    # The footgun: a ratchet written from a subtree's findings makes the
-    # next full run fail on everything else as "new".
-    _seed_repo(tmp_path, "import numpy as np\nx = np.float64(3.0)\n")
-    root = ["--root", str(tmp_path)]
-    assert cli_main(root + ["--write-baseline", "src/repro"]) == 2
-    captured = capsys.readouterr()
-    assert "--force" in captured.err
-    assert not (tmp_path / "analysis" / "baseline.json").exists()
-    # --force overrides, for the rare deliberate subtree ratchet.
-    assert cli_main(root + ["--write-baseline", "--force", "src/repro"]) == 0
-    assert (tmp_path / "analysis" / "baseline.json").exists()
 
 
 def test_cli_json_format(tmp_path, capsys):
     _seed_repo(tmp_path, "import numpy as np\nx = np.float64(3.0)\n")
-    args = ["--root", str(tmp_path), "--no-baseline", "--format", "json", "src"]
+    args = ["--root", str(tmp_path), "--format", "json", "src"]
     assert cli_main(args) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 1
@@ -597,7 +495,7 @@ def test_cli_json_format(tmp_path, capsys):
 
 def test_cli_profile_reports_every_rule(tmp_path, capsys):
     _seed_repo(tmp_path, "x = 1\n")
-    assert cli_main(["--root", str(tmp_path), "--no-baseline", "--profile", "src"]) == 0
+    assert cli_main(["--root", str(tmp_path), "--profile", "src"]) == 0
     out = capsys.readouterr().out
     for rule_id in available_rules():
         assert rule_id in out
@@ -605,13 +503,50 @@ def test_cli_profile_reports_every_rule(tmp_path, capsys):
 
 def test_cli_json_profile_carries_rule_seconds(tmp_path, capsys):
     _seed_repo(tmp_path, "x = 1\n")
-    args = [
-        "--root", str(tmp_path), "--no-baseline",
-        "--format", "json", "--profile", "src",
-    ]
+    args = ["--root", str(tmp_path), "--format", "json", "--profile", "src"]
     assert cli_main(args) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["rule_seconds"]) == set(available_rules())
+
+
+def test_cli_refuses_a_missing_path_as_a_usage_error(tmp_path, capsys):
+    # A typo in a CI invocation must not read as "findings" (exit 1): it
+    # is argparse's usage error (exit 2), whose error line names the path.
+    _seed_repo(tmp_path, "x = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--root", str(tmp_path), "srcc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: not a python file or directory:" in captured.err
+    assert "srcc" in captured.err
+
+
+def test_cli_with_no_findings_exits_zero(tmp_path, capsys):
+    # The one mode: a clean tree prints the zero count and exits 0, and
+    # the run writes nothing into the tree it lints.
+    _seed_repo(tmp_path, "x = 1\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(["--root", str(tmp_path), "src"]) == 0
+    assert capsys.readouterr().out.startswith("0 finding(s) in ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--baseline", "b.json"], ["--no-baseline"], ["--write-baseline"], ["--force"]],
+    ids=lambda flag: flag[0],
+)
+def test_cli_refuses_the_removed_ratchet_flags(tmp_path, capsys, flag):
+    # The baseline ratchet is gone: its flags are usage errors (exit 2),
+    # not silently ignored options.
+    _seed_repo(tmp_path, "import numpy as np\nx = np.float64(3.0)\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--root", str(tmp_path), *flag, "src"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
 
 
 def test_cli_lists_the_catalog(capsys):
@@ -622,34 +557,25 @@ def test_cli_lists_the_catalog(capsys):
 
 
 # --------------------------------------------------------------------- #
-# The repo itself: the committed ratchet holds and the zeros stay zero.
+# The repo itself: every rule holds at zero.
 # --------------------------------------------------------------------- #
 
 
-def test_full_repo_lints_clean_against_baseline():
+def test_full_repo_lints_clean():
     started = time.perf_counter()
     findings = analyze_paths(["src", "tests"], root=REPO_ROOT)
     elapsed = time.perf_counter() - started
-    baseline = load_baseline(default_baseline_path(REPO_ROOT))
-    assert baseline, "analysis/baseline.json missing — python -m repro.analysis --write-baseline"
-    new, stale = compare_to_baseline(findings, baseline)
-    assert not new, "findings over the ratchet:\n" + "\n".join(str(f) for f in new)
-    assert not stale, (
-        f"baseline keys fixed but not shrunk (run --write-baseline): {stale}"
-    )
-    # No stale waivers, no unparseable files anywhere in the tree.
-    assert not any(
-        f.rule_id in (UNUSED_SUPPRESSION_ID, SYNTAX_ERROR_ID) for f in findings
-    )
+    # Stale waivers and unparseable files are findings too, so this one
+    # check also keeps every waiver live and every file parseable.
+    assert findings == [], "\n".join(str(f) for f in findings)
     assert elapsed < 10.0, f"lint took {elapsed:.2f}s — tier-1 budget is 10s"
 
 
 def test_src_contract_rules_hold_at_zero():
-    # The S2-S5 contracts are fixed at zero in src/ (PR 4/6/8 fixes hold
-    # and the two broad-except sites are justified) — no baseline slack.
-    # The PR 10 dataflow rules (S6 view-mutation, S7 publish-escape) join
-    # them at zero: no in-place write on a borrowed view and no post-
-    # publication mutation anywhere in src/.
+    # The S2-S7 contracts, run by class: no None-guard gap, no unlocked
+    # shared state, no pickle across the serving boundary, no unjustified
+    # broad except, no in-place write on a borrowed view and no mutation
+    # after publication anywhere in src/.
     rules = [
         OptionalGuardRule(),
         LockDisciplineRule(),
@@ -663,8 +589,8 @@ def test_src_contract_rules_hold_at_zero():
 
 
 def test_autodiff_holds_dtype_rule_at_zero():
-    # The original test's scope: the autodiff package never regresses to
-    # raw dtype literals, with no ratchet slack to hide in.
+    # The package that defines the precision policy never regresses to
+    # raw dtype literals.
     findings = analyze_paths(
         ["src/repro/autodiff"], root=REPO_ROOT, rules=[DtypeLiteralRule()]
     )

@@ -53,7 +53,11 @@ def test_dump_compares_clean_with_itself_and_reports_a_changed_key(tmp_path, cap
         arrays = dict(archive)
     assert PERTURBED in arrays
     assert arrays[RECAST].dtype == np.int64
-    for prefix in ("classification/", "sequence/", "sharded/", "streaming/", "em/", "crowd/", "lncl/"):
+    prefixes = (
+        "classification/", "sequence/", "sharded/", "streaming/", "em/", "crowd/",
+        "report/", "statistics/", "noisy/", "lncl/",
+    )
+    for prefix in prefixes:
         assert any(key.startswith(prefix) for key in arrays), prefix
 
     script = _load_script()
