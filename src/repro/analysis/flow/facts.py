@@ -11,8 +11,9 @@ over reaching definitions. Three kinds of site matter:
 
 * **borrowed** — results of the declared borrow-returning accessors
   (:data:`BORROWING_CALLS`: the zero-copy shard/COO-view surface of the
-  crowd containers — ``shards()``, ``iter_shards()``,
-  ``flat_label_pairs()``, ``label_incidence()`` and its token twin,
+  crowd containers — the cached shard itself, ``as_shard()`` and
+  ``token_shard()``, plus ``shards()``, ``iter_shards()``,
+  ``flat_label_pairs()``, ``label_incidence()`` and
   ``vote_counts()``) plus ``SparseLabelShard.load(..., mmap=True)``
   (a memmap: writing through it corrupts the shard *file*) and the
   declared borrowed properties (:data:`BORROWING_ATTRS`). Mutating a
@@ -96,11 +97,12 @@ __all__ = [
 # Methods returning zero-copy views of container caches (crowd/types.py,
 # crowd/sharding.py document each as read-only/borrowed).
 BORROWING_CALLS = frozenset({
+    "as_shard",
+    "token_shard",
     "shards",
     "iter_shards",
     "flat_label_pairs",
     "label_incidence",
-    "token_label_incidence",
     "vote_counts",
 })
 

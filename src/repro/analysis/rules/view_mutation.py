@@ -1,9 +1,10 @@
 """S6 — ``view-mutation``: never mutate a borrowed zero-copy view in place.
 
-The bit-identity contract: the ``SparseLabelShard`` views that
-``shards()``/``iter_shards()`` return alias the parent matrix's cached
-COO triples (``flat_label_pairs``/``label_incidence`` return the caches
-themselves, "read-only, like the other cached views"), and
+The bit-identity contract: a container's cached ``SparseLabelShard``
+(``as_shard()``/``token_shard()``) is the one kernel surface, the views
+that ``shards()``/``iter_shards()`` return alias its COO triples
+(``flat_label_pairs``/``label_incidence`` return the cached arrays
+themselves), and
 ``SparseLabelShard.load(..., mmap=True)`` maps the shard *file* —
 so an in-place write through any of them corrupts shared state that
 every other consumer (and the tree-reduce determinism guarantee) relies

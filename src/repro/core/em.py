@@ -17,8 +17,8 @@ as DS, streaming DS and HMM-Crowd do, so a row with no mass is uniform.
 Performance: all four functions run on the shared sparse-crowd kernels of
 :mod:`repro.inference.primitives` — the same confusion-count scatter and
 log-likelihood gather that DS/IBCC/HMM-Crowd/BSC-seq use. Both crowd
-containers cache their flat COO views (``flat_label_pairs`` plus a sparse
-instance × (annotator, label) incidence), so each update is one
+containers cache one ``SparseLabelShard`` (its ``flat_label_pairs`` plus
+a sparse instance × (annotator, label) incidence), so each update is one
 sparse–dense product — no Python loop over instances, sentences, or
 annotators. The seed per-sentence loops of the two sequence updates are
 the executable specification (``seed_sequence_update_confusions`` /

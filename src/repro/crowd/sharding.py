@@ -1,8 +1,8 @@
 """Crowd shards — the data layer of shard-and-merge truth inference.
 
 The inference kernels in :mod:`repro.inference.primitives` consume a small
-container surface: the flat COO triples, the sparse incidence, vote
-counts, and a handful of counting helpers. A *shard* is anything that
+surface: the flat COO triples, the sparse incidence, vote counts, and a
+handful of counting helpers. A *shard* is anything that
 exposes that surface over a slice of a crowd; the map-reduce EM layer in
 :mod:`repro.inference.sharding` never touches a whole crowd directly, so
 inference memory is bounded by the largest shard plus the O(I·K) posterior
@@ -13,14 +13,17 @@ spectrum: a shard defined by its ``(instance, annotator, label)`` triples
 plus dimensions, with no dense ``(I, J)`` matrix behind it, so a worker
 holds exactly what the kernels consume.
 
-* In memory, ``CrowdLabelMatrix.shards(n)`` /
-  ``iter_shards(max_observations)`` hand out contiguous instance ranges
-  as views over the container's cached (row-sorted) triples: the
-  annotator and label columns are slices of the parent's arrays, and only
+* In memory, each container caches one shard over all its labels
+  (``CrowdLabelMatrix.as_shard()``, ``SequenceCrowdLabels.token_shard()``)
+  and delegates its own surface to it, so the triples, the incidence and
+  the vote counts are built here and nowhere else.
+  ``CrowdLabelMatrix.shards(n)`` / ``iter_shards(max_observations)`` hand
+  out contiguous instance ranges as views over that row-sorted shard:
+  the annotator and label columns are slices of its arrays, and only
   the localized row index is fresh memory (O(shard observations)). A view
   pickles its own slice, never the parent. It is a snapshot: ``extend``
-  builds new cache arrays, so a view taken before it keeps describing the
-  rows it was cut from.
+  drops the container's shard and the next read builds a new one, so a
+  view taken before it keeps describing the rows it was cut from.
 * On disk, :meth:`SparseLabelShard.save` / :meth:`SparseLabelShard.load`
   give it a durable form — an int64 header plus the ``(3, n_obs)`` COO
   block, which loads as a memmap.
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff.dtypes import REFERENCE_DTYPE
 from .types import MISSING, CrowdLabelMatrix
 
 __all__ = [
@@ -77,65 +79,17 @@ def partition_bounds(total: int, num_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-_FAST_CSR_STATE: dict[str, bool | None] = {"ok": None}
-
-
-def _fast_csr(data, indices, indptr, shape):
-    """CSR from already-canonical arrays, skipping constructor validation.
-
-    Out-of-core shards rebuild their incidence every pass, and scipy's
-    public constructor spends as long re-validating canonical input as the
-    two spMMs it feeds. The bypass is probed once per process against the
-    validating constructor (a tiny build + matmul comparison); if the
-    installed scipy disagrees or errors, every later call takes the public
-    constructor instead.
-    """
-    from scipy.sparse import csr_matrix
-
-    def bypass(data, indices, indptr, shape):
-        matrix = csr_matrix.__new__(csr_matrix)
-        matrix.data = data
-        matrix.indices = indices
-        matrix.indptr = indptr
-        matrix._shape = shape
-        return matrix
-
-    if _FAST_CSR_STATE["ok"] is None:
-        try:
-            probe_args = (
-                np.ones(3),
-                np.array([0, 2, 1], dtype=np.int32),
-                np.array([0, 2, 3], dtype=np.int32),
-                (2, 3),
-            )
-            probe = bypass(*probe_args)
-            reference = csr_matrix(probe_args[:3], shape=probe_args[3])
-            dense = np.arange(6, dtype=REFERENCE_DTYPE).reshape(3, 2)
-            ok = (
-                np.abs(probe @ dense - reference @ dense).max() == 0.0
-                and np.abs(probe.T @ np.ones((2, 2)) - reference.T @ np.ones((2, 2))).max() == 0.0
-            )
-            _FAST_CSR_STATE["ok"] = bool(ok)
-        except Exception:
-            # Capability probe: any scipy surprise (ABI change, internals
-            # moved) must degrade to the validated-constructor slow path,
-            # never crash the import or the caller.
-            _FAST_CSR_STATE["ok"] = False
-    if _FAST_CSR_STATE["ok"]:
-        return bypass(data, indices, indptr, shape)
-    return csr_matrix((data, indices, indptr), shape=shape)
-
-
-
-
 class SparseLabelShard:
     """A crowd shard defined by its COO triples — no dense matrix.
 
     The one shard type: it carries exactly what the kernels consume,
     ``(instance, annotator, label)`` triples plus dimensions, so
     construction is O(observations) with no ``(I, J)`` densification.
-    ``CrowdLabelMatrix.shards`` / ``iter_shards`` return views of this
-    type over the container's triples, :meth:`load` and
+    It is also the containers' kernel surface:
+    ``CrowdLabelMatrix.as_shard()`` and
+    ``SequenceCrowdLabels.token_shard()`` each cache one over all their
+    labels, ``CrowdLabelMatrix.shards`` / ``iter_shards`` return views
+    cut from that one, :meth:`load` and
     :meth:`ShardHandle.open` return file-backed ones, and callers build
     their own from arrays. Triples need not be sorted; instances with no
     triples are simply unlabeled.
@@ -194,8 +148,9 @@ class SparseLabelShard:
     ) -> "SparseLabelShard":
         """Construct without the O(n_obs) range validation.
 
-        For triples that were validated before: a container's cached
-        triples (:func:`_row_range`) and files :meth:`save` wrote
+        For triples that were validated before: a container's own shard
+        (``as_shard``/``token_shard``), views cut from it
+        (:func:`_row_range`) and files :meth:`save` wrote
         (:meth:`load`) — re-validating a memmap-backed shard would fault
         in every page of a file the caller asked to map lazily. Arrays are
         stored as given: views stay views, memmap views stay memmaps.
@@ -252,7 +207,15 @@ class SparseLabelShard:
         return self._rows, self._annotators, self._labels
 
     def label_incidence(self):
-        """Sparse ``(I, J·K)`` incidence of the triples (built once, cached)."""
+        """Sparse ``(I, J·K)`` incidence of the triples (built once, cached).
+
+        Entry ``(i, j·K + y)`` is 1 when annotator ``j`` gave instance
+        ``i`` label ``y``. The one builder of the incidence every kernel
+        multiplies against: row-sorted triples (a container's cached
+        shard and every view cut from one) give the CSR arrays directly —
+        the indptr is one searchsorted, with no COO→CSR sort — and
+        unsorted ones go through COO.
+        """
         cached = getattr(self, "_incidence_cache", None)
         if cached is None:
             from scipy.sparse import csr_matrix
@@ -261,15 +224,10 @@ class SparseLabelShard:
             shape = (self.num_instances, self.num_annotators * self.num_classes)
             data = np.ones(self._rows.size)
             if self._rows.size and self._rows_are_sorted():
-                # Row-sorted triples (the common case: shards cut from
-                # a row-major scan) admit a direct CSR build — the
-                # indptr is one searchsorted, no COO→CSR sort, and no
-                # constructor re-validation (see _fast_csr).
                 indptr = np.searchsorted(
                     self._rows, np.arange(self.num_instances + 1)
                 ).astype(np.int32)
-                indices = group.astype(np.int32)
-                cached = _fast_csr(data, indices, indptr, shape)
+                cached = csr_matrix((data, group.astype(np.int32), indptr), shape=shape)
             else:
                 cached = csr_matrix((data, (self._rows, group)), shape=shape)
             self._incidence_cache = cached
@@ -456,11 +414,9 @@ def _read_layout(stream, path: str) -> tuple[np.ndarray, int]:
 def _row_range(source, start: int, stop: int) -> SparseLabelShard:
     """Instances ``[start, stop)`` of row-sorted triples, as a shard view.
 
-    ``source`` exposes its ``flat_label_pairs`` in row order plus
-    ``num_annotators`` / ``num_classes``: a
-    :class:`~repro.crowd.types.CrowdLabelMatrix` (``np.nonzero`` order,
-    and ``extend`` appends higher rows) or a row-sorted
-    :class:`SparseLabelShard`. Two binary searches bound the range; the
+    ``source`` is a row-sorted :class:`SparseLabelShard`: a container's
+    own (``CrowdLabelMatrix.as_shard()``, built in ``np.nonzero``
+    order) or a row-sorted file. Two binary searches bound the range; the
     annotator and label columns are slices of the source's arrays (of the
     mapped file, for a memmapped shard), and only the localized row index
     is fresh memory (O(range observations)).
@@ -481,13 +437,16 @@ def _row_range(source, start: int, stop: int) -> SparseLabelShard:
 def as_sparse_shard(crowd) -> SparseLabelShard:
     """Export any shard-protocol object as a :class:`SparseLabelShard`.
 
-    A :class:`SparseLabelShard` passes through; anything else exposing
-    ``flat_label_pairs`` plus the three dimensions (e.g. a whole
-    :class:`~repro.crowd.types.CrowdLabelMatrix`) is wrapped around its
-    triples without copying.
+    A :class:`SparseLabelShard` passes through, and a
+    :class:`~repro.crowd.types.CrowdLabelMatrix` hands over its cached
+    :meth:`~repro.crowd.types.CrowdLabelMatrix.as_shard`. Anything else
+    exposing ``flat_label_pairs`` plus the three dimensions is wrapped
+    around its triples without copying, after range validation.
     """
     if isinstance(crowd, SparseLabelShard):
         return crowd
+    if isinstance(crowd, CrowdLabelMatrix):
+        return crowd.as_shard()
     rows, annotators, given = crowd.flat_label_pairs()
     return SparseLabelShard(
         rows, annotators, given,

@@ -12,6 +12,13 @@ Two containers cover the paper's two tasks:
 * :class:`SequenceCrowdLabels` — token-level label sequences (NER); a list
   of per-instance ``(T_i, J)`` matrices, since sentences have ragged
   lengths. An annotator labels either a whole sentence or none of it.
+
+Both hand the inference kernels one surface, built in one place: a
+cached :class:`~repro.crowd.sharding.SparseLabelShard` over their
+observed labels (:meth:`CrowdLabelMatrix.as_shard`,
+:meth:`SequenceCrowdLabels.token_shard`). The shard owns the label
+triples, the sparse incidence and the vote and label counts; the
+containers' own accessors for them delegate to it.
 """
 
 from __future__ import annotations
@@ -62,26 +69,25 @@ class CrowdLabelMatrix:
     num_classes:
         Number of classes ``K``.
 
-    The labels are treated as immutable after construction (every mutating
-    operation, e.g. :meth:`subset`, builds a new container), which lets the
-    flat COO views below — the ``(n_obs,)`` index arrays of
-    :meth:`flat_label_pairs` and the sparse instance × (annotator, label)
-    incidence of :meth:`label_incidence` — be computed once and cached.
-    Vote counts, one-hot expansion, and the confusion-count/E-step kernels
-    in :mod:`repro.inference.primitives` all run off these views as single
-    bincounts/matmuls instead of ``(I, J, K)`` dense scans.
+    The kernels in :mod:`repro.inference.primitives` never scan the
+    dense matrix. They run on one cached
+    :class:`~repro.crowd.sharding.SparseLabelShard` over its labels
+    (:meth:`as_shard`): the ``(instance, annotator, label)`` triples, the
+    sparse instance × (annotator, label) incidence, and the vote and
+    label counts, which the methods of the same name here delegate to.
 
-    The one sanctioned mutation is :meth:`extend` — the streaming append
-    path — which adds whole instances and updates every populated cache
-    incrementally (O(new observations) of cache *computation*; already-built
-    views are carried over, never recomputed from scratch).
+    The labels are treated as immutable after construction (every
+    mutating operation, e.g. :meth:`subset`, builds a new container),
+    except by :meth:`extend`, the streaming append path, which appends
+    whole instances and drops the derived views.
 
     The read-only-views contract is machine-checked: the accessors named
-    in ``repro.analysis.flow.facts.BORROWING_CALLS`` (``shards``,
-    ``iter_shards``, ``flat_label_pairs``, ``label_incidence``,
-    ``vote_counts``, ...) seed "borrowed" taint in the lint engine's
-    dataflow tier, and any in-place write reaching a borrowed view
-    without an intervening ``.copy()`` is a ``view-mutation`` finding.
+    in ``repro.analysis.flow.facts.BORROWING_CALLS`` (``as_shard``,
+    ``shards``, ``iter_shards``, ``flat_label_pairs``,
+    ``label_incidence``, ``vote_counts``, ...) seed "borrowed" taint in
+    the lint engine's dataflow tier, and any in-place write reaching a
+    borrowed view without an intervening ``.copy()`` is a
+    ``view-mutation`` finding.
     """
 
     def __init__(self, labels: np.ndarray, num_classes: int) -> None:
@@ -101,75 +107,61 @@ class CrowdLabelMatrix:
 
     @property
     def observed_mask(self) -> np.ndarray:
-        """Boolean ``(I, J)``: which cells carry a label (cached)."""
+        """Boolean ``(I, J)``: which cells carry a label (cached; the one
+        dense view, which :meth:`extend` drops)."""
         cached = getattr(self, "_observed_mask_cache", None)
         if cached is None:
             cached = self.labels != MISSING
             self._observed_mask_cache = cached
         return cached
 
+    def as_shard(self):
+        """The kernel surface: one cached
+        :class:`~repro.crowd.sharding.SparseLabelShard` over every label.
+
+        Built on first use from the dense matrix in ``np.nonzero`` order
+        (row-major, so the triples are row-sorted) without re-validating
+        labels the constructor already checked; :meth:`extend` drops it.
+        Every surface method below delegates to it.
+        """
+        cached = getattr(self, "_shard", None)
+        if cached is None:
+            from .sharding import SparseLabelShard
+
+            rows, cols = np.nonzero(self.labels != MISSING)
+            cached = SparseLabelShard._trusted(
+                rows, cols, self.labels[rows, cols],
+                num_instances=self.num_instances,
+                num_annotators=self.num_annotators,
+                num_classes=self.num_classes,
+                rows_sorted=True,
+            )
+            self._shard = cached
+        return cached
+
     def annotations_per_instance(self) -> np.ndarray:
         """``num(J(i))`` of paper Eq. 5: labels per instance, shape ``(I,)``."""
-        return np.bincount(self.flat_label_pairs()[0], minlength=self.num_instances)
+        return self.as_shard().annotations_per_instance()
 
     def annotations_per_annotator(self) -> np.ndarray:
         """Number of instances each annotator labeled, shape ``(J,)``."""
-        return np.bincount(self.flat_label_pairs()[1], minlength=self.num_annotators)
+        return self.as_shard().annotations_per_annotator()
 
     def total_annotations(self) -> int:
-        return int(self.flat_label_pairs()[0].size)
+        return self.as_shard().total_annotations()
 
     def flat_label_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(instance, annotator, label)`` triples of observed cells.
-
-        The ``(n_obs,)`` COO view of the matrix; the shared kernels in
-        :mod:`repro.inference.primitives` scatter/gather over these triples
-        instead of scanning the dense ``(I, J)`` matrix (or its ``(I, J, K)``
-        one-hot expansion) every EM round. The label counts above count
-        from them too, so none of these caches the dense
-        :attr:`observed_mask`.
-        """
-        cached = getattr(self, "_flat_pairs_cache", None)
-        if cached is None:
-            rows, cols = np.nonzero(self.labels != MISSING)
-            cached = (rows, cols, self.labels[rows, cols])
-            self._flat_pairs_cache = cached
-        return cached
+        """``(instance, annotator, label)`` triples of observed cells, row-sorted."""
+        return self.as_shard().flat_label_pairs()
 
     def label_incidence(self):
-        """Cached sparse ``(I, J·K)`` incidence of observed labels.
-
-        Entry ``(i, j·K + y)`` is 1 when annotator ``j`` gave instance ``i``
-        label ``y`` — the classification twin of
-        :meth:`SequenceCrowdLabels.token_label_incidence`. Confusion-count
-        accumulation and the per-instance log-likelihood gather are then
-        single sparse–dense products; every crowd and shard has one, so
-        each kernel has that one path.
-        """
-        cached = getattr(self, "_incidence_cache", None)
-        if cached is None:
-            from scipy.sparse import csr_matrix
-
-            rows, cols, given = self.flat_label_pairs()
-            group = cols * self.num_classes + given
-            cached = csr_matrix(
-                (np.ones(rows.size), (rows, group)),
-                shape=(self.num_instances, self.num_annotators * self.num_classes),
-            )
-            self._incidence_cache = cached
-        return cached
+        """Sparse ``(I, J·K)`` incidence: entry ``(i, j·K + y)`` is 1 when
+        annotator ``j`` gave instance ``i`` label ``y``."""
+        return self.as_shard().label_incidence()
 
     def vote_counts(self) -> np.ndarray:
-        """Per-instance class vote counts, shape ``(I, K)`` (cached view —
-        treat as read-only, like the other cached views)."""
-        cached = getattr(self, "_vote_counts_cache", None)
-        if cached is None:
-            rows, _, given = self.flat_label_pairs()
-            key = rows * self.num_classes + given
-            counts = np.bincount(key, minlength=self.num_instances * self.num_classes)
-            cached = counts.reshape(self.num_instances, self.num_classes)
-            self._vote_counts_cache = cached
-        return cached
+        """Per-instance class vote counts, shape ``(I, K)``."""
+        return self.as_shard().vote_counts()
 
     def one_hot(self) -> np.ndarray:
         """``(I, J, K)`` one-hot labels (zero rows where missing)."""
@@ -195,8 +187,9 @@ class CrowdLabelMatrix:
         """
         from .sharding import _row_range, partition_bounds
 
+        shard = self.as_shard()
         return [
-            _row_range(self, start, stop)
+            _row_range(shard, start, stop)
             for start, stop in partition_bounds(self.num_instances, num_shards)
         ]
 
@@ -216,10 +209,11 @@ class CrowdLabelMatrix:
         if max_observations < 1:
             raise ValueError(f"need a positive observation budget, got {max_observations}")
         I = self.num_instances
+        shard = self.as_shard()
         if I == 0:
-            yield _row_range(self, 0, 0)
+            yield _row_range(shard, 0, 0)
             return
-        per_instance = self.annotations_per_instance()
+        per_instance = shard.annotations_per_instance()
         start = 0
         while start < I:
             stop = start + 1
@@ -227,20 +221,19 @@ class CrowdLabelMatrix:
             while stop < I and int(per_instance[stop]) <= budget:
                 budget -= int(per_instance[stop])
                 stop += 1
-            yield _row_range(self, start, stop)
+            yield _row_range(shard, start, stop)
             start = stop
 
     def extend(self, new_labels: np.ndarray) -> "CrowdLabelMatrix":
         """Append whole instances in place — the streaming ingest path.
 
         ``new_labels`` is ``(n_new, J)`` with the same annotator axis and
-        label convention as the constructor. Every *populated* cache is
-        updated incrementally rather than invalidated: the observed mask,
-        vote counts, and COO triples of the new block are computed in
-        O(new observations) and appended to the existing views, and the
-        sparse incidence gains the new block's rows via a sparse vstack.
-        Unbuilt caches stay unbuilt (they build lazily over the full
-        matrix on first use). Returns ``self`` for chaining.
+        label convention as the constructor; a block that fails
+        validation leaves the container untouched. Only the labels are
+        copied: the derived views (:meth:`as_shard` and
+        :attr:`observed_mask`) are dropped and rebuild over the full
+        matrix on first use. Shards handed out earlier keep describing
+        the rows they were cut from. Returns ``self`` for chaining.
         """
         block = _validate_label_block(new_labels, self.num_classes)
         if block.shape[1] != self.num_annotators:
@@ -248,41 +241,9 @@ class CrowdLabelMatrix:
                 f"new labels must keep the annotator axis "
                 f"({self.num_annotators}), got {block.shape[1]}"
             )
-        old_instances = self.num_instances
-        mask_cache = getattr(self, "_observed_mask_cache", None)
-        pairs_cache = getattr(self, "_flat_pairs_cache", None)
-        incidence_cache = getattr(self, "_incidence_cache", None)
-        votes_cache = getattr(self, "_vote_counts_cache", None)
         self.labels = np.concatenate([self.labels, block], axis=0)
-
-        block_mask = block != MISSING
-        if mask_cache is not None:
-            self._observed_mask_cache = np.concatenate([mask_cache, block_mask], axis=0)
-        rows, cols = np.nonzero(block_mask)
-        given = block[rows, cols]
-        if pairs_cache is not None:
-            self._flat_pairs_cache = (
-                np.concatenate([pairs_cache[0], rows + old_instances]),
-                np.concatenate([pairs_cache[1], cols]),
-                np.concatenate([pairs_cache[2], given]),
-            )
-        if votes_cache is not None:
-            key = rows * self.num_classes + given
-            counts = np.bincount(key, minlength=block.shape[0] * self.num_classes)
-            self._vote_counts_cache = np.concatenate(
-                [votes_cache, counts.reshape(block.shape[0], self.num_classes)], axis=0
-            )
-        if incidence_cache is not None:
-            from scipy.sparse import csr_matrix, vstack
-
-            group = cols * self.num_classes + given
-            block_incidence = csr_matrix(
-                (np.ones(rows.size), (rows, group)),
-                shape=(block.shape[0], self.num_annotators * self.num_classes),
-            )
-            self._incidence_cache = vstack(
-                [incidence_cache, block_incidence], format="csr"
-            )
+        self._shard = None
+        self._observed_mask_cache = None
         return self
 
     def annotator_confusion(self, truth: np.ndarray, annotator: int) -> np.ndarray:
@@ -392,41 +353,38 @@ class SequenceCrowdLabels:
             self._flat_cache = cached
         return cached
 
-    def flat_label_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(token, annotator, label)`` triples of all observed labels.
+    def token_shard(self):
+        """The kernel surface: one cached
+        :class:`~repro.crowd.sharding.SparseLabelShard` with the stacked
+        tokens of :meth:`flat_labels` as its instances.
 
-        ``token`` indexes rows of :meth:`flat_labels`; the triples drive the
-        vectorized EM scatter/gather in :mod:`repro.core.em` without
-        re-scanning the ``(ΣT_i, J)`` matrix every round.
+        Built on first use in ``np.nonzero`` order (row-sorted) without
+        re-validating labels the constructor already checked. The
+        token-level kernels (:mod:`repro.core.em`, HMM-Crowd, BSC-seq,
+        :class:`~repro.inference.sequence_utils.TokenLevelInference`)
+        all run on it, so its sparse ``(ΣT_i, J·K)`` incidence is built
+        once per container.
         """
-        cached = getattr(self, "_flat_pairs_cache", None)
+        cached = getattr(self, "_token_shard", None)
         if cached is None:
+            from .sharding import SparseLabelShard
+
             stacked, _ = self.flat_labels()
             tokens, annotators = np.nonzero(stacked != MISSING)
-            cached = (tokens, annotators, stacked[tokens, annotators])
-            self._flat_pairs_cache = cached
-        return cached
-
-    def token_label_incidence(self):
-        """Cached sparse ``(ΣT_i, J·K)`` incidence of observed labels.
-
-        Entry ``(t, j·K + y)`` is 1 when annotator ``j`` gave token ``t``
-        label ``y``. Both sequence-EM updates are then single sparse–dense
-        products (see :mod:`repro.core.em`).
-        """
-        cached = getattr(self, "_incidence_cache", None)
-        if cached is None:
-            from scipy.sparse import csr_matrix
-
-            tokens, annotators, given = self.flat_label_pairs()
-            stacked, _ = self.flat_labels()
-            group = annotators * self.num_classes + given
-            cached = csr_matrix(
-                (np.ones(tokens.size), (tokens, group)),
-                shape=(stacked.shape[0], self.num_annotators * self.num_classes),
+            cached = SparseLabelShard._trusted(
+                tokens, annotators, stacked[tokens, annotators],
+                num_instances=stacked.shape[0],
+                num_annotators=self.num_annotators,
+                num_classes=self.num_classes,
+                rows_sorted=True,
             )
-            self._incidence_cache = cached
+            self._token_shard = cached
         return cached
+
+    def flat_label_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(token, annotator, label)`` triples of all observed labels;
+        ``token`` indexes rows of :meth:`flat_labels`."""
+        return self.token_shard().flat_label_pairs()
 
     def annotator_mask(self) -> np.ndarray:
         """Boolean ``(I, J)``: which annotators labeled each sentence (cached)."""
@@ -457,16 +415,9 @@ class SequenceCrowdLabels:
         return self.annotator_mask().sum(axis=0)
 
     def token_vote_counts_flat(self) -> np.ndarray:
-        """Per-token class vote counts over all sentences, shape ``(ΣT_i, K)``.
-
-        Row blocks follow :meth:`flat_labels` offsets; one ``bincount`` per
-        class replaces the per-sentence / per-annotator scatter loops.
-        """
-        stacked, _ = self.flat_labels()
-        tokens, _, votes = self.flat_label_pairs()
-        key = tokens * self.num_classes + votes
-        counts = np.bincount(key, minlength=stacked.shape[0] * self.num_classes)
-        return counts.reshape(stacked.shape[0], self.num_classes)
+        """Per-token class vote counts over all sentences, shape ``(ΣT_i, K)``;
+        row blocks follow :meth:`flat_labels` offsets."""
+        return self.token_shard().vote_counts()
 
     def subset(self, indices: np.ndarray) -> "SequenceCrowdLabels":
         """Restrict to a subset of sentences."""

@@ -6,9 +6,9 @@ Architecture — three layers over one sparse-crowd core:
    shared by every method — confusion-count scatter, emission
    log-likelihood gather, log-space normalization, and a batched
    length-masked forward–backward over padded ``(I, T_max, K)`` emissions.
-   They run on the cached flat COO views both crowd containers expose
-   (``flat_label_pairs`` + a sparse instance × (annotator, label)
-   incidence), so each EM update is a sparse–dense matmul or one
+   They run on the one cached ``SparseLabelShard`` each crowd container
+   hands over (``flat_label_pairs`` + a sparse instance × (annotator,
+   label) incidence), so each EM update is a sparse–dense matmul or one
    ``bincount`` over the triples — never a Python loop over instances or
    annotators. :mod:`repro.core.em` (Logic-LNCL's pseudo-E/M) reuses the
    same kernels.
@@ -94,6 +94,7 @@ from .sharding import (
     tree_merge_shard_stats,
 )
 from .streaming import (
+    StreamUpdateRejected,
     StreamingDawidSkene,
     StreamingGLAD,
     StreamingMajorityVote,
@@ -126,6 +127,7 @@ __all__ = [
     "build_method_table",
     "TokenLevelInference",
     "StreamingTruthInference",
+    "StreamUpdateRejected",
     "StreamingMajorityVote",
     "StreamingDawidSkene",
     "StreamingGLAD",

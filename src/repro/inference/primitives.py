@@ -19,11 +19,12 @@ operations over a sparse crowd:
   :mod:`repro.crowd.types`, whose empirical ``annotator_confusion`` uses
   it too, and is re-exported here.
 
-Both containers in :mod:`repro.crowd.types` and the
-:class:`~repro.crowd.sharding.SparseLabelShard` expose the cached flat COO
-views these kernels run on (``flat_label_pairs`` plus a sparse
-instance × (annotator, label) incidence); each kernel is one sparse–dense
-matmul against the incidence.
+The kernels run on one surface, a
+:class:`~repro.crowd.sharding.SparseLabelShard`: its ``flat_label_pairs``
+triples plus the sparse instance × (annotator, label) incidence it builds
+once. Both containers in :mod:`repro.crowd.types` hand over their cached
+shard (instances, or the stacked tokens of a sequence crowd), so each
+kernel is one sparse–dense matmul against the one incidence.
 
 The module also hosts :func:`batched_forward_backward`: a length-masked
 forward–backward over padded ``(I, T_max, K)`` emissions that vectorizes
@@ -39,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff.dtypes import REFERENCE_DTYPE
-from ..crowd.sharding import SparseLabelShard
 from ..crowd.types import CrowdLabelMatrix, SequenceCrowdLabels, normalize_rows
 
 __all__ = [
@@ -66,29 +66,24 @@ def crowd_views(crowd) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, object]
     ``rows`` indexes instances (:class:`CrowdLabelMatrix` and
     :class:`~repro.crowd.sharding.SparseLabelShard`) or stacked tokens
     (:class:`SequenceCrowdLabels`), and ``incidence`` is the cached sparse
-    ``(num_rows, J·K)`` matrix.
+    ``(num_rows, J·K)`` matrix. A container is read through its cached
+    shard (``as_shard()``, or ``token_shard()`` for a sequence crowd).
 
-    Dispatch is structural beyond the built-in containers: any object
-    exposing the kernel-facing surface (``flat_labels`` +
-    ``token_label_incidence`` for token-level crowds, or
-    ``flat_label_pairs`` + ``num_instances`` + ``label_incidence`` for
-    instance-level ones, plus ``num_classes``/``num_annotators``)
+    Beyond that, dispatch is one structural protocol: any object
+    exposing ``flat_label_pairs`` + ``num_instances`` +
+    ``label_incidence`` plus ``num_classes``/``num_annotators``
     qualifies — the shard protocol :mod:`repro.inference.sharding`
     documents for user-defined out-of-core shards. The incidence method
     must return the sparse matrix: the kernels have no other path.
     """
-    if isinstance(crowd, SequenceCrowdLabels) or (
-        hasattr(crowd, "flat_labels") and hasattr(crowd, "token_label_incidence")
-    ):
-        stacked, _ = crowd.flat_labels()
-        rows, annotators, given = crowd.flat_label_pairs()
-        return rows, annotators, given, stacked.shape[0], crowd.token_label_incidence()
-    if isinstance(crowd, (CrowdLabelMatrix, SparseLabelShard)) or (
-        hasattr(crowd, "flat_label_pairs") and hasattr(crowd, "label_incidence")
-    ):
-        rows, annotators, given = crowd.flat_label_pairs()
-        return rows, annotators, given, crowd.num_instances, crowd.label_incidence()
-    raise TypeError(f"unsupported crowd container {type(crowd).__name__}")
+    if isinstance(crowd, CrowdLabelMatrix):
+        crowd = crowd.as_shard()
+    elif isinstance(crowd, SequenceCrowdLabels):
+        crowd = crowd.token_shard()
+    elif not (hasattr(crowd, "flat_label_pairs") and hasattr(crowd, "label_incidence")):
+        raise TypeError(f"unsupported crowd container {type(crowd).__name__}")
+    rows, annotators, given = crowd.flat_label_pairs()
+    return rows, annotators, given, crowd.num_instances, crowd.label_incidence()
 
 
 def confusion_counts(posterior: np.ndarray, crowd) -> np.ndarray:

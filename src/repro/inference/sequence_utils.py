@@ -2,16 +2,16 @@
 
 MV, DS, and IBCC are token-independent, so for sequence crowds (NER) the
 paper applies them per token. :class:`TokenLevelInference` hands the
-wrapped method the crowd's own cached ``(token, annotator, label)``
-triples as one :class:`~repro.crowd.sharding.SparseLabelShard` (tokens as
+wrapped method the crowd's cached
+:meth:`~repro.crowd.types.SequenceCrowdLabels.token_shard` (tokens as
 instances) and splits the posterior back into sentences at the
 :meth:`~repro.crowd.types.SequenceCrowdLabels.flat_labels` offsets. No
-``(ΣT_i, J)`` label matrix is validated, scanned or stored per call.
+label matrix, triple or incidence is validated or built per call: every
+token-level method run on one crowd shares the shard's incidence.
 """
 
 from __future__ import annotations
 
-from ..crowd.sharding import SparseLabelShard
 from ..crowd.types import SequenceCrowdLabels
 from .base import SequenceInferenceResult
 from .primitives import split_by_offsets
@@ -29,16 +29,9 @@ class TokenLevelInference:
         self.name = f"{method.name} (token)"
 
     def infer(self, crowd: SequenceCrowdLabels) -> SequenceInferenceResult:
-        stacked, offsets = crowd.flat_labels()
-        tokens = SparseLabelShard(
-            *crowd.flat_label_pairs(),
-            num_instances=stacked.shape[0],
-            num_annotators=crowd.num_annotators,
-            num_classes=crowd.num_classes,
-        )
-        result = self.method.infer(tokens)
+        result = self.method.infer(crowd.token_shard())
         return SequenceInferenceResult(
-            posteriors=split_by_offsets(result.posterior, offsets),
+            posteriors=split_by_offsets(result.posterior, crowd.flat_labels()[1]),
             confusions=result.confusions,
             extras=dict(result.extras),
         )

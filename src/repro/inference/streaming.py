@@ -21,9 +21,11 @@ that as a thin layer over the same sparse-crowd kernels
 
 Shared API: :meth:`~StreamingTruthInference.partial_fit` ingests one
 :class:`~repro.crowd.types.CrowdLabelMatrix` of *new* instances (same
-annotator axis throughout the stream; a batch that fails validation is
-rejected *before* any state is touched, so the stream is exactly as it
-was), :meth:`~StreamingTruthInference.result` returns an
+annotator axis throughout the stream). An update commits all or nothing:
+a batch that fails validation, or whose update would leave a non-finite
+array in the state (:class:`StreamUpdateRejected`), raises before
+anything is committed, so the stream is exactly as it was.
+:meth:`~StreamingTruthInference.result` returns an
 :class:`~repro.inference.base.InferenceResult` over everything seen, and
 :meth:`~StreamingTruthInference.fit_to_convergence` re-estimates on the
 full retained stream with the batch twin. :meth:`~StreamingTruthInference.
@@ -42,9 +44,10 @@ streaming extras ``updates``, ``observations_seen``, and ``decay``.
 harness in ``tests/inference/equivalence_harness.py``): feeding an entire
 crowd through ``partial_fit`` in batches with decay disabled and then
 calling ``fit_to_convergence()`` reproduces the batch method's posterior
-at convergence exactly — the retained container is grown with the
-incremental append path (:meth:`~repro.crowd.types.CrowdLabelMatrix.
-extend`), so any cache-coherence bug in that path breaks this contract.
+at convergence exactly — the retained container is grown by
+:meth:`~repro.crowd.types.CrowdLabelMatrix.extend`, which appends the
+labels and drops the derived views, and the twin reads it through the
+same kernel surface as a freshly built container.
 For majority vote the contract is stronger: the incremental ``result()``
 itself equals the batch posterior after every update, no convergence call
 needed. With decay enabled there is deliberately no batch equivalent —
@@ -77,6 +80,7 @@ from .primitives import (
 )
 
 __all__ = [
+    "StreamUpdateRejected",
     "StreamingTruthInference",
     "StreamingMajorityVote",
     "StreamingDawidSkene",
@@ -91,6 +95,21 @@ _UNBOUNDED = 2**62
 _STATE_FORMAT = 1
 
 
+class StreamUpdateRejected(ValueError):
+    """A streaming update would commit non-finite state; nothing was committed.
+
+    Raised by :meth:`StreamingTruthInference.partial_fit` when an array
+    the update computed (a sufficient statistic, a model parameter or the
+    batch's posterior block) holds a NaN or an infinity, e.g. a
+    zero-smoothing Dawid–Skene stream fed a batch its learned confusions
+    call impossible under every class. The message names the method, the
+    update number and the array. The stream is left as it was: the same
+    :meth:`~StreamingTruthInference.get_state`, the same retained crowd,
+    the same counters, so a later valid batch continues as if the
+    rejected one had never arrived.
+    """
+
+
 def _state_array(state: dict, key: str) -> np.ndarray | None:
     """Fetch an optional float64 array from a state dict (defensive copy)."""
     value = state.get(key)
@@ -103,7 +122,8 @@ class StreamingTruthInference:
     """Base class: stream bookkeeping shared by every streaming method.
 
     Subclasses implement :meth:`_ingest` (the O(new observations) state
-    update, returning the monitor delta), :meth:`_posterior_blocks`, and
+    update, computed without mutating anything; :meth:`partial_fit`
+    checks and commits it), :meth:`_posterior_blocks`, and
     :meth:`_adopt` for the convergence path, and build ``self._twin`` —
     the batch method this stream converges to (replay contract) — once in
     their constructor. The twin's constructor is the one check of the
@@ -155,16 +175,19 @@ class StreamingTruthInference:
 
         The batch must keep the stream's annotator axis and class count.
         Empty batches (zero instances) are legal and leave the model
-        unchanged apart from the update counter. Batch compatibility is
-        validated *before* the retained crowd is touched: a rejected
-        batch raises without mutating anything — no retained labels, no
-        ``updates``/``observations_seen`` increment, no monitor step.
+        unchanged apart from the update counter. The update commits all
+        or nothing: batch compatibility is validated and the whole update
+        is computed first, and only if every array it would commit is
+        finite are the retained crowd, the state, ``updates``/
+        ``observations_seen`` and the monitor changed. Otherwise it raises
+        (``ValueError`` for an incompatible batch,
+        :class:`StreamUpdateRejected` for a non-finite update) and the
+        stream is exactly as it was.
         """
         if not isinstance(batch, CrowdLabelMatrix):
             raise TypeError(f"streaming methods ingest CrowdLabelMatrix, got {type(batch).__name__}")
         if self.crowd is None:
             self._check_first_batch(batch)
-            self.crowd = CrowdLabelMatrix(batch.labels.copy(), batch.num_classes)
         else:
             if batch.num_classes != self.num_classes:
                 raise ValueError(
@@ -175,9 +198,23 @@ class StreamingTruthInference:
                     f"batch has {batch.num_annotators} annotators, "
                     f"stream has {self.num_annotators}"
                 )
+        assign, append, delta = self._ingest(batch)
+        update = self.updates + 1
+        for name, value in (*assign.items(), *append.items()):
+            if not np.isfinite(value).all():
+                raise StreamUpdateRejected(
+                    f"{self.name} update {update} would commit non-finite "
+                    f"{name.lstrip('_')}; nothing was committed"
+                )
+        if self.crowd is None:
+            self.crowd = CrowdLabelMatrix(batch.labels.copy(), batch.num_classes)
+        else:
             self.crowd.extend(batch.labels)
-        delta = self._ingest(batch)
-        self.updates += 1
+        for name, value in assign.items():
+            setattr(self, name, value)
+        for name, block in append.items():
+            getattr(self, name).append(block)
+        self.updates = update
         self.observations_seen += batch.total_annotations()
         self._monitor.step(delta)
         return self
@@ -263,7 +300,11 @@ class StreamingTruthInference:
 
         The returned dict holds only scalars, None, and float64 arrays,
         so it round-trips bit-exactly through the serving layer's
-        checkpoint codec (:mod:`repro.serving.state`).
+        checkpoint codec (:mod:`repro.serving.state`). It is a snapshot:
+        an update commits new arrays instead of writing into the old
+        ones, so later ``partial_fit`` calls never change a dict already
+        returned (treat its arrays as read-only, the stream may still
+        hold them).
         Restoring it with :meth:`set_state` into a freshly-constructed
         instance (same constructor configuration) and re-attaching the
         retained crowd reproduces the stream bit-for-bit: replaying the
@@ -337,8 +378,15 @@ class StreamingTruthInference:
     def _check_first_batch(self, batch: CrowdLabelMatrix) -> None:
         """Structural constraints checked before the stream starts."""
 
-    def _ingest(self, batch: CrowdLabelMatrix) -> float:
-        """Update state from one new batch; returns the monitor delta."""
+    def _ingest(self, batch: CrowdLabelMatrix) -> tuple[dict, dict, float]:
+        """Compute one batch's update without mutating anything.
+
+        Returns ``(assign, append, delta)``: new values for state
+        attributes, one new block per block-list attribute (by name), and
+        the monitor delta. It reads the stream's committed state and the
+        batch only — not the retained crowd, which :meth:`partial_fit`
+        grows after the update passes its finiteness check.
+        """
         raise NotImplementedError
 
     def _posterior_blocks(self) -> list[np.ndarray]:
@@ -371,10 +419,11 @@ class StreamingTruthInference:
 class StreamingMajorityVote(StreamingTruthInference):
     """Online soft majority voting.
 
-    The retained container's vote-count cache is extended in place by
-    :meth:`~repro.crowd.types.CrowdLabelMatrix.extend`, so ``result()`` is
-    one O(I) normalization and equals the batch posterior after *every*
-    update (no convergence step needed). The monitor delta is the change
+    ``result()`` normalizes the retained container's vote counts (one
+    ``bincount`` over its cached shard, rebuilt once after each
+    :meth:`~repro.crowd.types.CrowdLabelMatrix.extend`), so it equals the
+    batch posterior after *every* update (no convergence step needed).
+    The running class totals are float64. The monitor delta is the change
     in the global class vote share — "has the stream's label distribution
     stabilized", the only model-level quantity MV has.
     """
@@ -387,13 +436,15 @@ class StreamingMajorityVote(StreamingTruthInference):
         self._vote_totals: np.ndarray | None = None
         self._vote_share: np.ndarray | None = None
 
-    def _ingest(self, batch: CrowdLabelMatrix) -> float:
-        if self._vote_totals is None:
-            self._vote_totals = np.zeros(self.num_classes)
-        self._vote_totals += batch.vote_counts().sum(axis=0)
-        share = normalize_rows(self._vote_totals)
-        previous, self._vote_share = self._vote_share, share
-        return float(np.abs(share - previous).max()) if previous is not None else np.inf
+    def _ingest(self, batch: CrowdLabelMatrix) -> tuple[dict, dict, float]:
+        totals = self._vote_totals
+        if totals is None:
+            totals = np.zeros(batch.num_classes)
+        totals = totals + batch.vote_counts().sum(axis=0)
+        share = normalize_rows(totals)
+        previous = self._vote_share
+        delta = float(np.abs(share - previous).max()) if previous is not None else np.inf
+        return {"_vote_totals": totals, "_vote_share": share}, {}, delta
 
     def _posterior_blocks(self) -> list[np.ndarray]:
         return [majority_vote_posterior(self.crowd)]
@@ -452,38 +503,45 @@ class StreamingDawidSkene(StreamingTruthInference):
         self._prior: np.ndarray | None = None
         self._blocks: list[np.ndarray] = []
 
-    def _e_step(self, crowd: CrowdLabelMatrix) -> np.ndarray:
-        log_posterior = np.log(self._prior)[None, :] + emission_log_likelihood(
-            crowd, np.log(self._confusions)
-        )
-        return normalize_log_posterior(log_posterior)
+    @staticmethod
+    def _e_step(crowd: CrowdLabelMatrix, prior: np.ndarray, confusions: np.ndarray) -> np.ndarray:
+        # At zero smoothing a confusion entry can be exactly 0: its log is
+        # the intended -inf of an impossible label. A row impossible under
+        # every class normalizes to NaN, which partial_fit refuses to
+        # commit (StreamUpdateRejected), so neither is worth a warning.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_posterior = np.log(prior)[None, :] + emission_log_likelihood(
+                crowd, np.log(confusions)
+            )
+            return normalize_log_posterior(log_posterior)
 
-    def _m_step(self) -> None:
+    def _m_step(self, stat_confusions: np.ndarray, stat_prior: np.ndarray) -> tuple:
         # The batch twin's M-step (DawidSkene._global_step), kept in
         # probability space: the state stores the prior, not its log.
-        self._confusions = normalize_rows(self._stat_confusions + self.smoothing)
-        self._prior = normalize_rows(self._stat_prior + self.smoothing)
+        return (
+            normalize_rows(stat_confusions + self.smoothing),
+            normalize_rows(stat_prior + self.smoothing),
+        )
 
-    def _ingest(self, batch: CrowdLabelMatrix) -> float:
-        K = self.num_classes
-        if self._stat_confusions is None:
-            self._stat_confusions = np.zeros((self.num_annotators, K, K))
-            self._stat_prior = np.zeros(K)
+    def _ingest(self, batch: CrowdLabelMatrix) -> tuple[dict, dict, float]:
+        K = batch.num_classes
+        stat_confusions, stat_prior = self._stat_confusions, self._stat_prior
+        if stat_confusions is None:
+            stat_confusions = np.zeros((batch.num_annotators, K, K))
+            stat_prior = np.zeros(K)
         if batch.total_annotations() == 0:
             # Observation-free update: nothing to learn, and the history is
             # not decayed (decay tracks information arrival, not ticks).
+            stats = {"_stat_confusions": stat_confusions, "_stat_prior": stat_prior}
             if self._confusions is None:
-                self._blocks.append(np.full((batch.num_instances, K), 1.0 / K))
-                return np.inf
-            self._blocks.append(self._e_step(batch))
-            return 0.0
+                return stats, {"_blocks": np.full((batch.num_instances, K), 1.0 / K)}, np.inf
+            return stats, {"_blocks": self._e_step(batch, self._prior, self._confusions)}, 0.0
         if self._confusions is None:
             # Nothing learned yet: bootstrap the first real batch from
             # majority voting, exactly like the batch method's init.
             posterior = majority_vote_posterior(batch)
         else:
-            posterior = self._e_step(batch)
-        previous = None if self._confusions is None else self._confusions.copy()
+            posterior = self._e_step(batch, self._prior, self._confusions)
 
         contrib_confusions = contrib_prior = None
         for _ in range(self.inner_sweeps):
@@ -491,21 +549,29 @@ class StreamingDawidSkene(StreamingTruthInference):
             new_prior = posterior.sum(axis=0)
             if contrib_confusions is None:
                 gamma = self._decay_factor()
-                self._stat_confusions = gamma * self._stat_confusions + new_confusions
-                self._stat_prior = gamma * self._stat_prior + new_prior
+                stat_confusions = gamma * stat_confusions + new_confusions
+                stat_prior = gamma * stat_prior + new_prior
             else:
                 # Inner refinements replace this batch's contribution
                 # rather than decaying the history again.
-                self._stat_confusions += new_confusions - contrib_confusions
-                self._stat_prior += new_prior - contrib_prior
+                stat_confusions = stat_confusions + (new_confusions - contrib_confusions)
+                stat_prior = stat_prior + (new_prior - contrib_prior)
             contrib_confusions, contrib_prior = new_confusions, new_prior
-            self._m_step()
-            posterior = self._e_step(batch)
+            confusions, prior = self._m_step(stat_confusions, stat_prior)
+            posterior = self._e_step(batch, prior, confusions)
 
-        self._blocks.append(posterior)
-        if previous is None:
-            return np.inf
-        return float(np.abs(self._confusions - previous).max(initial=0.0))
+        delta = (
+            np.inf
+            if self._confusions is None
+            else float(np.abs(confusions - self._confusions).max(initial=0.0))
+        )
+        state = {
+            "_stat_confusions": stat_confusions,
+            "_stat_prior": stat_prior,
+            "_confusions": confusions,
+            "_prior": prior,
+        }
+        return state, {"_blocks": posterior}, delta
 
     def _posterior_blocks(self) -> list[np.ndarray]:
         return self._blocks
@@ -513,7 +579,7 @@ class StreamingDawidSkene(StreamingTruthInference):
     def _refreshed_blocks(self) -> list[np.ndarray]:
         if self._confusions is None:
             return list(self._blocks)
-        return [self._e_step(self.crowd)]
+        return [self._e_step(self.crowd, self._prior, self._confusions)]
 
     def _model_state(self) -> dict:
         return {
@@ -619,7 +685,7 @@ class StreamingGLAD(StreamingTruthInference):
         if batch.num_classes != 2:
             raise ValueError("GLAD supports binary labels only (as in the paper)")
 
-    def _ingest(self, batch: CrowdLabelMatrix) -> float:
+    def _ingest(self, batch: CrowdLabelMatrix) -> tuple[dict, dict, float]:
         if batch.total_annotations() == 0:
             # Observation-free update: abilities and history untouched.
             # Until a real batch has trained the abilities the stream has
@@ -627,32 +693,38 @@ class StreamingGLAD(StreamingTruthInference):
             # converged" — the same `is None` guard StreamingDawidSkene
             # uses, not an update-counter check (an empty→empty stream
             # has updates > 0 but an untrained model).
-            self._log_beta_blocks.append(np.zeros(batch.num_instances))
             prior = np.full(batch.num_instances, self.prior_correct)
-            self._blocks.append(np.stack([1.0 - prior, prior], axis=1))
-            return np.inf if self._alpha is None else 0.0
-        if self._alpha is None:
-            self._alpha = np.ones(self.num_annotators)
-            self._label_counts = np.zeros(self.num_annotators)
+            blocks = {
+                "_log_beta_blocks": np.zeros(batch.num_instances),
+                "_blocks": np.stack([1.0 - prior, prior], axis=1),
+            }
+            return {}, blocks, np.inf if self._alpha is None else 0.0
+        alpha, label_counts = self._alpha, self._label_counts
+        if alpha is None:
+            alpha = np.ones(batch.num_annotators)
+            label_counts = np.zeros(batch.num_annotators)
         twin = self._twin
         state, stats = twin._init_mapper(None, batch)
-        self._label_counts = self._decay_factor() * self._label_counts + stats.label_counts
-        normalizer = np.maximum(self._label_counts, 1.0)
-        previous_alpha = self._alpha.copy()
-        state, _ = twin._e_mapper(self._alpha, batch, state)
+        label_counts = self._decay_factor() * label_counts + stats.label_counts
+        normalizer = np.maximum(label_counts, 1.0)
+        previous_alpha = alpha
+        state, _ = twin._e_mapper(alpha, batch, state)
         for _ in range(self.gradient_steps):
-            state, grads = twin._grad_mapper(self._alpha, batch, state)
+            state, grads = twin._grad_mapper(alpha, batch, state)
             # ``lr * (g / n)``, not the batch twin's ``lr * g / n``: the
             # two round differently, and this order keeps α (and so every
             # checkpoint) bit-identical to the stream's earlier releases.
-            self._alpha = np.clip(
-                self._alpha + self.learning_rate * (grads.grad_alpha / normalizer), -8.0, 8.0
+            alpha = np.clip(
+                alpha + self.learning_rate * (grads.grad_alpha / normalizer), -8.0, 8.0
             )
-        (posterior_one, log_beta, _), _ = twin._e_mapper(self._alpha, batch, state)
+        (posterior_one, log_beta, _), _ = twin._e_mapper(alpha, batch, state)
 
-        self._log_beta_blocks.append(log_beta)
-        self._blocks.append(np.stack([1.0 - posterior_one, posterior_one], axis=1))
-        return float(np.abs(self._alpha - previous_alpha).max(initial=0.0))
+        blocks = {
+            "_log_beta_blocks": log_beta,
+            "_blocks": np.stack([1.0 - posterior_one, posterior_one], axis=1),
+        }
+        delta = float(np.abs(alpha - previous_alpha).max(initial=0.0))
+        return {"_alpha": alpha, "_label_counts": label_counts}, blocks, delta
 
     def _posterior_blocks(self) -> list[np.ndarray]:
         return self._blocks

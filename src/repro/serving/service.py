@@ -57,7 +57,7 @@ import re
 import threading
 from pathlib import Path
 
-from ..inference import get_method
+from ..inference import StreamUpdateRejected, get_method
 from ..inference.base import InferenceResult
 from .state import (
     _fsync_directory,
@@ -292,13 +292,20 @@ class CrowdService:
         the update atomic with respect to queries: until ``partial_fit``
         returns, queries are answered from the previous completed
         version. A batch the estimator rejects leaves the dataset
-        exactly as it was (the streaming layer validates before
-        mutating).
+        exactly as it was — its version, cursor, snapshot and last
+        checkpoint included — because the streaming layer commits an
+        update all or nothing. An update that would commit non-finite
+        state raises
+        :class:`~repro.inference.streaming.StreamUpdateRejected` naming
+        the dataset; an incompatible batch raises ``ValueError``.
         """
         entry = self._entry(dataset_id, create=True)
         with entry.lock:
             self._ensure_resident(entry)
-            entry.stream.partial_fit(batch)
+            try:
+                entry.stream.partial_fit(batch)
+            except StreamUpdateRejected as error:
+                raise StreamUpdateRejected(f"dataset {dataset_id!r}: {error}") from error
             entry.version = entry.stream.updates
             entry.dirty = True
             ack = {

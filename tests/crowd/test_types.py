@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.crowd import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
+from repro.crowd import MISSING, CrowdLabelMatrix, SequenceCrowdLabels, SparseLabelShard
 
 M = MISSING
 
@@ -139,50 +142,118 @@ class TestSequenceCrowdLabels:
         np.testing.assert_allclose(confusion1[1], [0, 0, 1], atol=0)
         np.testing.assert_allclose(confusion1[2], [0, 0, 1], atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_token_shard_matches_a_validated_shard(self, data):
+        classes = data.draw(st.integers(2, 4))
+        annotators = data.draw(st.integers(1, 4))
+        sentences = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            length = data.draw(st.integers(0, 4))
+            labels = data.draw(
+                hnp.arrays(np.int64, (length, annotators), elements=st.integers(0, classes - 1))
+            )
+            # An annotator labels a whole sentence or none of it.
+            skipped = data.draw(hnp.arrays(bool, annotators))
+            labels[:, skipped] = M
+            sentences.append(labels)
+        crowd = SequenceCrowdLabels(sentences, classes, annotators)
+        stacked, _ = crowd.flat_labels()
+        expected = SparseLabelShard.from_dense(stacked, classes)
+        shard = crowd.token_shard()
+        assert shard is crowd.token_shard()
+        assert (shard.num_instances, shard.num_annotators, shard.num_classes) == (
+            stacked.shape[0], annotators, classes,
+        )
+        _assert_surface_matches(shard, expected)
+        for mine, its in zip(crowd.flat_label_pairs(), shard.flat_label_pairs()):
+            assert mine is its
+        np.testing.assert_array_equal(crowd.token_vote_counts_flat(), expected.vote_counts())
 
-def _assert_classification_caches_match(extended: CrowdLabelMatrix, fresh: CrowdLabelMatrix):
-    """Every cached view of an incrementally-extended container must equal a
-    from-scratch rebuild — the correctness contract of the streaming append
-    path (cache coherence, not just label equality)."""
-    np.testing.assert_array_equal(extended.labels, fresh.labels)
-    np.testing.assert_array_equal(extended.observed_mask, fresh.observed_mask)
-    np.testing.assert_array_equal(extended.vote_counts(), fresh.vote_counts())
-    for got, want in zip(extended.flat_label_pairs(), fresh.flat_label_pairs()):
+
+def _assert_surface_matches(shard, expected: SparseLabelShard) -> None:
+    """A container's kernel surface must equal a range-validated shard
+    built from scratch over the same labels: triples, vote and label
+    counts, and the incidence's CSR arrays."""
+    for got, want in zip(shard.flat_label_pairs(), expected.flat_label_pairs()):
         np.testing.assert_array_equal(got, want)
-    got_inc, want_inc = extended.label_incidence(), fresh.label_incidence()
-    if want_inc is not None:
-        assert (got_inc != want_inc).nnz == 0
+    np.testing.assert_array_equal(shard.vote_counts(), expected.vote_counts())
+    np.testing.assert_array_equal(
+        shard.annotations_per_instance(), expected.annotations_per_instance()
+    )
+    np.testing.assert_array_equal(
+        shard.annotations_per_annotator(), expected.annotations_per_annotator()
+    )
+    assert shard.total_annotations() == expected.total_annotations()
+    got, want = shard.label_incidence(), expected.label_incidence()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _assert_container_matches(crowd: CrowdLabelMatrix, labels: np.ndarray) -> None:
+    expected = SparseLabelShard.from_dense(labels, crowd.num_classes)
+    np.testing.assert_array_equal(crowd.labels, labels)
+    _assert_surface_matches(crowd, expected)
+    _assert_surface_matches(crowd.as_shard(), expected)
+    np.testing.assert_array_equal(crowd.observed_mask, labels != M)
+
+
+def _fixed_blocks():
+    """Hand-picked blocks: uneven sizes, an empty block, a fully-missing row."""
+    rng = np.random.default_rng(7)
+    blocks = [rng.integers(-1, 3, size=(size, 4)).astype(np.int64) for size in (5, 3, 0, 8)]
+    blocks[0][1] = M  # one fully-missing row
+    return blocks
+
+
+@st.composite
+def _extend_schedules(draw):
+    """Label blocks over one annotator axis, plus, per step, whether the
+    views are read after it (unread views must build right later)."""
+    classes = draw(st.integers(2, 4))
+    annotators = draw(st.integers(1, 5))
+    blocks = draw(
+        st.lists(
+            hnp.arrays(
+                np.int64,
+                st.tuples(st.integers(0, 6), st.just(annotators)),
+                elements=st.integers(MISSING, classes - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    reads = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    return classes, blocks, reads
 
 
 class TestCrowdLabelMatrixExtend:
-    def _blocks(self):
-        rng = np.random.default_rng(7)
-        blocks = []
-        for size in (5, 3, 0, 8):
-            block = rng.integers(-1, 3, size=(size, 4))
-            blocks.append(block.astype(np.int64))
-        # Guarantee at least one fully-missing row survives validation checks.
-        blocks[0][1] = M
-        return blocks
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=_extend_schedules())
+    @example(schedule=(3, _fixed_blocks(), [True] * 4))   # views warm before every append
+    @example(schedule=(3, _fixed_blocks(), [False] * 4))  # views built only at the end
+    def test_extend_matches_a_validated_shard_at_every_step(self, schedule):
+        classes, blocks, reads = schedule
+        crowd = CrowdLabelMatrix(blocks[0], classes)
+        for step, read in enumerate(reads):
+            if step:
+                before = crowd.as_shard() if read else None
+                assert crowd.extend(blocks[step]) is crowd
+                if before is not None:
+                    # extend drops the shard; one taken earlier keeps its rows.
+                    assert crowd.as_shard() is not before
+                    assert before.num_instances == sum(b.shape[0] for b in blocks[:step])
+            if read or step == len(reads) - 1:
+                _assert_container_matches(crowd, np.concatenate(blocks[: step + 1], axis=0))
 
-    def test_extend_matches_fresh_container_with_warm_caches(self):
-        blocks = self._blocks()
-        crowd = CrowdLabelMatrix(blocks[0], num_classes=3)
-        # Warm every cache before the first append.
-        crowd.observed_mask, crowd.flat_label_pairs()
-        crowd.label_incidence(), crowd.vote_counts()
-        for block in blocks[1:]:
-            crowd.extend(block)
-        fresh = CrowdLabelMatrix(np.concatenate(blocks, axis=0), num_classes=3)
-        _assert_classification_caches_match(crowd, fresh)
-
-    def test_extend_with_cold_caches_builds_lazily(self):
-        blocks = self._blocks()
-        crowd = CrowdLabelMatrix(blocks[0], num_classes=3)
-        for block in blocks[1:]:
-            crowd.extend(block)  # nothing cached yet — no incremental work
-        fresh = CrowdLabelMatrix(np.concatenate(blocks, axis=0), num_classes=3)
-        _assert_classification_caches_match(crowd, fresh)
+    def test_surface_is_one_cached_shard(self):
+        crowd = _random_matrix_crowd(8, 30, 6, 3)
+        shard = crowd.as_shard()
+        assert crowd.as_shard() is shard
+        assert crowd.label_incidence() is shard.label_incidence()
+        for mine, its in zip(crowd.flat_label_pairs(), shard.flat_label_pairs()):
+            assert mine is its
 
     def test_extend_returns_self_and_grows(self):
         crowd = CrowdLabelMatrix(np.array([[0, 1]]), 2)
@@ -195,6 +266,7 @@ class TestCrowdLabelMatrixExtend:
         crowd.vote_counts()
         crowd.extend(np.array([[0, 1, M]]))
         np.testing.assert_array_equal(crowd.vote_counts(), [[1, 1]])
+        _assert_container_matches(crowd, np.array([[0, 1, M]]))
 
     def test_extend_validates_block(self):
         crowd = CrowdLabelMatrix(np.array([[0, 1]]), 2)

@@ -95,6 +95,8 @@ __all__ = [
     "assert_matches_reference",
     "assert_degenerate_ok",
     "assert_streaming_replay_matches",
+    "copy_state",
+    "assert_same_state",
     "assert_sharded_matches_batch",
 ]
 
@@ -451,6 +453,24 @@ def random_batch_sizes(seed: int, total: int) -> list[int]:
     if not sizes:
         sizes = [0]  # an empty crowd still streams one (empty) batch
     return sizes
+
+
+def copy_state(state: dict) -> dict:
+    """A streaming ``get_state()`` dict with every array copied."""
+    return {
+        key: np.copy(value) if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
+def assert_same_state(state: dict, expected: dict) -> None:
+    """Two ``get_state()`` dicts hold the same keys, values and bytes."""
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(state[key], value, err_msg=key)
+        else:
+            assert state[key] == value, key
 
 
 def assert_streaming_replay_matches(name: str, crowd, seed: int, atol: float = 1e-8) -> None:

@@ -128,3 +128,17 @@ class TestTokenDSOnSequences:
         f1 = _posterior_f1(result.posteriors, task.train.tags)
         assert 0.0 <= f1 <= 1.0
         assert result.confusions is not None
+
+    def test_token_level_runs_share_the_crowds_token_shard(self):
+        _, crowd = _ner_crowd(seed=8, sentences=20)
+        TokenLevelInference(DawidSkene()).infer(crowd)
+        incidence = crowd.token_shard().label_incidence()
+        method = DawidSkene(smoothing=0.1)
+        received = []
+        run = method.infer
+        method.infer = lambda shard: received.append(shard) or run(shard)
+        TokenLevelInference(method).infer(crowd)
+        # The second run got the crowd's cached shard, so it multiplied
+        # against the incidence the first run built.
+        assert len(received) == 1 and received[0] is crowd.token_shard()
+        assert received[0].label_incidence() is incidence

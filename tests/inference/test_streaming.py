@@ -23,7 +23,7 @@ from repro.inference import (
     get_method,
 )
 
-from .equivalence_harness import random_classification_crowd
+from .equivalence_harness import assert_same_state, copy_state, random_classification_crowd
 
 STREAMING_METHODS = ("MV", "DS", "GLAD")
 
@@ -330,6 +330,41 @@ class TestStreamingContracts:
         ) == monitor_before
         np.testing.assert_array_equal(stream.crowd.labels, labels_before)
         np.testing.assert_array_equal(stream.result().posterior, posterior_before)
+
+    @pytest.mark.parametrize("name", STREAMING_METHODS)
+    def test_failed_ingest_leaves_stream_untouched(self, name, binary_crowd, monkeypatch):
+        # The update is computed before anything commits, the retained
+        # crowd included, so an ingest that raises changes nothing.
+        stream = get_method(name, kind="streaming")
+        batches = stream_crowd_in_batches(binary_crowd, [60, 60])
+        stream.partial_fit(batches[0])
+        labels_before = stream.crowd.labels.copy()
+        counters_before = (stream.updates, stream.observations_seen)
+        state_before = copy_state(stream.get_state())
+
+        def failing_ingest(batch):
+            raise RuntimeError("ingest failed")
+
+        monkeypatch.setattr(stream, "_ingest", failing_ingest)
+        with pytest.raises(RuntimeError, match="ingest failed"):
+            stream.partial_fit(batches[1])
+
+        np.testing.assert_array_equal(stream.crowd.labels, labels_before)
+        assert (stream.updates, stream.observations_seen) == counters_before
+        assert_same_state(stream.get_state(), state_before)
+
+    @pytest.mark.parametrize("name", STREAMING_METHODS)
+    def test_get_state_is_a_snapshot(self, name, binary_crowd):
+        # An update commits new arrays; it never writes into the ones a
+        # state dict taken earlier holds.
+        stream = get_method(name, kind="streaming")
+        batches = stream_crowd_in_batches(binary_crowd, [30, 0, 40, 50])
+        stream.partial_fit(batches[0])
+        state = stream.get_state()
+        expected = copy_state(state)
+        for batch in batches[1:]:
+            stream.partial_fit(batch)
+        assert_same_state(state, expected)
 
     @pytest.mark.parametrize("name", STREAMING_METHODS)
     def test_state_roundtrip_resumes_bit_identically(self, name, binary_crowd):

@@ -10,6 +10,13 @@ as finite still matches them at 1e-10. The streaming crowd is two
 batches whose silent annotators differ, run directly and through
 :class:`~repro.serving.CrowdService`, with a checkpoint and a restart
 between them.
+
+Zero smoothing can also learn an exact zero that a later batch
+contradicts: after a first batch on which annotators 0 and 1 always
+agree, a batch holding an instance labelled (0, 1) is impossible under
+every class. Streaming DS refuses to commit that update
+(:class:`~repro.inference.StreamUpdateRejected`) and the stream, or the
+service's dataset, stays exactly as it was.
 """
 
 import itertools
@@ -18,11 +25,12 @@ import numpy as np
 import pytest
 
 from repro.crowd.types import MISSING, CrowdLabelMatrix, SequenceCrowdLabels
-from repro.inference import DawidSkene, HMMCrowd, TokenLevelInference
+from repro.inference import DawidSkene, HMMCrowd, StreamUpdateRejected, TokenLevelInference
 from repro.inference.streaming import StreamingDawidSkene
 from repro.serving import CrowdService
 
 from ..oracles import seed_dawid_skene, seed_hmm_crowd
+from .equivalence_harness import assert_same_state, copy_state
 
 # The log of an exact zero is an intended -inf, not a numerical accident:
 # no method here may warn about it.
@@ -179,3 +187,68 @@ class TestStreamingDawidSkene:
             got = revived.query("stream")
         np.testing.assert_array_equal(got.posterior, expected.posterior)
         np.testing.assert_array_equal(got.confusions, expected.confusions)
+
+
+def _agreeing_batch() -> CrowdLabelMatrix:
+    """20 two-class instances on which annotators 0 and 1 always agree."""
+    truth = np.arange(20) % 2
+    return CrowdLabelMatrix(np.stack([truth, truth], axis=1), 2)
+
+
+CONTRADICTING = np.array([[0, 1], [0, 0]])
+LATER = np.array([[1, 1], [0, 0], [1, 1]])
+
+
+class TestContradictedZero:
+    def test_update_is_rejected_and_nothing_commits(self):
+        stream = StreamingDawidSkene(smoothing=0.0)
+        stream.partial_fit(_agreeing_batch())
+        np.testing.assert_array_equal(stream.get_state()["confusions"], np.stack([np.eye(2)] * 2))
+        before = copy_state(stream.get_state())
+        labels = stream.crowd.labels.copy()
+
+        with pytest.raises(StreamUpdateRejected, match="DS update 2"):
+            stream.partial_fit(CrowdLabelMatrix(CONTRADICTING, 2))
+
+        assert_same_state(stream.get_state(), before)
+        np.testing.assert_array_equal(stream.crowd.labels, labels)
+        assert (stream.crowd.num_instances, stream.updates) == (20, 1)
+        _assert_valid_result(stream.result())
+
+    def test_later_batch_continues_as_if_never_rejected(self):
+        rejected = StreamingDawidSkene(smoothing=0.0)
+        never = StreamingDawidSkene(smoothing=0.0)
+        for stream in (rejected, never):
+            stream.partial_fit(_agreeing_batch())
+        with pytest.raises(StreamUpdateRejected):
+            rejected.partial_fit(CrowdLabelMatrix(CONTRADICTING, 2))
+        for stream in (rejected, never):
+            stream.partial_fit(CrowdLabelMatrix(LATER, 2))
+        assert_same_state(rejected.get_state(), never.get_state())
+        np.testing.assert_array_equal(rejected.crowd.labels, never.crowd.labels)
+        np.testing.assert_array_equal(rejected.result().posterior, never.result().posterior)
+
+    def test_crowd_service_keeps_the_last_commit(self, tmp_path):
+        root = tmp_path / "service"
+        service = CrowdService(root, method="DS", smoothing=0.0)
+        service.partial_fit("agreeing", _agreeing_batch())
+        assert service.checkpoint() == {"agreeing": 1}
+        expected = service.query("agreeing")
+
+        with pytest.raises(StreamUpdateRejected, match="'agreeing'"):
+            service.partial_fit("agreeing", CrowdLabelMatrix(CONTRADICTING, 2))
+        assert service.cursor("agreeing") == 1
+        got = service.query("agreeing")
+        np.testing.assert_array_equal(got.posterior, expected.posterior)
+        np.testing.assert_array_equal(got.confusions, expected.confusions)
+        del service  # crash: the checkpoint is the last commit
+
+        with CrowdService(root, method="DS", smoothing=0.0) as revived:
+            assert revived.cursor("agreeing") == 1
+            revived.partial_fit("agreeing", CrowdLabelMatrix(LATER, 2))
+            got = revived.query("agreeing")
+        reference = StreamingDawidSkene(smoothing=0.0)
+        reference.partial_fit(_agreeing_batch())
+        reference.partial_fit(CrowdLabelMatrix(LATER, 2))
+        np.testing.assert_array_equal(got.posterior, reference.result().posterior)
+        np.testing.assert_array_equal(got.confusions, reference.result().confusions)

@@ -308,6 +308,15 @@ def test_flow_rule_silent_on_guarded_fixture(rule_id):
     assert run_engine(text, rel) == []
 
 
+@pytest.mark.parametrize("accessor", ["as_shard", "token_shard"])
+def test_view_mutation_flags_writes_into_a_containers_shard(accessor):
+    # A container's cached shard is the kernel surface every method
+    # reads; writing into its triples corrupts them all.
+    text = f"def renumber(crowd):\n    crowd.{accessor}()._labels[0] = 0\n"
+    findings = run_engine(text, SRC_FIXTURE)
+    assert [(f.rule_id, f.line) for f in findings] == [("view-mutation", 2)]
+
+
 def test_dtype_rule_keeps_migrated_self_check():
     # The retired test asserted exactly these three detections; the
     # migrated rule must keep them (plus the bare-name shape).
