@@ -195,9 +195,8 @@ class SparseLabelShard:
         """Build from a dense ``(I, J)`` block under the
         :class:`~repro.crowd.types.CrowdLabelMatrix` convention."""
         labels = np.asarray(labels)
-        rows, annotators = np.nonzero(labels != MISSING)
         return cls(
-            rows, annotators, labels[rows, annotators],
+            *_dense_triples(labels),
             num_instances=labels.shape[0],
             num_annotators=labels.shape[1],
             num_classes=num_classes,
@@ -411,15 +410,31 @@ def _read_layout(stream, path: str) -> tuple[np.ndarray, int]:
     return meta, offset
 
 
+def _dense_triples(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observed cells of a dense ``(I, J)`` block as row-sorted
+    ``(rows, annotators, labels)`` triples, each a C-contiguous array.
+
+    The one dense-to-triples step, shared by
+    :meth:`SparseLabelShard.from_dense`, ``CrowdLabelMatrix.as_shard()``
+    and ``SequenceCrowdLabels.token_shard()``. The flat indices of the
+    observed cells, split by ``divmod``, come out contiguous;
+    ``np.nonzero`` on the 2-D mask would return strided column views of
+    one ``(n, 2)`` array, which every ``bincount`` over them copies again.
+    """
+    flat = np.flatnonzero(labels != MISSING)
+    rows, annotators = np.divmod(flat, labels.shape[1])
+    return rows, annotators, labels.reshape(-1)[flat]
+
+
 def _row_range(source, start: int, stop: int) -> SparseLabelShard:
     """Instances ``[start, stop)`` of row-sorted triples, as a shard view.
 
     ``source`` is a row-sorted :class:`SparseLabelShard`: a container's
-    own (``CrowdLabelMatrix.as_shard()``, built in ``np.nonzero``
-    order) or a row-sorted file. Two binary searches bound the range; the
-    annotator and label columns are slices of the source's arrays (of the
-    mapped file, for a memmapped shard), and only the localized row index
-    is fresh memory (O(range observations)).
+    own (``CrowdLabelMatrix.as_shard()``, built row-major by
+    :func:`_dense_triples`) or a row-sorted file. Two binary searches
+    bound the range; the annotator and label columns are slices of the
+    source's arrays (of the mapped file, for a memmapped shard), and only
+    the localized row index is fresh memory (O(range observations)).
     """
     rows, annotators, labels = source.flat_label_pairs()
     lo, hi = np.searchsorted(rows, (start, stop))

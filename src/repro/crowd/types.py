@@ -119,18 +119,18 @@ class CrowdLabelMatrix:
         """The kernel surface: one cached
         :class:`~repro.crowd.sharding.SparseLabelShard` over every label.
 
-        Built on first use from the dense matrix in ``np.nonzero`` order
-        (row-major, so the triples are row-sorted) without re-validating
-        labels the constructor already checked; :meth:`extend` drops it.
-        Every surface method below delegates to it.
+        Built on first use from the dense matrix in row-major order (so
+        the triples are row-sorted and each is a C-contiguous array)
+        without re-validating labels the constructor already checked;
+        :meth:`extend` drops it. Every surface method below delegates to
+        it.
         """
         cached = getattr(self, "_shard", None)
         if cached is None:
-            from .sharding import SparseLabelShard
+            from .sharding import SparseLabelShard, _dense_triples
 
-            rows, cols = np.nonzero(self.labels != MISSING)
             cached = SparseLabelShard._trusted(
-                rows, cols, self.labels[rows, cols],
+                *_dense_triples(self.labels),
                 num_instances=self.num_instances,
                 num_annotators=self.num_annotators,
                 num_classes=self.num_classes,
@@ -358,21 +358,21 @@ class SequenceCrowdLabels:
         :class:`~repro.crowd.sharding.SparseLabelShard` with the stacked
         tokens of :meth:`flat_labels` as its instances.
 
-        Built on first use in ``np.nonzero`` order (row-sorted) without
-        re-validating labels the constructor already checked. The
-        token-level kernels (:mod:`repro.core.em`, HMM-Crowd, BSC-seq,
+        Built on first use in row-major order (row-sorted, C-contiguous
+        triples) without re-validating labels the constructor already
+        checked. The token-level kernels (:mod:`repro.core.em`,
+        HMM-Crowd, BSC-seq,
         :class:`~repro.inference.sequence_utils.TokenLevelInference`)
         all run on it, so its sparse ``(ΣT_i, J·K)`` incidence is built
         once per container.
         """
         cached = getattr(self, "_token_shard", None)
         if cached is None:
-            from .sharding import SparseLabelShard
+            from .sharding import SparseLabelShard, _dense_triples
 
             stacked, _ = self.flat_labels()
-            tokens, annotators = np.nonzero(stacked != MISSING)
             cached = SparseLabelShard._trusted(
-                tokens, annotators, stacked[tokens, annotators],
+                *_dense_triples(stacked),
                 num_instances=stacked.shape[0],
                 num_annotators=self.num_annotators,
                 num_classes=self.num_classes,

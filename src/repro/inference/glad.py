@@ -11,13 +11,17 @@ The EM loop is written once, map-reduce style
 (:mod:`repro.inference.sharding`): ``infer(crowd)`` runs it on the crowd
 as its own single shard, ``infer_sharded`` on any shard source.
 
-Performance: every per-label quantity (σ(α_j β_i), the E-step evidence,
-the M-step residuals) lives on the shard's cached flat COO triples
-(:meth:`~repro.crowd.types.CrowdLabelMatrix.flat_label_pairs`), so each
-E-step and each gradient-ascent step is a handful of O(n_obs) gathers plus
-one ``bincount`` scatter per aggregated quantity — never a dense ``(I, J)``
-scan of the mostly-missing label matrix. The seed dense implementation
-is kept as the executable specification (``seed_glad`` in
+Performance: every per-label quantity lives on the shard's cached flat
+COO triples (:meth:`~repro.crowd.types.CrowdLabelMatrix.flat_label_pairs`),
+so no pass ever scans the dense ``(I, J)`` label matrix. Per EM round, the
+E-pass computes σ(α_j β_i) and the evidence once per label and, from the
+new posterior, each label's ``prob_correct`` (the posterior mass on the
+label its annotator gave), which the shard state carries through the
+round: the posterior is fixed during the round's ascent. Per ascent step,
+each label costs one ``β[rows]`` and one ``α[cols]`` gather, one sigmoid
+(one ``exp``), and its share of two ``bincount`` scatters (the ``α`` and
+``log β`` gradients); the labels are never read. The seed dense
+implementation is kept as the executable specification (``seed_glad`` in
 ``tests/oracles.py``); equivalence at atol 1e-10 is enforced by
 ``tests/inference/equivalence_harness.py`` and it is timed as the
 "before" side in ``benchmarks/bench_hotpaths.py``.
@@ -35,7 +39,17 @@ __all__ = ["GLAD"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    """Logistic function with one ``exp``: ``1 / (1 + e)`` for ``x >= 0``
+    and ``e / (1 + e)`` below, ``e = exp(-|x|)``, with the same bits as
+    the two-branch form at every input (NaN, ±0, ±inf and subnormals
+    included). The numerator ``max(e, [x >= 0])`` is exactly 1 on the
+    upper branch (``e <= 1``) and ``e`` on the lower one (NaN stays NaN),
+    so no branch is taken per element."""
+    e = np.exp(-np.abs(x))
+    numerator = np.maximum(e, x >= 0)
+    e += 1.0
+    numerator /= e
+    return numerator
 
 
 class GLAD(ShardedTruthInference):
@@ -43,8 +57,9 @@ class GLAD(ShardedTruthInference):
 
     The annotator abilities ``α`` are the only cross-shard state; item
     difficulties ``log β`` and posteriors are per-instance and live with
-    their shard. Each EM round is one E-pass (per-shard posterior update,
-    deltas merged via max) followed by ``gradient_steps`` gradient passes:
+    their shard, as does each label's ``prob_correct``. Each EM round is
+    one E-pass (per-shard posterior update, deltas merged via max)
+    followed by ``gradient_steps`` gradient passes:
     every inner ascent step maps shards to raw ``α``-gradient scatter sums
     (merged, then normalized by the merged per-annotator label counts —
     the mean gradient over all of an annotator's labels) while the
@@ -94,15 +109,17 @@ class GLAD(ShardedTruthInference):
         self.tolerance = tolerance
 
     def _init_mapper(self, params, shard):
-        # Per-shard state (all O(shard instances), carried across
-        # passes):
-        # posterior, log difficulty, and the labels-per-instance mean
-        # normalizer — computed once here, not per gradient step.
+        # Per-shard state, carried across passes: posterior, log
+        # difficulty and the labels-per-instance mean normalizer (computed
+        # once here, not per gradient step), all O(shard instances), plus
+        # each label's prob_correct, which every E-pass sets from its new
+        # posterior (None until the first one).
         rows, cols, _ = shard.flat_label_pairs()
         state = (
             np.full(shard.num_instances, self.prior_correct),
             np.zeros(shard.num_instances),
             np.maximum(np.bincount(rows, minlength=shard.num_instances), 1),
+            None,
         )
         return state, ShardStats(
             label_counts=np.bincount(
@@ -112,7 +129,7 @@ class GLAD(ShardedTruthInference):
         )
 
     def _e_mapper(self, alpha, shard, state):
-        posterior_one, log_beta, labels_per_instance = state
+        posterior_one, log_beta, labels_per_instance, _ = state
         rows, cols, given = shard.flat_label_pairs()
         votes_one = given == 1
         n = shard.num_instances
@@ -128,33 +145,35 @@ class GLAD(ShardedTruthInference):
         )
         new_posterior = _sigmoid(log_prior_ratio + log_like_one - log_like_zero)
         delta = float(np.abs(new_posterior - posterior_one).max(initial=0.0))
-        return (new_posterior, log_beta, labels_per_instance), ShardStats(delta=delta)
+        # Fixed until the next E-pass: the round's ascent steps read it.
+        posterior_rows = new_posterior[rows]
+        prob_correct = np.where(votes_one, posterior_rows, 1.0 - posterior_rows)
+        return (
+            (new_posterior, log_beta, labels_per_instance, prob_correct),
+            ShardStats(delta=delta),
+        )
 
     def _grad_mapper(self, alpha, shard, state):
-        posterior_one, log_beta, labels_per_instance = state
-        rows, cols, given = shard.flat_label_pairs()
-        votes_one = given == 1
-        n = shard.num_instances
+        posterior_one, log_beta, labels_per_instance, prob_correct = state
+        rows, cols, _ = shard.flat_label_pairs()
         beta = np.exp(log_beta)
-        sig = _sigmoid(beta[rows] * alpha[cols])
-        prob_correct = np.where(
-            votes_one, posterior_one[rows], 1.0 - posterior_one[rows]
-        )
-        residual = prob_correct - sig
+        beta_rows = beta[rows]
+        alpha_cols = alpha[cols]
+        residual = prob_correct - _sigmoid(beta_rows * alpha_cols)
         # Raw scatter sum; the driver applies the global
         # labels-per-annotator mean.
         grad_alpha = np.bincount(
-            cols, weights=residual * beta[rows], minlength=shard.num_annotators
+            cols, weights=residual * beta_rows, minlength=shard.num_annotators
         )
         grad_log_beta = (
-            np.bincount(rows, weights=residual * alpha[cols], minlength=n)
+            np.bincount(rows, weights=residual * alpha_cols, minlength=shard.num_instances)
             * beta
         ) / labels_per_instance
         new_log_beta = np.clip(
             log_beta + self.learning_rate * grad_log_beta, -4.0, 4.0
         )
         return (
-            (posterior_one, new_log_beta, labels_per_instance),
+            (posterior_one, new_log_beta, labels_per_instance, prob_correct),
             ShardStats(grad_alpha=grad_alpha),
         )
 

@@ -717,7 +717,7 @@ class StreamingGLAD(StreamingTruthInference):
             alpha = np.clip(
                 alpha + self.learning_rate * (grads.grad_alpha / normalizer), -8.0, 8.0
             )
-        (posterior_one, log_beta, _), _ = twin._e_mapper(alpha, batch, state)
+        (posterior_one, log_beta, _, _), _ = twin._e_mapper(alpha, batch, state)
 
         blocks = {
             "_log_beta_blocks": log_beta,
@@ -733,11 +733,12 @@ class StreamingGLAD(StreamingTruthInference):
         if self._alpha is None or not self._log_beta_blocks:
             return list(self._blocks)
         # The twin's E-step over the whole retained stream, from its init
-        # state with the stream's frozen difficulties (the E-step reads no
-        # labels-per-instance normalizer, so none is built).
+        # state with the stream's frozen difficulties (the E-step reads
+        # neither the labels-per-instance normalizer nor the carried
+        # prob_correct, so neither is built).
         log_beta = np.concatenate(self._log_beta_blocks)
-        state = (np.full(log_beta.shape, self.prior_correct), log_beta, None)
-        (posterior_one, _, _), _ = self._twin._e_mapper(self._alpha, self.crowd, state)
+        state = (np.full(log_beta.shape, self.prior_correct), log_beta, None, None)
+        (posterior_one, _, _, _), _ = self._twin._e_mapper(self._alpha, self.crowd, state)
         return [np.stack([1.0 - posterior_one, posterior_one], axis=1)]
 
     def _model_state(self) -> dict:

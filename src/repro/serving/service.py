@@ -10,7 +10,8 @@ method); the service adds exactly four behaviors:
 
 * **State ownership** — one estimator per dataset, created on first
   ``partial_fit`` (or explicitly via :meth:`CrowdService.create_dataset`)
-  with the service's method + constructor overrides. The configuration is
+  with the service's method + constructor overrides; a first batch the
+  estimator refuses creates no dataset. The configuration is
   recorded in every checkpoint, so a restarted service resumes each
   dataset under the configuration it was actually trained with.
 * **Snapshot semantics** — queries see the last *completed* update. Each
@@ -118,6 +119,7 @@ class _DatasetEntry:
     __slots__ = (
         "dataset_id", "method", "overrides", "lock", "stream",
         "snapshot", "version", "last_touch", "dirty", "slot",
+        "provisional", "retired",
     )
 
     def __init__(self, dataset_id: str, method: str | None, overrides: dict) -> None:
@@ -131,6 +133,8 @@ class _DatasetEntry:
         self.last_touch = 0
         self.dirty = False                # updates newer than the checkpoint
         self.slot: int | None = None      # slot pair of the newest commit (None: none)
+        self.provisional = False          # registered by partial_fit's first touch
+        self.retired = False              # unregistered: callers holding it find no dataset
 
 
 class CrowdService:
@@ -208,9 +212,34 @@ class CrowdService:
                         "(need [A-Za-z0-9][A-Za-z0-9._-]*)"
                     )
                 entry = _DatasetEntry(dataset_id, self.method, self.method_overrides)
+                entry.provisional = True
                 self._entries[dataset_id] = entry
             entry.last_touch = next(self._clock)
             return entry
+
+    def _unregister_refused(self, entry: _DatasetEntry) -> None:
+        """Drop a dataset whose first batch was refused; entry.lock held.
+
+        Only a dataset ``partial_fit`` registered itself goes, and only
+        while it holds no acknowledged update and no checkpoint. The
+        entry is removed only if it is still the registered one, and is
+        marked retired: a ``partial_fit`` that was waiting on its lock
+        registers the id afresh instead of feeding the removed entry, and
+        the other calls that were waiting on it treat the id as unknown.
+        """
+        if not entry.provisional or entry.version or entry.slot is not None:
+            return
+        with self._lock:
+            if self._entries.get(entry.dataset_id) is entry:
+                del self._entries[entry.dataset_id]
+        entry.retired = True
+        entry.stream = None
+
+    @staticmethod
+    def _require_registered(entry: _DatasetEntry) -> None:
+        """entry.lock held: a retired entry's dataset no longer exists."""
+        if entry.retired:
+            raise KeyError(f"unknown dataset {entry.dataset_id!r}")
 
     def datasets(self) -> tuple[str, ...]:
         """Every known dataset id (resident or checkpointed), sorted."""
@@ -297,24 +326,37 @@ class CrowdService:
         update all or nothing. An update that would commit non-finite
         state raises
         :class:`~repro.inference.streaming.StreamUpdateRejected` naming
-        the dataset; an incompatible batch raises ``ValueError``.
+        the dataset; an incompatible batch raises ``ValueError``
+        (``TypeError`` for a batch that is not a ``CrowdLabelMatrix``).
+        A refused first batch of a dataset this call registered leaves
+        no dataset behind: ``datasets()`` does not list it, ``query``
+        raises ``KeyError`` and no checkpoint writes it. A dataset
+        registered by :meth:`create_dataset`, or holding an
+        acknowledged update or a checkpoint, stays.
         """
-        entry = self._entry(dataset_id, create=True)
-        with entry.lock:
-            self._ensure_resident(entry)
-            try:
-                entry.stream.partial_fit(batch)
-            except StreamUpdateRejected as error:
-                raise StreamUpdateRejected(f"dataset {dataset_id!r}: {error}") from error
-            entry.version = entry.stream.updates
-            entry.dirty = True
-            ack = {
-                "dataset_id": dataset_id,
-                "updates": entry.version,
-                "observations_seen": entry.stream.observations_seen,
-            }
-        self._maybe_evict(keep=entry)
-        return ack
+        while True:
+            entry = self._entry(dataset_id, create=True)
+            with entry.lock:
+                if entry.retired:
+                    continue  # its first batch was refused while this call waited
+                self._ensure_resident(entry)
+                try:
+                    entry.stream.partial_fit(batch)
+                except StreamUpdateRejected as error:
+                    self._unregister_refused(entry)
+                    raise StreamUpdateRejected(f"dataset {dataset_id!r}: {error}") from error
+                except (TypeError, ValueError):
+                    self._unregister_refused(entry)
+                    raise
+                entry.version = entry.stream.updates
+                entry.dirty = True
+                ack = {
+                    "dataset_id": dataset_id,
+                    "updates": entry.version,
+                    "observations_seen": entry.stream.observations_seen,
+                }
+            self._maybe_evict(keep=entry)
+            return ack
 
     def query(self, dataset_id: str, refresh: bool = False) -> InferenceResult:
         """Posterior over everything the dataset's stream has seen.
@@ -333,6 +375,7 @@ class CrowdService:
             if snapshot is not None and snapshot[0] == entry.version:
                 return snapshot[1]
         with entry.lock:
+            self._require_registered(entry)
             self._ensure_resident(entry)
             result = entry.stream.result(refresh=refresh)
             if not refresh:
@@ -358,6 +401,7 @@ class CrowdService:
         if entry is None:
             raise KeyError(f"unknown dataset {dataset_id!r}")
         with entry.lock:
+            self._require_registered(entry)
             return entry.version
 
     # -- durability ------------------------------------------------------ #
@@ -383,10 +427,13 @@ class CrowdService:
         for target in targets:
             with self._lock:
                 entry = self._entries.get(target)
-            if entry is None:
+            if entry is not None:
+                with entry.lock:
+                    # A refused first batch may have unregistered it meanwhile.
+                    if not entry.retired:
+                        cursors[target] = self._checkpoint_locked(entry)
+            if dataset_id is not None and target not in cursors:
                 raise KeyError(f"unknown dataset {target!r}")
-            with entry.lock:
-                cursors[target] = self._checkpoint_locked(entry)
         return cursors
 
     def _checkpoint_locked(self, entry: _DatasetEntry) -> int:
@@ -433,6 +480,7 @@ class CrowdService:
         if entry is None:
             raise KeyError(f"unknown dataset {dataset_id!r}")
         with entry.lock:
+            self._require_registered(entry)
             return self._evict_locked(entry)
 
     def _evict_locked(self, entry: _DatasetEntry) -> bool:

@@ -166,9 +166,18 @@ class TestSequenceCrowdLabels:
             stacked.shape[0], annotators, classes,
         )
         _assert_surface_matches(shard, expected)
+        _assert_contiguous_triples(shard)
+        _assert_contiguous_triples(expected)
         for mine, its in zip(crowd.flat_label_pairs(), shard.flat_label_pairs()):
             assert mine is its
         np.testing.assert_array_equal(crowd.token_vote_counts_flat(), expected.vote_counts())
+
+
+def _assert_contiguous_triples(shard) -> None:
+    """A shard built from a dense block hands the kernels C-contiguous
+    triples, so no ``bincount`` over them copies them again."""
+    for values in shard.flat_label_pairs():
+        assert values.flags.c_contiguous
 
 
 def _assert_surface_matches(shard, expected: SparseLabelShard) -> None:
@@ -196,6 +205,8 @@ def _assert_container_matches(crowd: CrowdLabelMatrix, labels: np.ndarray) -> No
     np.testing.assert_array_equal(crowd.labels, labels)
     _assert_surface_matches(crowd, expected)
     _assert_surface_matches(crowd.as_shard(), expected)
+    _assert_contiguous_triples(crowd.as_shard())
+    _assert_contiguous_triples(expected)
     np.testing.assert_array_equal(crowd.observed_mask, labels != M)
 
 
@@ -254,6 +265,7 @@ class TestCrowdLabelMatrixExtend:
         assert crowd.label_incidence() is shard.label_incidence()
         for mine, its in zip(crowd.flat_label_pairs(), shard.flat_label_pairs()):
             assert mine is its
+        _assert_contiguous_triples(shard)
 
     def test_extend_returns_self_and_grows(self):
         crowd = CrowdLabelMatrix(np.array([[0, 1]]), 2)

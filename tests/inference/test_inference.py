@@ -21,6 +21,7 @@ from repro.inference import (
     MajorityVote,
     majority_vote_posterior,
 )
+from repro.inference.glad import _sigmoid as glad_sigmoid
 
 from .equivalence_harness import random_classification_crowd
 
@@ -100,6 +101,15 @@ class TestDawidSkene:
             DawidSkene(smoothing=-1.0)
 
 
+def _two_branch_sigmoid(x):
+    """GLAD's sigmoid before it took one ``exp``: the reference form."""
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.abs(x))),
+        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+    )
+
+
 class TestGLAD:
     def test_binary_only(self):
         crowd = CrowdLabelMatrix(np.array([[0, 1, 2]]), 3)
@@ -138,6 +148,16 @@ class TestGLAD:
         full = GLAD().infer(crowd)
         assert full.extras["iterations"] == GLAD().em_iterations
         assert not full.extras["converged"]
+
+    def test_sigmoid_matches_the_two_branch_form(self):
+        # Zeros, infinities, NaN, subnormals, and the magnitudes where
+        # exp(-|x|) goes subnormal (708, 745) and then underflows to 0.
+        edge = np.array([0.0, np.inf, np.nan, 5e-324, 1e-300, 708.0, 745.0, 746.0, 800.0])
+        draws = np.random.default_rng(29).uniform(-50.0, 50.0, size=100_000)
+        x = np.concatenate([edge, -edge, draws])
+        got, want = glad_sigmoid(x), _two_branch_sigmoid(x)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPMAndCATD:

@@ -9,11 +9,14 @@ whose state record decodes, refusing the older rename-based layout) and
 resumes each under the configuration it was trained with, checkpoints
 free no disk blocks (counted filesystem calls), and bad inputs
 (path-unsafe ids, unknown datasets, incompatible batches) are rejected
-without touching state.
+without touching state; a refused first batch leaves no dataset behind,
+also when a valid first batch races it.
 """
 
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -332,3 +335,130 @@ class TestValidation:
             service.query("ds", refresh=True).posterior,
             _twin(batches[:1], inner_sweeps=1).result(refresh=True).posterior,
         )
+
+
+def _three_class_batch():
+    """A first batch GLAD refuses: GLAD is binary only."""
+    return CrowdLabelMatrix(np.array([[0, 2]], dtype=np.int64), 3)
+
+
+def _binary_batch():
+    return CrowdLabelMatrix(np.array([[0, 1], [1, 1]], dtype=np.int64), 2)
+
+
+class TestRefusedFirstBatch:
+    """A dataset ``partial_fit`` registered itself goes away again when its
+    first batch is refused; one with any other claim to exist stays."""
+
+    def test_refused_first_batch_leaves_no_dataset(self, tmp_path):
+        service = CrowdService(tmp_path, method="GLAD")
+        with pytest.raises(ValueError, match="binary"):
+            service.partial_fit("x", _three_class_batch())
+        assert service.datasets() == ()
+        with pytest.raises(KeyError, match="unknown dataset"):
+            service.query("x")
+        assert service.checkpoint() == {}
+        assert not (tmp_path / "x").exists()
+        assert CrowdService(tmp_path, method="GLAD").datasets() == ()
+        # The id is free for a valid first batch.
+        assert service.partial_fit("x", _binary_batch())["updates"] == 1
+        assert service.datasets() == ("x",)
+
+    def test_created_dataset_survives_a_refused_first_batch(self, tmp_path):
+        service = CrowdService(tmp_path, method="GLAD")
+        service.create_dataset("x")
+        with pytest.raises(ValueError, match="binary"):
+            service.partial_fit("x", _three_class_batch())
+        assert service.datasets() == ("x",)
+        assert service.cursor("x") == 0
+        assert service.partial_fit("x", _binary_batch())["updates"] == 1
+
+    @pytest.fixture
+    def refusing(self, monkeypatch):
+        """Make GLAD's first-batch check dwell 50 ms before refusing, while
+        ``partial_fit`` holds the dataset's lock; the event is set when a
+        refusal starts."""
+        streaming_glad = type(get_method("GLAD", kind="streaming"))
+        check_first_batch = streaming_glad._check_first_batch
+        started = threading.Event()
+
+        def dwelling_check(stream, batch):
+            if batch.num_classes != 2:
+                started.set()
+                time.sleep(0.05)
+            check_first_batch(stream, batch)
+
+        monkeypatch.setattr(streaming_glad, "_check_first_batch", dwelling_check)
+        return started
+
+    def test_refused_and_valid_first_batches_race(self, tmp_path, refusing):
+        # A valid first batch started during the refusal usually waits on
+        # the dataset's lock and must register the id afresh once the
+        # refused entry is removed. Every interleaving must end with the
+        # valid batch applied once.
+        service = CrowdService(tmp_path, method="GLAD")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(5):
+                dataset_id = f"race{round_index}"
+                refusing.clear()
+                outcomes = {}
+
+                def feed(name, batch, dataset_id=dataset_id, outcomes=outcomes):
+                    try:
+                        outcomes[name] = service.partial_fit(dataset_id, batch)["updates"]
+                    except ValueError as error:
+                        outcomes[name] = error
+
+                refused = threading.Thread(target=feed, args=("refused", _three_class_batch()))
+                valid = threading.Thread(target=feed, args=("valid", _binary_batch()))
+                refused.start()
+                assert refusing.wait(timeout=10)
+                valid.start()
+                for thread in (refused, valid):
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert outcomes["valid"] == 1
+                assert isinstance(outcomes["refused"], ValueError)
+                assert dataset_id in service.datasets()
+                assert service.cursor(dataset_id) == 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert service.checkpoint() == {f"race{index}": 1 for index in range(5)}
+
+    def test_calls_waiting_on_a_refused_first_batch_find_no_dataset(self, tmp_path, refusing):
+        # Each call resolves the dataset during the refusal or after it;
+        # either way the id is unknown once the refusal is done.
+        service = CrowdService(tmp_path, method="GLAD")
+        calls = {
+            "partial_fit": lambda: service.partial_fit("x", _three_class_batch()),
+            "query": lambda: service.query("x"),
+            "cursor": lambda: service.cursor("x"),
+            "evict": lambda: service.evict("x"),
+            "checkpoint": lambda: service.checkpoint("x"),
+        }
+        outcomes = {}
+
+        def call(name):
+            try:
+                outcomes[name] = calls[name]()
+            except (KeyError, ValueError) as error:
+                outcomes[name] = error
+
+        refused = threading.Thread(target=call, args=("partial_fit",))
+        refused.start()
+        assert refusing.wait(timeout=10)
+        waiting = [
+            threading.Thread(target=call, args=(name,)) for name in calls if name != "partial_fit"
+        ]
+        for thread in waiting:
+            thread.start()
+        for thread in (refused, *waiting):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert isinstance(outcomes.pop("partial_fit"), ValueError)
+        for name, outcome in outcomes.items():
+            assert isinstance(outcome, KeyError), (name, outcome)
+        assert service.datasets() == ()
+        assert not (tmp_path / "x").exists()
