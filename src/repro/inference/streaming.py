@@ -46,8 +46,13 @@ crowd through ``partial_fit`` in batches with decay disabled and then
 calling ``fit_to_convergence()`` reproduces the batch method's posterior
 at convergence exactly — the retained container is grown by
 :meth:`~repro.crowd.types.CrowdLabelMatrix.extend`, which appends the
-labels and drops the derived views, and the twin reads it through the
-same kernel surface as a freshly built container.
+labels into its :class:`~repro.crowd.types.RowBuffer` in place and
+drops the derived views, and the twin reads it through the same kernel
+surface as a freshly built container. The stored per-batch posteriors
+(and GLAD's difficulties) grow in row buffers too, so neither an update
+nor a ``result()`` copies the stream: ``result()`` and
+:meth:`~StreamingTruthInference.get_state` hand out read-only views of
+the filled rows.
 For majority vote the contract is stronger: the incremental ``result()``
 itself equals the batch posterior after every update, no convergence call
 needed. With decay enabled there is deliberately no batch equivalent —
@@ -67,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff.dtypes import REFERENCE_DTYPE
-from ..crowd.types import CrowdLabelMatrix
+from ..crowd.types import CrowdLabelMatrix, RowBuffer, read_only
 from .base import ConvergenceMonitor, InferenceResult
 from .dawid_skene import DawidSkene
 from .glad import GLAD
@@ -118,16 +123,23 @@ def _state_array(state: dict, key: str) -> np.ndarray | None:
     return np.array(value, dtype=REFERENCE_DTYPE)
 
 
+def _filled(rows: RowBuffer | None) -> np.ndarray | None:
+    """The rows a buffer holds, as a read-only view; None before the first append."""
+    return None if rows is None else rows.view()
+
+
 class StreamingTruthInference:
     """Base class: stream bookkeeping shared by every streaming method.
 
     Subclasses implement :meth:`_ingest` (the O(new observations) state
     update, computed without mutating anything; :meth:`partial_fit`
-    checks and commits it), :meth:`_posterior_blocks`, and
+    checks and commits it), :meth:`_refreshed_posterior`, and
     :meth:`_adopt` for the convergence path, and build ``self._twin`` —
     the batch method this stream converges to (replay contract) — once in
     their constructor. The twin's constructor is the one check of the
-    parameters the two share.
+    parameters the two share. A method that stores each batch's
+    posterior at ingest keeps it in ``self._posteriors``, a
+    :class:`~repro.crowd.types.RowBuffer` (None until the first batch).
     """
 
     name = "streaming-base"
@@ -140,6 +152,7 @@ class StreamingTruthInference:
         self.updates = 0
         self.observations_seen = 0
         self._monitor = ConvergenceMonitor(tolerance, _UNBOUNDED)
+        self._posteriors: RowBuffer | None = None  # (I, K) rows stored at ingest
 
     # ------------------------------------------------------------------ #
     @property
@@ -207,13 +220,17 @@ class StreamingTruthInference:
                     f"{name.lstrip('_')}; nothing was committed"
                 )
         if self.crowd is None:
-            self.crowd = CrowdLabelMatrix(batch.labels.copy(), batch.num_classes)
+            self.crowd = CrowdLabelMatrix(batch.labels, batch.num_classes)  # copies
         else:
             self.crowd.extend(batch.labels)
         for name, value in assign.items():
             setattr(self, name, value)
         for name, block in append.items():
-            getattr(self, name).append(block)
+            rows = getattr(self, name)
+            if rows is None:
+                setattr(self, name, RowBuffer(block))
+            else:
+                rows.append(block)
         self.updates = update
         self.observations_seen += batch.total_annotations()
         self._monitor.step(delta)
@@ -223,27 +240,29 @@ class StreamingTruthInference:
         """Posterior over every instance seen so far.
 
         With ``refresh=False`` (default) each instance keeps the posterior
-        computed when its batch arrived — O(I) assembly, no label scans.
-        ``refresh=True`` re-runs one E-step over the full retained stream
-        under the *current* annotator model (O(total observations)) so
-        early instances benefit from later evidence. The refresh is
-        computed into the returned result only — stored ingest-time
-        posteriors are never overwritten, so a later
+        computed when its batch arrived: the result's posterior is a
+        read-only view of the stored rows, built without a copy or a label
+        scan, and the only O(I) work is :class:`InferenceResult`'s one
+        pass over the row sums (majority vote normalizes the crowd's vote
+        counts instead). ``refresh=True`` re-runs one E-step over the full
+        retained stream under the *current* annotator model (O(total
+        observations)) so early instances benefit from later evidence.
+        The refresh is computed into the returned result only — stored
+        ingest-time posteriors are never overwritten, so a later
         ``result(refresh=False)`` still reports them (contract pinned by
-        ``tests/inference/test_streaming.py``).
+        ``tests/inference/test_streaming.py``). Every array of the result
+        is read-only, so a caller sharing it (``CrowdService`` hands one
+        snapshot to every reader) cannot write into another's result or
+        into the stream.
         """
         self._require_data()
-        blocks = self._refreshed_blocks() if refresh else self._posterior_blocks()
-        posterior = (
-            np.concatenate(blocks, axis=0)
-            if blocks
-            else np.zeros((0, self.num_classes))
-        )
-        return InferenceResult(
-            posterior=posterior,
-            confusions=self._current_confusions(),
+        result = InferenceResult(
+            posterior=self._refreshed_posterior() if refresh else self._stored_posterior(),
+            confusions=read_only(self._current_confusions()),
             extras=self.streaming_extras(),
         )
+        result.posterior.flags.writeable = False
+        return result
 
     def fit_to_convergence(self) -> InferenceResult:
         """Re-estimate on the full retained stream with the batch twin.
@@ -301,10 +320,11 @@ class StreamingTruthInference:
         The returned dict holds only scalars, None, and float64 arrays,
         so it round-trips bit-exactly through the serving layer's
         checkpoint codec (:mod:`repro.serving.state`). It is a snapshot:
-        an update commits new arrays instead of writing into the old
-        ones, so later ``partial_fit`` calls never change a dict already
-        returned (treat its arrays as read-only, the stream may still
-        hold them).
+        an update commits new arrays or appends rows past the stored ones,
+        never writing into what a dict already returned holds, so later
+        ``partial_fit`` calls never change it. Its arrays are read-only
+        views (the stream still holds them); the stored posteriors are the
+        filled rows of their buffer, no copy.
         Restoring it with :meth:`set_state` into a freshly-constructed
         instance (same constructor configuration) and re-attaching the
         retained crowd reproduces the stream bit-for-bit: replaying the
@@ -324,7 +344,8 @@ class StreamingTruthInference:
             "monitor_last_change": self._monitor.last_change,
             "monitor_converged": self._monitor.converged,
         }
-        state.update(self._model_state())
+        for key, value in self._model_state().items():
+            state[key] = read_only(value)
         return state
 
     def set_state(self, state: dict, crowd: CrowdLabelMatrix | None = None) -> "StreamingTruthInference":
@@ -389,14 +410,17 @@ class StreamingTruthInference:
         """
         raise NotImplementedError
 
-    def _posterior_blocks(self) -> list[np.ndarray]:
-        raise NotImplementedError
+    def _stored_posterior(self) -> np.ndarray:
+        """``(I, K)`` ingest-time posteriors: a read-only view of the stored rows."""
+        if self._posteriors is None:
+            return np.zeros((0, self.num_classes))
+        return self._posteriors.view()
 
-    def _refreshed_blocks(self) -> list[np.ndarray]:
-        """Posterior blocks recomputed under the current model.
+    def _refreshed_posterior(self) -> np.ndarray:
+        """``(I, K)`` posteriors recomputed under the current model.
 
         Must be side-effect-free: ``result(refresh=True)`` consumes the
-        returned blocks without storing them, so the ingest-time
+        returned array without storing it, so the ingest-time
         posteriors survive a refresh.
         """
         raise NotImplementedError
@@ -446,11 +470,11 @@ class StreamingMajorityVote(StreamingTruthInference):
         delta = float(np.abs(share - previous).max()) if previous is not None else np.inf
         return {"_vote_totals": totals, "_vote_share": share}, {}, delta
 
-    def _posterior_blocks(self) -> list[np.ndarray]:
-        return [majority_vote_posterior(self.crowd)]
+    def _stored_posterior(self) -> np.ndarray:
+        return majority_vote_posterior(self.crowd)
 
-    def _refreshed_blocks(self) -> list[np.ndarray]:
-        return self._posterior_blocks()  # always reflects every vote seen
+    def _refreshed_posterior(self) -> np.ndarray:
+        return self._stored_posterior()  # always reflects every vote seen
 
     def _model_state(self) -> dict:
         return {"vote_totals": self._vote_totals, "vote_share": self._vote_share}
@@ -501,7 +525,6 @@ class StreamingDawidSkene(StreamingTruthInference):
         self._stat_prior: np.ndarray | None = None       # (K,) soft counts
         self._confusions: np.ndarray | None = None
         self._prior: np.ndarray | None = None
-        self._blocks: list[np.ndarray] = []
 
     @staticmethod
     def _e_step(crowd: CrowdLabelMatrix, prior: np.ndarray, confusions: np.ndarray) -> np.ndarray:
@@ -534,8 +557,8 @@ class StreamingDawidSkene(StreamingTruthInference):
             # not decayed (decay tracks information arrival, not ticks).
             stats = {"_stat_confusions": stat_confusions, "_stat_prior": stat_prior}
             if self._confusions is None:
-                return stats, {"_blocks": np.full((batch.num_instances, K), 1.0 / K)}, np.inf
-            return stats, {"_blocks": self._e_step(batch, self._prior, self._confusions)}, 0.0
+                return stats, {"_posteriors": np.full((batch.num_instances, K), 1.0 / K)}, np.inf
+            return stats, {"_posteriors": self._e_step(batch, self._prior, self._confusions)}, 0.0
         if self._confusions is None:
             # Nothing learned yet: bootstrap the first real batch from
             # majority voting, exactly like the batch method's init.
@@ -571,15 +594,12 @@ class StreamingDawidSkene(StreamingTruthInference):
             "_confusions": confusions,
             "_prior": prior,
         }
-        return state, {"_blocks": posterior}, delta
+        return state, {"_posteriors": posterior}, delta
 
-    def _posterior_blocks(self) -> list[np.ndarray]:
-        return self._blocks
-
-    def _refreshed_blocks(self) -> list[np.ndarray]:
+    def _refreshed_posterior(self) -> np.ndarray:
         if self._confusions is None:
-            return list(self._blocks)
-        return [self._e_step(self.crowd, self._prior, self._confusions)]
+            return self._stored_posterior()
+        return self._e_step(self.crowd, self._prior, self._confusions)
 
     def _model_state(self) -> dict:
         return {
@@ -587,11 +607,9 @@ class StreamingDawidSkene(StreamingTruthInference):
             "stat_prior": self._stat_prior,
             "confusions": self._confusions,
             "prior": self._prior,
-            # Stored per-batch posteriors concatenate losslessly: they are
-            # only ever appended to and concatenated, never re-split.
-            "posterior_blocks": (
-                np.concatenate(self._blocks, axis=0) if self._blocks else None
-            ),
+            # The per-batch posteriors, stored as one run of rows: they are
+            # only ever appended to, never re-split.
+            "posterior_blocks": _filled(self._posteriors),
         }
 
     def _set_model_state(self, state: dict) -> None:
@@ -600,7 +618,7 @@ class StreamingDawidSkene(StreamingTruthInference):
         self._confusions = _state_array(state, "confusions")
         self._prior = _state_array(state, "prior")
         packed = _state_array(state, "posterior_blocks")
-        self._blocks = [] if packed is None else [packed]
+        self._posteriors = None if packed is None else RowBuffer(packed)
         if packed is not None and self.crowd is not None and packed.shape[0] != self.crowd.num_instances:
             raise ValueError(
                 f"state holds {packed.shape[0]} posterior rows, "
@@ -615,8 +633,9 @@ class StreamingDawidSkene(StreamingTruthInference):
         return normalize_rows(sub_result.posterior.sum(axis=0) + self.smoothing)
 
     def _adopt(self, result: InferenceResult) -> None:
-        self._confusions = result.confusions
-        self._blocks = [result.posterior]
+        # Copies: the caller of fit_to_convergence holds the result's arrays.
+        self._confusions = result.confusions.copy()
+        self._posteriors = RowBuffer(result.posterior.copy())
         # Rebuild the running statistics from the converged posterior so
         # later partial_fit calls continue from the converged model.
         self._stat_confusions = confusion_counts(result.posterior, self.crowd)
@@ -678,8 +697,7 @@ class StreamingGLAD(StreamingTruthInference):
         self.prior_correct = prior_correct
         self._alpha: np.ndarray | None = None
         self._label_counts: np.ndarray | None = None  # decayed per-annotator
-        self._log_beta_blocks: list[np.ndarray] = []
-        self._blocks: list[np.ndarray] = []
+        self._log_beta: RowBuffer | None = None  # (I,) frozen at ingest
 
     def _check_first_batch(self, batch: CrowdLabelMatrix) -> None:
         if batch.num_classes != 2:
@@ -694,11 +712,11 @@ class StreamingGLAD(StreamingTruthInference):
             # uses, not an update-counter check (an empty→empty stream
             # has updates > 0 but an untrained model).
             prior = np.full(batch.num_instances, self.prior_correct)
-            blocks = {
-                "_log_beta_blocks": np.zeros(batch.num_instances),
-                "_blocks": np.stack([1.0 - prior, prior], axis=1),
+            rows = {
+                "_log_beta": np.zeros(batch.num_instances),
+                "_posteriors": np.stack([1.0 - prior, prior], axis=1),
             }
-            return {}, blocks, np.inf if self._alpha is None else 0.0
+            return {}, rows, np.inf if self._alpha is None else 0.0
         alpha, label_counts = self._alpha, self._label_counts
         if alpha is None:
             alpha = np.ones(batch.num_annotators)
@@ -719,47 +737,40 @@ class StreamingGLAD(StreamingTruthInference):
             )
         (posterior_one, log_beta, _, _), _ = twin._e_mapper(alpha, batch, state)
 
-        blocks = {
-            "_log_beta_blocks": log_beta,
-            "_blocks": np.stack([1.0 - posterior_one, posterior_one], axis=1),
+        rows = {
+            "_log_beta": log_beta,
+            "_posteriors": np.stack([1.0 - posterior_one, posterior_one], axis=1),
         }
         delta = float(np.abs(alpha - previous_alpha).max(initial=0.0))
-        return {"_alpha": alpha, "_label_counts": label_counts}, blocks, delta
+        return {"_alpha": alpha, "_label_counts": label_counts}, rows, delta
 
-    def _posterior_blocks(self) -> list[np.ndarray]:
-        return self._blocks
-
-    def _refreshed_blocks(self) -> list[np.ndarray]:
-        if self._alpha is None or not self._log_beta_blocks:
-            return list(self._blocks)
+    def _refreshed_posterior(self) -> np.ndarray:
+        if self._alpha is None or self._log_beta is None:
+            return self._stored_posterior()
         # The twin's E-step over the whole retained stream, from its init
         # state with the stream's frozen difficulties (the E-step reads
         # neither the labels-per-instance normalizer nor the carried
         # prob_correct, so neither is built).
-        log_beta = np.concatenate(self._log_beta_blocks)
+        log_beta = self._log_beta.view()
         state = (np.full(log_beta.shape, self.prior_correct), log_beta, None, None)
         (posterior_one, _, _, _), _ = self._twin._e_mapper(self._alpha, self.crowd, state)
-        return [np.stack([1.0 - posterior_one, posterior_one], axis=1)]
+        return np.stack([1.0 - posterior_one, posterior_one], axis=1)
 
     def _model_state(self) -> dict:
         return {
             "alpha": self._alpha,
             "label_counts": self._label_counts,
-            "log_beta": (
-                np.concatenate(self._log_beta_blocks) if self._log_beta_blocks else None
-            ),
-            "posterior_blocks": (
-                np.concatenate(self._blocks, axis=0) if self._blocks else None
-            ),
+            "log_beta": _filled(self._log_beta),
+            "posterior_blocks": _filled(self._posteriors),
         }
 
     def _set_model_state(self, state: dict) -> None:
         self._alpha = _state_array(state, "alpha")
         self._label_counts = _state_array(state, "label_counts")
         log_beta = _state_array(state, "log_beta")
-        self._log_beta_blocks = [] if log_beta is None else [log_beta]
+        self._log_beta = None if log_beta is None else RowBuffer(log_beta)
         packed = _state_array(state, "posterior_blocks")
-        self._blocks = [] if packed is None else [packed]
+        self._posteriors = None if packed is None else RowBuffer(packed)
         if log_beta is not None and self.crowd is not None and log_beta.shape[0] != self.crowd.num_instances:
             raise ValueError(
                 f"state holds {log_beta.shape[0]} difficulty rows, "
@@ -780,6 +791,7 @@ class StreamingGLAD(StreamingTruthInference):
     def _adopt(self, result: InferenceResult) -> None:
         self._alpha = np.asarray(result.extras["alpha"], dtype=REFERENCE_DTYPE).copy()
         beta = np.asarray(result.extras["beta"], dtype=REFERENCE_DTYPE)
-        self._log_beta_blocks = [np.log(beta)] if beta.size else []
-        self._blocks = [result.posterior] if result.posterior.size else []
+        self._log_beta = RowBuffer(np.log(beta)) if beta.size else None
+        # A copy: the caller of fit_to_convergence holds result.posterior.
+        self._posteriors = RowBuffer(result.posterior.copy()) if result.posterior.size else None
         self._label_counts = self.crowd.annotations_per_annotator().astype(REFERENCE_DTYPE)

@@ -366,7 +366,10 @@ class CrowdService:
         queries return the cached snapshot (O(1)); ``refresh=True``
         recomputes under the current annotator model every call (the
         streaming layer keeps refresh side-effect-free, so it never
-        disturbs the ingest-time posteriors the snapshot serves).
+        disturbs the ingest-time posteriors the snapshot serves). Every
+        reader of a version gets the same result, and its arrays are
+        read-only views of the stream's stored rows, so a reader can
+        neither write into another's result nor into the stream.
         Unknown datasets raise ``KeyError``.
         """
         entry = self._entry(dataset_id, create=False)

@@ -1,5 +1,7 @@
 """Tests for crowd-label containers."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -250,11 +252,18 @@ class TestCrowdLabelMatrixExtend:
         for step, read in enumerate(reads):
             if step:
                 before = crowd.as_shard() if read else None
+                labels = crowd.labels
+                assert not labels.flags.writeable
                 assert crowd.extend(blocks[step]) is crowd
+                # The labels grow in place: a matrix taken earlier keeps
+                # its rows, also when the append reallocated the buffer.
+                np.testing.assert_array_equal(labels, np.concatenate(blocks[:step], axis=0))
                 if before is not None:
                     # extend drops the shard; one taken earlier keeps its rows.
                     assert crowd.as_shard() is not before
-                    assert before.num_instances == sum(b.shape[0] for b in blocks[:step])
+                    _assert_surface_matches(
+                        before, SparseLabelShard.from_dense(labels, classes)
+                    )
             if read or step == len(reads) - 1:
                 _assert_container_matches(crowd, np.concatenate(blocks[: step + 1], axis=0))
 
@@ -279,6 +288,19 @@ class TestCrowdLabelMatrixExtend:
         crowd.extend(np.array([[0, 1, M]]))
         np.testing.assert_array_equal(crowd.vote_counts(), [[1, 1]])
         _assert_container_matches(crowd, np.array([[0, 1, M]]))
+
+    def test_labels_are_a_read_only_prefix(self):
+        crowd = CrowdLabelMatrix(np.array([[0, 1], [1, M]]), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            crowd.labels[0, 0] = 1
+        crowd.extend(np.array([[M, 0]]))  # reallocates to twice the rows held
+        assert crowd.labels.base.shape == (4, 2)
+        # Spare capacity shows neither in the container nor in its pickle.
+        assert crowd.labels.shape == (3, 2) and crowd.num_instances == 3
+        np.testing.assert_array_equal(crowd.labels, [[0, 1], [1, M], [M, 0]])
+        clone = pickle.loads(pickle.dumps(crowd))
+        np.testing.assert_array_equal(clone.labels, crowd.labels)
+        assert clone.labels.base.shape == (3, 2)
 
     def test_extend_validates_block(self):
         crowd = CrowdLabelMatrix(np.array([[0, 1]]), 2)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autodiff.dtypes import equivalence_atol
 from repro.crowd import (
@@ -21,6 +24,7 @@ from repro.inference import (
     MajorityVote,
     majority_vote_posterior,
 )
+from repro.inference.base import _row_sums
 from repro.inference.glad import _sigmoid as glad_sigmoid
 
 from .equivalence_harness import random_classification_crowd
@@ -36,10 +40,81 @@ def _simulated(seed=0, I=400, J=25, mean=5.0, num_classes=2):
     return truth, crowd
 
 
+def _row_sum_edges() -> list[float]:
+    """Row sums at the check's edges: non-finite values, signed zeros,
+    subnormals, and 1 ± 1.1e-5 (the bound) with their float neighbours."""
+    edges = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]
+    for bound in (1.0 + 1.1e-5, 1.0 - 1.1e-5):
+        near = [bound]
+        for direction in (np.inf, -np.inf):
+            step = bound
+            for _ in range(2):
+                step = np.nextafter(step, direction)
+                near.append(float(step))
+        edges += near
+    return edges
+
+
+@st.composite
+def _posteriors(draw):
+    """``(I, K)`` float64 posteriors whose rows sum to edge values: column 0
+    carries the sum and the others are 0, or every entry is free."""
+    rows = draw(st.integers(0, 6))
+    classes = draw(st.integers(0, 4))
+    value = st.one_of(
+        st.sampled_from(_row_sum_edges()),
+        st.floats(1.0 - 3e-5, 1.0 + 3e-5),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+    if draw(st.booleans()) and classes:
+        posterior = np.zeros((rows, classes))
+        posterior[:, 0] = draw(st.lists(value, min_size=rows, max_size=rows))
+        return posterior
+    return draw(hnp.arrays(np.float64, (rows, classes), elements=value))
+
+
 class TestInferenceResult:
     def test_posterior_must_normalize(self):
         with pytest.raises(ValueError):
             InferenceResult(posterior=np.array([[0.5, 0.2]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(posterior=_posteriors())
+    @example(posterior=np.zeros((0, 3)))
+    @example(posterior=np.zeros((2, 0)))
+    @example(posterior=np.array([[1.0 + 1.1e-5], [np.nextafter(1.0 - 1.1e-5, 0.0)]]))
+    def test_row_check_accepts_exactly_what_allclose_did(self, posterior):
+        # The check's contract is the accept set of the call it replaced.
+        with np.errstate(all="ignore"):
+            accepted = bool(np.allclose(posterior.sum(axis=1), 1.0, atol=1e-6))
+            try:
+                InferenceResult(posterior=posterior)
+            except ValueError:
+                assert not accepted
+            else:
+                assert accepted
+
+    @pytest.mark.parametrize("classes", range(0, 11))
+    def test_row_sums_are_numpys(self, classes):
+        # The check's sums must be the ones allclose was given, bit for
+        # bit (signed zeros and NaN included).
+        rng = np.random.default_rng(classes)
+        posterior = rng.random((64, classes)) * rng.choice([1e-300, 1e-3, 1.0, 1e16], size=(64, classes))
+        posterior[rng.random(posterior.shape) < 0.1] *= -1.0
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+        posterior[rng.random(posterior.shape) < 0.1] = rng.choice(specials)
+        posterior[:4] = -0.0
+        with np.errstate(all="ignore"):
+            got, want = _row_sums(posterior), posterior.sum(axis=1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_row_check_bound_is_1_1e_5(self):
+        for bound in (1.0 + 1.1e-5, 1.0 - 1.1e-5):
+            InferenceResult(posterior=np.array([[bound]]))
+            outward = np.nextafter(bound, np.inf if bound > 1.0 else -np.inf)
+            with pytest.raises(ValueError):
+                InferenceResult(posterior=np.array([[outward]]))
 
     def test_hard_labels(self):
         result = InferenceResult(posterior=np.array([[0.9, 0.1], [0.3, 0.7]]))

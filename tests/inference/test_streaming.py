@@ -9,6 +9,9 @@ and the degenerate stream shapes batch methods never see.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.crowd.types import MISSING, CrowdLabelMatrix
 from repro.experiments.streaming_suite import stream_crowd_in_batches
@@ -291,16 +294,16 @@ class TestStreamingContracts:
             assert np.abs(refreshed - ingest_time).max() > 0
 
     def test_glad_refresh_keeps_difficulty_blocks(self, binary_crowd):
-        # Pre-fix the refresh also collapsed _log_beta_blocks into one
-        # block; the per-batch difficulty state must survive a read.
+        # Pre-fix the refresh also rewrote the stored per-batch
+        # difficulties; the difficulty state must survive a read.
         stream = StreamingGLAD()
         for batch in stream_crowd_in_batches(binary_crowd, [40, 40, 40]):
             stream.partial_fit(batch)
-        before = [block.copy() for block in stream._log_beta_blocks]
+        before = stream.get_state()["log_beta"].copy()
         stream.result(refresh=True)
-        assert len(stream._log_beta_blocks) == len(before)
-        for kept, expected in zip(stream._log_beta_blocks, before):
-            np.testing.assert_array_equal(kept, expected)
+        kept = stream.get_state()["log_beta"]
+        assert kept.shape == (binary_crowd.num_instances,)
+        np.testing.assert_array_equal(kept, before)
 
     @pytest.mark.parametrize("name", STREAMING_METHODS)
     def test_rejected_batch_leaves_stream_untouched(self, name, binary_crowd):
@@ -422,6 +425,126 @@ class TestStreamingContracts:
             StreamingDawidSkene().set_state(state, None)
         with pytest.raises(ValueError, match="format"):
             StreamingDawidSkene().set_state(dict(state, format=99), stream.crowd)
+
+
+@st.composite
+def _stream_schedules(draw, classes):
+    """Label blocks over one annotator axis — zero-instance and
+    observation-free blocks among them — and the update count after which
+    the stream goes through a ``get_state``/``set_state`` round trip."""
+    annotators = draw(st.integers(1, 4))
+    labelled = hnp.arrays(
+        np.int64,
+        st.tuples(st.integers(0, 6), st.just(annotators)),
+        elements=st.integers(MISSING, classes - 1),
+    )
+    unlabelled = st.integers(1, 4).map(
+        lambda rows: np.full((rows, annotators), MISSING, dtype=np.int64)
+    )
+    blocks = draw(st.lists(st.one_of(labelled, unlabelled), min_size=1, max_size=8))
+    return blocks, draw(st.integers(0, len(blocks)))
+
+
+def _fixed_schedule():
+    """Growth through several reallocations, an empty and an unlabelled block."""
+    rng = np.random.default_rng(5)
+    blocks = [rng.integers(MISSING, 2, size=(rows, 3)) for rows in (1, 1, 2, 0, 3, 5, 9)]
+    blocks.insert(4, np.full((2, 3), MISSING, dtype=np.int64))
+    return blocks, 4
+
+
+class TestSnapshotsSurviveGrowth:
+    """``get_state()`` and ``result()`` hand out read-only views of rows the
+    stream grows in place; later updates must never change them."""
+
+    @staticmethod
+    def _assert_read_only(state: dict, result) -> None:
+        assert not result.posterior.flags.writeable
+        if result.confusions is not None:
+            assert not result.confusions.flags.writeable
+        for key, value in state.items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, key
+
+    @pytest.mark.parametrize("name,classes", [("DS", 2), ("DS", 3), ("GLAD", 2)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_earlier_snapshots_keep_their_arrays(self, name, classes, data):
+        blocks, restore_at = data.draw(_stream_schedules(classes))
+        self._check_schedule(name, classes, blocks, restore_at)
+
+    @pytest.mark.parametrize("name", ["DS", "GLAD"])
+    def test_fixed_schedule(self, name):
+        self._check_schedule(name, 2, *_fixed_schedule())
+
+    def _check_schedule(self, name, classes, blocks, restore_at):
+        stream = get_method(name, kind="streaming")
+        taken = []  # (state, result, state copy, posterior copy) after each update
+        for step, labels in enumerate(blocks):
+            if step == restore_at:
+                crowd = None if stream.crowd is None else CrowdLabelMatrix(stream.crowd.labels, classes)
+                restored = get_method(name, kind="streaming").set_state(stream.get_state(), crowd)
+                assert_same_state(restored.get_state(), stream.get_state())
+                stream = restored
+            stream.partial_fit(CrowdLabelMatrix(labels, classes))
+            state, result = stream.get_state(), stream.result()
+            self._assert_read_only(state, result)
+            taken.append((state, result, copy_state(state), result.posterior.copy()))
+        for state, result, state_then, posterior_then in taken:
+            assert_same_state(state, state_then)
+            np.testing.assert_array_equal(result.posterior, posterior_then)
+        ends = np.cumsum([0] + [labels.shape[0] for labels in blocks])
+        per_update = [
+            posterior_then[start:stop]
+            for (_, _, _, posterior_then), start, stop in zip(taken, ends[:-1], ends[1:])
+        ]
+        final = stream.result(refresh=False).posterior
+        np.testing.assert_array_equal(final, np.concatenate(per_update, axis=0))
+        np.testing.assert_array_equal(stream.get_state()["posterior_blocks"], final)
+
+    @pytest.mark.parametrize("name", ["DS", "GLAD"])
+    def test_rows_grow_in_place_and_reallocate(self, name, binary_crowd):
+        # Views of one buffer share memory until it reallocates; a view
+        # taken before the reallocation still holds its rows after it.
+        stream = get_method(name, kind="streaming")
+        views, copies = [], []
+        for batch in stream_crowd_in_batches(binary_crowd, [10] * 12):
+            stream.partial_fit(batch)
+            views.append(stream.result().posterior)
+            copies.append(views[-1].copy())
+        shared = [np.shares_memory(a, b) for a, b in zip(views, views[1:])]
+        assert any(shared) and not all(shared)
+        for view, copy in zip(views, copies):
+            np.testing.assert_array_equal(view, copy)
+
+    @pytest.mark.parametrize("name", ["DS", "GLAD"])
+    def test_converged_result_is_the_callers_own(self, name, binary_crowd):
+        # The adopted posterior is stored as a copy: writing into the
+        # array fit_to_convergence returned must not reach the stream.
+        stream = get_method(name, kind="streaming")
+        for batch in stream_crowd_in_batches(binary_crowd, [60, 60]):
+            stream.partial_fit(batch)
+        converged = stream.fit_to_convergence()
+        kept = converged.posterior.copy()
+        converged.posterior[:] = 0.0
+        np.testing.assert_array_equal(stream.result().posterior, kept)
+        np.testing.assert_array_equal(stream.get_state()["posterior_blocks"], kept)
+        if converged.confusions is not None:
+            confusions = converged.confusions.copy()
+            converged.confusions[:] = 0.0
+            np.testing.assert_array_equal(stream.result().confusions, confusions)
+
+    @pytest.mark.parametrize("name,key,width", [
+        ("DS", "posterior_blocks", (2,)), ("GLAD", "posterior_blocks", (2,)), ("GLAD", "log_beta", ()),
+    ])
+    def test_zero_row_stream_stores_empty_arrays(self, name, key, width):
+        # No block appended: None. Only zero-row blocks: an empty array.
+        stream = get_method(name, kind="streaming")
+        assert stream.get_state()[key] is None
+        stream.partial_fit(CrowdLabelMatrix(np.zeros((0, 3), dtype=np.int64), 2))
+        stream.partial_fit(CrowdLabelMatrix(np.zeros((0, 3), dtype=np.int64), 2))
+        assert stream.get_state()[key].shape == (0, *width)
+        assert stream.result().posterior.shape == (0, 2)
 
 
 class TestStreamingGLAD:

@@ -60,6 +60,23 @@ class TestSnapshots:
             second.posterior, _twin(batches[:2], inner_sweeps=1).result().posterior
         )
 
+    @pytest.mark.parametrize("method", ["MV", "DS", "GLAD"])
+    def test_shared_snapshot_is_read_only(self, tmp_path, batches, method):
+        # Every reader of a version gets the same cached result: a write
+        # into it would reach the next reader (and the stored rows).
+        service = CrowdService(tmp_path, method=method)
+        service.partial_fit("ds", batches[0])
+        service.partial_fit("ds", batches[1])
+        for refresh in (False, True):
+            shared = service.query("ds", refresh=refresh)
+            expected = shared.posterior.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                shared.posterior[:] = 0
+            if shared.confusions is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    shared.confusions[:] = 0
+            np.testing.assert_array_equal(service.query("ds", refresh=refresh).posterior, expected)
+
     def test_refresh_recomputes_without_disturbing_snapshot(self, tmp_path, batches):
         service = CrowdService(tmp_path, method="DS", inner_sweeps=1)
         service.partial_fit("ds", batches[0])

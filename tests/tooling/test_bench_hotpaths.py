@@ -75,6 +75,11 @@ def test_bench_hotpaths_smoke_runs_and_writes_json(tmp_path):
         "after_first_update_ms", "after_last_update_ms",
     ):
         assert payload["streaming"][key] > 0
+    # One update's cost by stream length: the smoke run stops at 8 000.
+    by_length = payload["streaming"]["by_length"]["lengths"]
+    assert list(by_length) == ["800", "8000"]
+    for entry in by_length.values():
+        assert entry["partial_fit_ms"] > 0 and entry["result_ms"] > 0
 
     # The dtype section: float32 fast-path twins of the TextCNN and CRNN
     # training epochs. Asserted: contract keys present, the float32 run
